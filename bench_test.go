@@ -502,11 +502,9 @@ func BenchmarkSimulatedRun(b *testing.B) {
 		}
 		last = res
 	}
-	// Kernel counters of one run: how task requests were served (inline
-	// program fast path vs goroutine coroutine handshake) and how many
-	// dispatches the run performed.
+	// Kernel counters of one run: task requests served and dispatches
+	// performed.
 	b.ReportMetric(float64(last.ContextSwitches), "ctxsw/run")
-	b.ReportMetric(float64(last.GoroutineHandoffs), "handoffs/run")
 	b.ReportMetric(float64(last.InlineDispatches), "inline/run")
 }
 

@@ -193,8 +193,8 @@ func cmdRun(args []string) error {
 	}
 	fmt.Printf("exec time: %.6f s\n", res.ExecTime.Seconds())
 	if gVerbose {
-		fmt.Printf("kernel: ctxswitches=%d inline-dispatches=%d goroutine-handoffs=%d\n",
-			res.ContextSwitches, res.InlineDispatches, res.GoroutineHandoffs)
+		fmt.Printf("kernel: ctxswitches=%d inline-dispatches=%d\n",
+			res.ContextSwitches, res.InlineDispatches)
 		fmt.Printf("batch: snapshots/run=%d cow-copies/run=%d batched-reps/run=%d\n",
 			res.Snapshots, res.CowCopies, res.BatchedReps)
 	}

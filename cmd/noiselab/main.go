@@ -238,8 +238,8 @@ Global flags (before the subcommand):
                 under every policy.
   -v            report study progress (cell k/N) to stderr; 'run' also
                 prints the scheduler kernel counters (context switches,
-                inline dispatches, goroutine handoffs) and the batch
-                counters (snapshots/run, cow-copies/run, batched-reps/run)
+                inline dispatches) and the batch counters (snapshots/run,
+                cow-copies/run, batched-reps/run)
   -obs          attach the passive observability recorder to every run and
                 print the accumulated counter registry (Prometheus text) to
                 stderr on exit; failed reps dump their flight ring to stderr

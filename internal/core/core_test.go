@@ -234,8 +234,8 @@ func TestReplayerInjectsAtConfiguredTimes(t *testing.T) {
 	s := cpusched.New(eng, topo, opt)
 
 	// Workload: a pinned 30ms spin on CPU 0.
-	w := s.Spawn(cpusched.TaskSpec{Name: "w", Affinity: machine.SetOf(0)},
-		func(c *cpusched.Ctx) { c.ComputeDur(30 * sim.Millisecond) })
+	w := s.SpawnSeq(cpusched.TaskSpec{Name: "w", Affinity: machine.SetOf(0)},
+		cpusched.ReqCompute(float64(30*sim.Millisecond)*s.Topology().CyclesPerNs()))
 
 	cfg := &Config{
 		Window: 100 * sim.Millisecond,
@@ -271,9 +271,9 @@ func TestReplayerFIFODelaysSaturatedMachine(t *testing.T) {
 	var tasks []*cpusched.Task
 	for cpu := 0; cpu < 4; cpu++ {
 		cpu := cpu
-		tasks = append(tasks, s.Spawn(cpusched.TaskSpec{
+		tasks = append(tasks, s.SpawnSeq(cpusched.TaskSpec{
 			Name: "w", Affinity: machine.SetOf(cpu),
-		}, func(c *cpusched.Ctx) { c.ComputeDur(30 * sim.Millisecond) }))
+		}, cpusched.ReqCompute(float64(30*sim.Millisecond)*s.Topology().CyclesPerNs())))
 	}
 	cfg := &Config{
 		Window: 100 * sim.Millisecond,
@@ -307,8 +307,8 @@ func TestReplayerEarlyTermination(t *testing.T) {
 	eng := sim.NewEngine()
 	topo := machine.MustPreset(machine.TinyTest)
 	s := cpusched.New(eng, topo, cpusched.Defaults())
-	w := s.Spawn(cpusched.TaskSpec{Name: "w", Affinity: machine.SetOf(0)},
-		func(c *cpusched.Ctx) { c.ComputeDur(5 * sim.Millisecond) })
+	w := s.SpawnSeq(cpusched.TaskSpec{Name: "w", Affinity: machine.SetOf(0)},
+		cpusched.ReqCompute(float64(5*sim.Millisecond)*s.Topology().CyclesPerNs()))
 	cfg := &Config{
 		Window: sim.Second,
 		CPUs: []CPUEvents{{CPU: 0, Events: []NoiseEvent{

@@ -20,9 +20,9 @@ func replayOnSpin(t *testing.T, cfg *Config) (*cpusched.Scheduler, sim.Time) {
 	var tasks []*cpusched.Task
 	for cpu := 0; cpu < topo.NumCPUs(); cpu++ {
 		cpu := cpu
-		tasks = append(tasks, s.Spawn(cpusched.TaskSpec{
+		tasks = append(tasks, s.SpawnSeq(cpusched.TaskSpec{
 			Name: "spin", Affinity: machine.SetOf(cpu),
-		}, func(c *cpusched.Ctx) { c.ComputeDur(30 * sim.Millisecond) }))
+		}, cpusched.ReqCompute(float64(30*sim.Millisecond)*s.Topology().CyclesPerNs())))
 	}
 	if cfg != nil {
 		r, err := NewReplayer(s, cfg)

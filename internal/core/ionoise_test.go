@@ -40,9 +40,9 @@ func TestIONoiseNotAbsorbedByHousekeeping(t *testing.T) {
 		var tasks []*cpusched.Task
 		for cpu := 0; cpu < 3; cpu++ {
 			cpu := cpu
-			tasks = append(tasks, s.Spawn(cpusched.TaskSpec{
+			tasks = append(tasks, s.SpawnSeq(cpusched.TaskSpec{
 				Name: "w", Affinity: machine.SetOf(cpu),
-			}, func(c *cpusched.Ctx) { c.ComputeDur(100 * sim.Millisecond) }))
+			}, cpusched.ReqCompute(float64(100*sim.Millisecond)*s.Topology().CyclesPerNs())))
 		}
 		if withIO {
 			spec := IONoiseSpec{

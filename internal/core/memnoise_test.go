@@ -73,9 +73,9 @@ func TestMemoryNoiseContendsForBandwidth(t *testing.T) {
 		var tasks []*cpusched.Task
 		for cpu := 0; cpu < 3; cpu++ {
 			cpu := cpu
-			tasks = append(tasks, s.Spawn(cpusched.TaskSpec{
+			tasks = append(tasks, s.SpawnSeq(cpusched.TaskSpec{
 				Name: "w", Affinity: machine.SetOf(cpu),
-			}, func(c *cpusched.Ctx) { c.Memory(200e6) }))
+			}, cpusched.ReqMemory(200e6)))
 		}
 		if inject != nil {
 			r, err := NewReplayer(s, inject)

@@ -67,12 +67,9 @@ func (r *Replayer) Start() {
 	}
 }
 
-// injectProgram is Listing 1's per-process routine as an inline scheduler
-// Program: per event, switch policy, sleep until the event's start, then
-// occupy a CPU (or the memory system) for the event's duration. Running
-// inline spares one goroutine plus two channel operations per request for
-// every injector — with one injector per configured CPU they dominate task
-// churn in stage three.
+// injectProgram is Listing 1's per-process routine as a scheduler Program:
+// per event, switch policy, sleep until the event's start, then occupy a
+// CPU (or the memory system) for the event's duration.
 type injectProgram struct {
 	events []NoiseEvent
 	base   sim.Time

@@ -7,8 +7,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Scheduler microbenchmarks: spawn/dispatch cost on both execution paths
-// and the barrier-storm pattern that dominates fork-join workloads.
+// Scheduler microbenchmarks: spawn/dispatch cost and the barrier-storm
+// pattern that dominates fork-join workloads.
 // `make bench` records these in BENCH_kernel.json.
 
 func benchScheduler() (*sim.Engine, *Scheduler) {
@@ -20,23 +20,8 @@ func benchScheduler() (*sim.Engine, *Scheduler) {
 	return eng, New(eng, topo, Defaults())
 }
 
-// BenchmarkSpawnDispatchGoroutine measures one full task lifecycle on the
-// imperative path: goroutine spawn, two channel handoffs per request,
+// BenchmarkSpawnDispatchInline measures one full task lifecycle: spawn,
 // compute segment, exit.
-func BenchmarkSpawnDispatchGoroutine(b *testing.B) {
-	eng, s := benchScheduler()
-	spec := TaskSpec{Name: "t", Kind: KindNoiseThread}
-	body := func(c *Ctx) { c.Compute(1000) }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Spawn(spec, body)
-		eng.Run()
-	}
-}
-
-// BenchmarkSpawnDispatchInline measures the same lifecycle on the inline
-// program path: no goroutine, requests served on the engine thread.
 func BenchmarkSpawnDispatchInline(b *testing.B) {
 	eng, s := benchScheduler()
 	spec := TaskSpec{Name: "t", Kind: KindNoiseThread}

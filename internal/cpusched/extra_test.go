@@ -39,7 +39,7 @@ func TestAccessors(t *testing.T) {
 	if s.Engine() == nil || s.Topology() == nil {
 		t.Fatal("accessors nil")
 	}
-	w := s.Spawn(TaskSpec{Name: "w"}, computeBody(3e6))
+	w := s.SpawnSeq(TaskSpec{Name: "w"}, ReqCompute(3e6))
 	if w.State() != StateRunning && w.State() != StateRunnable {
 		t.Fatalf("fresh task state %v", w.State())
 	}
@@ -48,13 +48,15 @@ func TestAccessors(t *testing.T) {
 		t.Fatal("done state")
 	}
 	var ranOn int
-	v := s.Spawn(TaskSpec{Name: "v", Affinity: machine.SetOf(2)}, func(c *Ctx) {
-		ranOn = c.CPU()
-		c.Compute(3e3)
+	v := s.SpawnProgram(TaskSpec{Name: "v", Affinity: machine.SetOf(2)}, &script{
+		func(tk *Task) Request {
+			ranOn = tk.CPU()
+			return ReqCompute(3e3)
+		},
 	})
 	runToDone(s, v)
 	if ranOn != 2 {
-		t.Fatalf("Ctx.CPU() = %d, want 2", ranOn)
+		t.Fatalf("Task.CPU() = %d, want 2", ranOn)
 	}
 	s.Shutdown()
 }
@@ -76,11 +78,9 @@ func TestSetPolicyNiceAffectsFairShare(t *testing.T) {
 	s := newTiny(noBalance())
 	aff := machine.SetOf(0)
 	// Two tasks; one boosts itself to nice -15 mid-run.
-	boosted := s.Spawn(TaskSpec{Name: "boosted", Affinity: aff}, func(c *Ctx) {
-		c.SetPolicyNice(PolicyOther, 0, -15)
-		c.Compute(3e8)
-	})
-	normal := s.Spawn(TaskSpec{Name: "normal", Affinity: aff}, computeBody(3e8))
+	boosted := s.SpawnSeq(TaskSpec{Name: "boosted", Affinity: aff},
+		ReqSetPolicy(PolicyOther, 0, -15), ReqCompute(3e8))
+	normal := s.SpawnSeq(TaskSpec{Name: "normal", Affinity: aff}, ReqCompute(3e8))
 	s.eng.RunUntil(100 * sim.Millisecond)
 	if boosted.CPUTime <= normal.CPUTime {
 		t.Fatalf("boosted nice should dominate: %v vs %v", boosted.CPUTime, normal.CPUTime)
@@ -101,7 +101,7 @@ func TestInjectIRQValidation(t *testing.T) {
 
 func TestInjectIRQZeroDurationIgnored(t *testing.T) {
 	s := newTiny(noBalance())
-	w := s.Spawn(TaskSpec{Name: "w", Affinity: machine.SetOf(0)}, computeBody(3e6))
+	w := s.SpawnSeq(TaskSpec{Name: "w", Affinity: machine.SetOf(0)}, ReqCompute(3e6))
 	s.eng.At(100, func() { s.InjectIRQ(0, ClassIRQ, "x", 0) })
 	got := runToDone(s, w)
 	within(t, got, sim.Millisecond, 0.001, "zero-duration irq must not delay")
@@ -111,8 +111,8 @@ func TestInjectIRQZeroDurationIgnored(t *testing.T) {
 func TestKillQueuedTask(t *testing.T) {
 	s := newTiny(noBalance())
 	aff := machine.SetOf(0)
-	hog := s.Spawn(TaskSpec{Name: "hog", Affinity: aff}, computeBody(3e8))
-	queued := s.Spawn(TaskSpec{Name: "queued", Affinity: aff}, computeBody(3e6))
+	hog := s.SpawnSeq(TaskSpec{Name: "hog", Affinity: aff}, ReqCompute(3e8))
+	queued := s.SpawnSeq(TaskSpec{Name: "queued", Affinity: aff}, ReqCompute(3e6))
 	s.eng.RunUntil(sim.Millisecond)
 	if queued.State() != StateRunnable {
 		t.Fatalf("expected queued task, got %v", queued.State())
@@ -136,12 +136,10 @@ func TestThrottleWithSleepingFIFO(t *testing.T) {
 	opt.RTPeriod = 100 * sim.Millisecond
 	s := newTiny(opt)
 	aff := machine.SetOf(0)
-	rt := s.Spawn(TaskSpec{Name: "rt", Policy: PolicyFIFO, RTPrio: 10, Affinity: aff},
-		func(c *Ctx) {
-			c.Compute(30e6) // 10ms
-			c.Sleep(50 * sim.Millisecond)
-			c.Compute(30e6) // another 10ms: total 20ms, exactly the budget
-		})
+	rt := s.SpawnSeq(TaskSpec{Name: "rt", Policy: PolicyFIFO, RTPrio: 10, Affinity: aff},
+		ReqCompute(30e6), // 10ms
+		ReqSleep(50*sim.Millisecond),
+		ReqCompute(30e6)) // another 10ms: total 20ms, exactly the budget
 	got := runToDone(s, rt)
 	// 10ms run + 50ms sleep + 10ms run = 70ms, no throttling.
 	within(t, got, 70*sim.Millisecond, 0.02, "sleeping FIFO not throttled")
@@ -156,8 +154,8 @@ func TestThrottleWindowRollover(t *testing.T) {
 	s := newTiny(opt)
 	aff := machine.SetOf(0)
 	// 30ms of FIFO work: windows of 10ms run + 40ms throttled.
-	rt := s.Spawn(TaskSpec{Name: "rt", Policy: PolicyFIFO, RTPrio: 10, Affinity: aff},
-		computeBody(90e6))
+	rt := s.SpawnSeq(TaskSpec{Name: "rt", Policy: PolicyFIFO, RTPrio: 10, Affinity: aff},
+		ReqCompute(90e6))
 	got := runToDone(s, rt)
 	// Runs 0-10, 50-60, 100-110 -> done at 110ms.
 	within(t, got, 110*sim.Millisecond, 0.05, "throttle window rollover")
@@ -169,15 +167,15 @@ func TestSpawnNilBodyPanics(t *testing.T) {
 	defer s.Shutdown()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("nil body should panic")
+			t.Fatal("nil program should panic")
 		}
 	}()
-	s.Spawn(TaskSpec{Name: "bad"}, nil)
+	s.SpawnProgram(TaskSpec{Name: "bad"}, nil)
 }
 
 func TestBarrierNilPanics(t *testing.T) {
 	s := newTiny(noBalance())
-	// The body runs immediately at Spawn (engine context); the nil
+	// The program runs immediately at spawn (engine context); the nil
 	// barrier must panic on the engine side.
 	defer func() {
 		if recover() == nil {
@@ -185,22 +183,20 @@ func TestBarrierNilPanics(t *testing.T) {
 		}
 		s.Shutdown()
 	}()
-	s.Spawn(TaskSpec{Name: "w"}, func(c *Ctx) {
-		c.Barrier(nil, false)
-	})
+	s.SpawnSeq(TaskSpec{Name: "w"}, ReqBarrier(nil, false))
 }
 
 func TestMemoryTaskPreemptedReleasesBandwidth(t *testing.T) {
 	s := newTiny(noBalance()) // 20 GB/s machine, 10 GB/s per core
 	aff0 := machine.SetOf(0)
 	// Two streaming tasks on different CPUs: each gets 10 GB/s.
-	m1 := s.Spawn(TaskSpec{Name: "m1", Affinity: aff0}, func(c *Ctx) { c.Memory(100e6) })
-	m2 := s.Spawn(TaskSpec{Name: "m2", Affinity: machine.SetOf(1)}, func(c *Ctx) { c.Memory(100e6) })
+	m1 := s.SpawnSeq(TaskSpec{Name: "m1", Affinity: aff0}, ReqMemory(100e6))
+	m2 := s.SpawnSeq(TaskSpec{Name: "m2", Affinity: machine.SetOf(1)}, ReqMemory(100e6))
 	// At 2ms, FIFO noise preempts m1 for 5ms: m2 should then stream at
 	// full core rate (10 GB/s), unaffected; m1 finishes late.
 	s.eng.At(2*sim.Millisecond, func() {
-		s.Spawn(TaskSpec{Name: "noise", Policy: PolicyFIFO, RTPrio: 5, Affinity: aff0},
-			func(c *Ctx) { c.ComputeDur(5 * sim.Millisecond) })
+		s.SpawnSeq(TaskSpec{Name: "noise", Policy: PolicyFIFO, RTPrio: 5, Affinity: aff0},
+			computeDur(s, 5*sim.Millisecond))
 	})
 	runToDone(s, m2)
 	within(t, s.eng.Now(), 10*sim.Millisecond, 0.05, "unpreempted stream")

@@ -5,9 +5,9 @@
 // idle balancing, affinity masks, and an optional RT-throttling fail-safe
 // (the one the paper disables during noise injection).
 //
-// Task bodies are ordinary Go functions executed as coroutines against the
-// engine: exactly one of {engine, one task body} runs at any instant, under
-// a strict channel handshake, so simulations remain deterministic.
+// Task bodies are Programs: state machines the scheduler advances on the
+// engine thread, one request per fetch, so simulations remain
+// deterministic.
 //
 // Execution progress uses a fluid rate model: compute work (cycles) runs at
 // the core clock, halved-ish when the SMT sibling is busy; memory work

@@ -2,7 +2,6 @@ package cpusched
 
 import (
 	"fmt"
-	"iter"
 	"math"
 
 	"repro/internal/machine"
@@ -144,11 +143,10 @@ type Scheduler struct {
 	// another barrier from within processRequests).
 	barScratch []*barrierScratch
 
-	// taskPool recycles finished inline-program tasks across Fork cycles.
-	// Only program-path tasks are pooled: a killed imperative body's
-	// goroutine may still be unwinding and reading its channel fields, so
-	// those structs are never reused. TaskAllocs counts pool misses — the
-	// scheduler-side "copy on first write" count of a forked rep.
+	// taskPool recycles finished tasks across Fork cycles: a Program task
+	// holds no state outside its struct, so it is quiescent the moment it
+	// is done. TaskAllocs counts pool misses — the scheduler-side "copy on
+	// first write" count of a forked rep.
 	taskPool   []*Task
 	TaskAllocs uint64
 
@@ -161,12 +159,8 @@ type Scheduler struct {
 
 	// ContextSwitches counts dispatches, for diagnostics.
 	ContextSwitches uint64
-	// GoroutineHandoffs counts requests fetched over the coroutine channel
-	// handshake (two unbuffered channel operations each); InlineDispatches
-	// counts requests served by inline Programs on the engine thread. Their
-	// ratio makes the fast-path speedup mechanism observable (noiselab -v).
-	GoroutineHandoffs uint64
-	InlineDispatches  uint64
+	// InlineDispatches counts requests served by task Programs.
+	InlineDispatches uint64
 }
 
 // New creates a scheduler for the given machine.
@@ -262,26 +256,9 @@ func (s *Scheduler) TotalMigrations() uint64 {
 // Tasks returns all spawned tasks.
 func (s *Scheduler) Tasks() []*Task { return s.tasks }
 
-// Spawn creates a task with an imperative body (run on its own goroutine
-// under the coroutine protocol) and makes it runnable immediately. Bodies
-// that are expressible as straight-line request sequences should use
-// SpawnProgram/SpawnSeq instead: the inline path spawns no goroutine and
-// performs no channel handoffs.
-func (s *Scheduler) Spawn(spec TaskSpec, body func(*Ctx)) *Task {
-	if body == nil {
-		panic("cpusched: Spawn with nil body")
-	}
-	t := s.newTask(spec)
-	t.body = body
-	s.start(t)
-	return t
-}
-
-// SpawnProgram creates a task whose body is an inline Program: the
-// scheduler pulls requests from prog.Next directly on the engine thread —
-// no backing goroutine, no channel handshake. Both execution paths are
-// scheduled identically; a Program yielding the same request sequence as an
-// imperative body produces a bit-identical simulation.
+// SpawnProgram creates a task whose body is prog and makes it runnable
+// immediately: the scheduler pulls requests from prog.Next directly on the
+// engine thread.
 func (s *Scheduler) SpawnProgram(spec TaskSpec, prog Program) *Task {
 	if prog == nil {
 		panic("cpusched: SpawnProgram with nil program")
@@ -292,9 +269,8 @@ func (s *Scheduler) SpawnProgram(spec TaskSpec, prog Program) *Task {
 	return t
 }
 
-// SpawnSeq creates an inline-program task that issues a fixed request
-// sequence and exits — the common shape of noise threads and injector
-// processes.
+// SpawnSeq creates a task that issues a fixed request sequence and exits —
+// the common shape of noise threads and injector processes.
 func (s *Scheduler) SpawnSeq(spec TaskSpec, reqs ...Request) *Task {
 	if len(reqs) == 1 {
 		return s.SpawnProgram(spec, &oneReqProgram{req: reqs[0]})
@@ -302,7 +278,7 @@ func (s *Scheduler) SpawnSeq(spec TaskSpec, reqs ...Request) *Task {
 	return s.SpawnProgram(spec, &seqProgram{reqs: reqs})
 }
 
-// newTask builds the task record shared by both execution paths.
+// newTask builds a task record, reusing a pooled one when available.
 func (s *Scheduler) newTask(spec TaskSpec) *Task {
 	if spec.Policy == PolicyDeadline &&
 		(spec.DLRuntime <= 0 || spec.DLPeriod < spec.DLRuntime) {
@@ -367,7 +343,7 @@ func (s *Scheduler) start(t *Task) {
 	s.wake(t)
 }
 
-// Kill forcefully terminates a task. Its body goroutine unwinds and exits.
+// Kill forcefully terminates a task; its Program is never advanced again.
 func (s *Scheduler) Kill(t *Task) {
 	if t.state == StateDone {
 		return
@@ -388,18 +364,12 @@ func (s *Scheduler) Kill(t *Task) {
 		s.cancelTimers(t)
 		t.state = StateDone
 	}
-	if t.started && t.prog == nil {
-		// Unwind the parked body: its pending yield returns false and the
-		// killSignal panic pops its frames. Kill only runs on the engine
-		// thread, when the body is parked in (or irreversibly headed to)
-		// a yield, so stop cannot interleave with a running body.
-		t.stop()
-	}
 	s.finishCallbacks(t)
 }
 
-// Shutdown kills every unfinished task, releasing their goroutines. Call it
-// at the end of a simulation run.
+// Shutdown kills every unfinished task (firing their OnDone callbacks and
+// closing their trace records) and stops the balancer. Call it at the end
+// of a simulation run.
 func (s *Scheduler) Shutdown() {
 	for _, t := range s.tasks {
 		s.Kill(t)
@@ -418,44 +388,30 @@ func (s *Scheduler) finishCallbacks(t *Task) {
 	}
 }
 
-// ---- request fetch: inline fast path and coroutine handshake ----
+// ---- request fetch ----
 
-// fetchNext obtains the task's next request. Program tasks are served
-// inline on the engine thread; imperative bodies are resumed over the
-// coroutine channel handshake. Both paths apply identical semantics:
-// non-positive compute/memory demands are skipped (Ctx.Compute/Memory
-// never send them), and relative sleeps resolve against the clock at
-// fetch time (imperative bodies compute Now()+d at the same instant).
+// fetchNext obtains the task's next request from its Program on the engine
+// thread. Non-positive compute/memory demands are skipped, and relative
+// sleeps resolve against the clock at fetch time.
 func (s *Scheduler) fetchNext(t *Task) request {
-	if t.prog != nil {
-		for {
-			r, ok := t.prog.Next(t)
-			if !ok {
-				return request{kind: reqDone}
-			}
-			req := r.req
-			switch req.kind {
-			case reqCompute, reqMemory:
-				if req.demand <= 0 {
-					continue
-				}
-			case reqSleepFor:
-				req.kind = reqSleepUntil
-				req.until += s.eng.Now()
-			}
-			s.InlineDispatches++
-			return req
+	for {
+		r, ok := t.prog.Next(t)
+		if !ok {
+			return request{kind: reqDone}
 		}
+		req := r.req
+		switch req.kind {
+		case reqCompute, reqMemory:
+			if req.demand <= 0 {
+				continue
+			}
+		case reqSleepFor:
+			req.kind = reqSleepUntil
+			req.until += s.eng.Now()
+		}
+		s.InlineDispatches++
+		return req
 	}
-	s.GoroutineHandoffs++
-	if !t.started {
-		t.started = true
-		t.next, t.stop = iter.Pull(t.seq)
-	}
-	if r, ok := t.next(); ok {
-		return r
-	}
-	return request{kind: reqDone}
 }
 
 // ---- rate model and accounting ----

@@ -28,8 +28,24 @@ func runToDone(s *Scheduler, t *Task) sim.Time {
 	return s.eng.Now()
 }
 
-func computeBody(cycles float64) func(*Ctx) {
-	return func(c *Ctx) { c.Compute(cycles) }
+// script is an in-test Program whose steps run at the instant the
+// scheduler fetches them (after the previous request completed), so a test
+// can read the clock or the task between requests.
+type script []func(*Task) Request
+
+func (p *script) Next(t *Task) (Request, bool) {
+	if len(*p) == 0 {
+		return Request{}, false
+	}
+	step := (*p)[0]
+	*p = (*p)[1:]
+	return step(t), true
+}
+
+// computeDur returns a compute request sized to take d at full
+// single-thread speed on s's machine.
+func computeDur(s *Scheduler, d sim.Time) Request {
+	return ReqCompute(float64(d) * s.topo.CyclesPerNs())
 }
 
 func within(t *testing.T, got, want sim.Time, tolFrac float64, what string) {
@@ -43,7 +59,7 @@ func within(t *testing.T, got, want sim.Time, tolFrac float64, what string) {
 func TestSingleTaskComputeDuration(t *testing.T) {
 	s := newTiny(noBalance())
 	// 3e9 cycles at 3 GHz = 1 second.
-	task := s.Spawn(TaskSpec{Name: "w"}, computeBody(3e9))
+	task := s.SpawnSeq(TaskSpec{Name: "w"}, ReqCompute(3e9))
 	got := runToDone(s, task)
 	if got != sim.Second {
 		t.Fatalf("exec time = %v, want exactly 1s", got)
@@ -57,8 +73,8 @@ func TestSingleTaskComputeDuration(t *testing.T) {
 func TestTwoFairTasksShareCPU(t *testing.T) {
 	s := newTiny(noBalance())
 	aff := machine.SetOf(0)
-	a := s.Spawn(TaskSpec{Name: "a", Affinity: aff}, computeBody(3e8)) // 100ms of work
-	b := s.Spawn(TaskSpec{Name: "b", Affinity: aff}, computeBody(3e8))
+	a := s.SpawnSeq(TaskSpec{Name: "a", Affinity: aff}, ReqCompute(3e8)) // 100ms of work
+	b := s.SpawnSeq(TaskSpec{Name: "b", Affinity: aff}, ReqCompute(3e8))
 	s.eng.RunWhile(func() bool { return !a.Done() || !b.Done() })
 	// Both pinned to CPU 0: combined 200ms wall time; the later finisher
 	// ends at ~200ms and each got ~100ms CPU.
@@ -71,8 +87,8 @@ func TestTwoFairTasksShareCPU(t *testing.T) {
 func TestFairTasksInterleave(t *testing.T) {
 	s := newTiny(noBalance())
 	aff := machine.SetOf(0)
-	a := s.Spawn(TaskSpec{Name: "a", Affinity: aff}, computeBody(3e8))
-	b := s.Spawn(TaskSpec{Name: "b", Affinity: aff}, computeBody(3e8))
+	a := s.SpawnSeq(TaskSpec{Name: "a", Affinity: aff}, ReqCompute(3e8))
+	b := s.SpawnSeq(TaskSpec{Name: "b", Affinity: aff}, ReqCompute(3e8))
 	s.eng.RunWhile(func() bool { return !a.Done() || !b.Done() })
 	// With a 3ms slice both tasks must have been preempted repeatedly, not
 	// run to completion back to back.
@@ -86,12 +102,12 @@ func TestFairTasksInterleave(t *testing.T) {
 func TestFIFOPreemptsFair(t *testing.T) {
 	s := newTiny(noBalance())
 	aff := machine.SetOf(1)
-	w := s.Spawn(TaskSpec{Name: "w", Affinity: aff}, computeBody(3e8)) // 100ms
+	w := s.SpawnSeq(TaskSpec{Name: "w", Affinity: aff}, ReqCompute(3e8)) // 100ms
 	// At t=10ms, a FIFO task arrives on the same CPU for 50ms.
 	var fifoEnd sim.Time
 	s.eng.At(10*sim.Millisecond, func() {
-		f := s.Spawn(TaskSpec{Name: "rt", Policy: PolicyFIFO, RTPrio: 50, Affinity: aff},
-			computeBody(150e6)) // 50ms
+		f := s.SpawnSeq(TaskSpec{Name: "rt", Policy: PolicyFIFO, RTPrio: 50, Affinity: aff},
+			ReqCompute(150e6)) // 50ms
 		f.OnDone(func() { fifoEnd = s.Now() })
 	})
 	got := runToDone(s, w)
@@ -109,8 +125,8 @@ func TestFIFOPriorityOrdering(t *testing.T) {
 	aff := machine.SetOf(0)
 	var order []string
 	mk := func(name string, prio int) {
-		tk := s.Spawn(TaskSpec{Name: name, Policy: PolicyFIFO, RTPrio: prio, Affinity: aff},
-			computeBody(30e6)) // 10ms each
+		tk := s.SpawnSeq(TaskSpec{Name: name, Policy: PolicyFIFO, RTPrio: prio, Affinity: aff},
+			ReqCompute(30e6)) // 10ms each
 		tk.OnDone(func() { order = append(order, name) })
 	}
 	// Occupy the CPU with a low-prio FIFO task first, then wake two more.
@@ -130,11 +146,11 @@ func TestFIFOPriorityOrdering(t *testing.T) {
 func TestHigherFIFOPreemptsLowerFIFO(t *testing.T) {
 	s := newTiny(noBalance())
 	aff := machine.SetOf(0)
-	low := s.Spawn(TaskSpec{Name: "low", Policy: PolicyFIFO, RTPrio: 10, Affinity: aff},
-		computeBody(300e6)) // 100ms
+	low := s.SpawnSeq(TaskSpec{Name: "low", Policy: PolicyFIFO, RTPrio: 10, Affinity: aff},
+		ReqCompute(300e6)) // 100ms
 	s.eng.At(20*sim.Millisecond, func() {
-		s.Spawn(TaskSpec{Name: "high", Policy: PolicyFIFO, RTPrio: 20, Affinity: aff},
-			computeBody(30e6)) // 10ms
+		s.SpawnSeq(TaskSpec{Name: "high", Policy: PolicyFIFO, RTPrio: 20, Affinity: aff},
+			ReqCompute(30e6)) // 10ms
 	})
 	got := runToDone(s, low)
 	within(t, got, 110*sim.Millisecond, 0.001, "low prio end")
@@ -147,7 +163,7 @@ func TestHigherFIFOPreemptsLowerFIFO(t *testing.T) {
 func TestIRQPausesTask(t *testing.T) {
 	s := newTiny(noBalance())
 	aff := machine.SetOf(2)
-	w := s.Spawn(TaskSpec{Name: "w", Affinity: aff}, computeBody(30e6)) // 10ms
+	w := s.SpawnSeq(TaskSpec{Name: "w", Affinity: aff}, ReqCompute(30e6)) // 10ms
 	s.eng.At(2*sim.Millisecond, func() {
 		s.InjectIRQ(2, ClassIRQ, "local_timer", 3*sim.Millisecond)
 	})
@@ -159,8 +175,8 @@ func TestIRQPausesTask(t *testing.T) {
 func TestIRQPausesFIFO(t *testing.T) {
 	s := newTiny(noBalance())
 	aff := machine.SetOf(0)
-	w := s.Spawn(TaskSpec{Name: "rt", Policy: PolicyFIFO, RTPrio: 99, Affinity: aff},
-		computeBody(30e6)) // 10ms
+	w := s.SpawnSeq(TaskSpec{Name: "rt", Policy: PolicyFIFO, RTPrio: 99, Affinity: aff},
+		ReqCompute(30e6)) // 10ms
 	s.eng.At(1*sim.Millisecond, func() {
 		s.InjectIRQ(0, ClassIRQ, "local_timer", 1*sim.Millisecond)
 	})
@@ -171,7 +187,7 @@ func TestIRQPausesFIFO(t *testing.T) {
 
 func TestIRQQueueing(t *testing.T) {
 	s := newTiny(noBalance())
-	w := s.Spawn(TaskSpec{Name: "w", Affinity: machine.SetOf(0)}, computeBody(30e6))
+	w := s.SpawnSeq(TaskSpec{Name: "w", Affinity: machine.SetOf(0)}, ReqCompute(30e6))
 	s.eng.At(1*sim.Millisecond, func() {
 		s.InjectIRQ(0, ClassIRQ, "a", 2*sim.Millisecond)
 		s.InjectIRQ(0, ClassSoftIRQ, "b", 3*sim.Millisecond)
@@ -187,8 +203,8 @@ func TestSMTSharing(t *testing.T) {
 	topo := machine.MustPreset(machine.TinySMTTest) // 4c/2t, SMTFactor 0.6
 	s := New(eng, topo, noBalance())
 	// CPUs 0 and 4 are siblings of core 0.
-	a := s.Spawn(TaskSpec{Name: "a", Affinity: machine.SetOf(0)}, computeBody(3e8))
-	b := s.Spawn(TaskSpec{Name: "b", Affinity: machine.SetOf(4)}, computeBody(3e8))
+	a := s.SpawnSeq(TaskSpec{Name: "a", Affinity: machine.SetOf(0)}, ReqCompute(3e8))
+	b := s.SpawnSeq(TaskSpec{Name: "b", Affinity: machine.SetOf(4)}, ReqCompute(3e8))
 	eng.RunWhile(func() bool { return !a.Done() || !b.Done() })
 	// Each runs at 0.6x while both busy: 100ms / 0.6 = 166.7ms.
 	solo := 100 * sim.Millisecond
@@ -201,7 +217,7 @@ func TestSMTSiblingIdleFullSpeed(t *testing.T) {
 	eng := sim.NewEngine()
 	topo := machine.MustPreset(machine.TinySMTTest)
 	s := New(eng, topo, noBalance())
-	a := s.Spawn(TaskSpec{Name: "a", Affinity: machine.SetOf(0)}, computeBody(3e8))
+	a := s.SpawnSeq(TaskSpec{Name: "a", Affinity: machine.SetOf(0)}, ReqCompute(3e8))
 	got := runToDone(s, a)
 	within(t, got, 100*sim.Millisecond, 0.001, "solo on SMT core")
 	s.Shutdown()
@@ -212,8 +228,8 @@ func TestMemoryBandwidthSharing(t *testing.T) {
 	var tasks []*Task
 	for i := 0; i < 4; i++ {
 		aff := machine.SetOf(i)
-		tasks = append(tasks, s.Spawn(TaskSpec{Name: "m", Affinity: aff},
-			func(c *Ctx) { c.Memory(50e6) })) // 50 MB each
+		tasks = append(tasks, s.SpawnSeq(TaskSpec{Name: "m", Affinity: aff},
+			ReqMemory(50e6))) // 50 MB each
 	}
 	s.eng.RunWhile(func() bool {
 		for _, tk := range tasks {
@@ -230,8 +246,8 @@ func TestMemoryBandwidthSharing(t *testing.T) {
 
 func TestMemorySingleStreamCoreCapped(t *testing.T) {
 	s := newTiny(noBalance())
-	w := s.Spawn(TaskSpec{Name: "m", Affinity: machine.SetOf(0)},
-		func(c *Ctx) { c.Memory(50e6) })
+	w := s.SpawnSeq(TaskSpec{Name: "m", Affinity: machine.SetOf(0)},
+		ReqMemory(50e6))
 	got := runToDone(s, w)
 	// Single stream capped at 10 GB/s -> 5ms.
 	within(t, got, 5*sim.Millisecond, 0.01, "single-stream memory time")
@@ -241,10 +257,8 @@ func TestMemorySingleStreamCoreCapped(t *testing.T) {
 func TestSleepWakes(t *testing.T) {
 	s := newTiny(noBalance())
 	var woke sim.Time
-	w := s.Spawn(TaskSpec{Name: "sleeper"}, func(c *Ctx) {
-		c.Sleep(42 * sim.Millisecond)
-		woke = c.Now()
-	})
+	w := s.SpawnSeq(TaskSpec{Name: "sleeper"}, ReqSleep(42*sim.Millisecond))
+	w.OnDone(func() { woke = s.Now() })
 	runToDone(s, w)
 	if woke != 42*sim.Millisecond {
 		t.Fatalf("woke at %v, want 42ms", woke)
@@ -255,10 +269,8 @@ func TestSleepWakes(t *testing.T) {
 func TestSleepReleasesCPU(t *testing.T) {
 	s := newTiny(noBalance())
 	aff := machine.SetOf(0)
-	sleeper := s.Spawn(TaskSpec{Name: "sleeper", Affinity: aff}, func(c *Ctx) {
-		c.Sleep(100 * sim.Millisecond)
-	})
-	worker := s.Spawn(TaskSpec{Name: "worker", Affinity: aff}, computeBody(30e6)) // 10ms
+	sleeper := s.SpawnSeq(TaskSpec{Name: "sleeper", Affinity: aff}, ReqSleep(100*sim.Millisecond))
+	worker := s.SpawnSeq(TaskSpec{Name: "worker", Affinity: aff}, ReqCompute(30e6)) // 10ms
 	got := runToDone(s, worker)
 	within(t, got, 10*sim.Millisecond, 0.001, "worker unblocked by sleeper")
 	runToDone(s, sleeper)
@@ -272,10 +284,7 @@ func TestBarrierSpinReleasesAll(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		delay := sim.Time(i) * 10 * sim.Millisecond
 		aff := machine.SetOf(i)
-		tk := s.Spawn(TaskSpec{Name: "t", Affinity: aff}, func(c *Ctx) {
-			c.Sleep(delay)
-			c.Barrier(b, true)
-		})
+		tk := s.SpawnSeq(TaskSpec{Name: "t", Affinity: aff}, ReqSleep(delay), ReqBarrier(b, true))
 		tk.OnDone(func() { ends = append(ends, s.Now()) })
 	}
 	s.eng.Run()
@@ -296,13 +305,9 @@ func TestBarrierSpinReleasesAll(t *testing.T) {
 func TestBarrierSpinBurnsCPU(t *testing.T) {
 	s := newTiny(noBalance())
 	b := NewBarrier(2)
-	early := s.Spawn(TaskSpec{Name: "early", Affinity: machine.SetOf(0)}, func(c *Ctx) {
-		c.Barrier(b, true)
-	})
-	s.Spawn(TaskSpec{Name: "late", Affinity: machine.SetOf(1)}, func(c *Ctx) {
-		c.Sleep(50 * sim.Millisecond)
-		c.Barrier(b, true)
-	})
+	early := s.SpawnSeq(TaskSpec{Name: "early", Affinity: machine.SetOf(0)}, ReqBarrier(b, true))
+	s.SpawnSeq(TaskSpec{Name: "late", Affinity: machine.SetOf(1)},
+		ReqSleep(50*sim.Millisecond), ReqBarrier(b, true))
 	s.eng.Run()
 	// The early task spun for the full 50ms wait.
 	within(t, early.CPUTime, 50*sim.Millisecond, 0.001, "spin CPU time")
@@ -313,15 +318,11 @@ func TestBarrierPassiveReleasesCPU(t *testing.T) {
 	s := newTiny(noBalance())
 	b := NewBarrier(2)
 	aff := machine.SetOf(0)
-	waiter := s.Spawn(TaskSpec{Name: "waiter", Affinity: aff}, func(c *Ctx) {
-		c.Barrier(b, false)
-	})
+	waiter := s.SpawnSeq(TaskSpec{Name: "waiter", Affinity: aff}, ReqBarrier(b, false))
 	// A worker shares CPU 0 and must run at full speed while waiter blocks.
-	worker := s.Spawn(TaskSpec{Name: "worker", Affinity: aff}, computeBody(30e6))
-	s.Spawn(TaskSpec{Name: "late", Affinity: machine.SetOf(1)}, func(c *Ctx) {
-		c.Sleep(40 * sim.Millisecond)
-		c.Barrier(b, false)
-	})
+	worker := s.SpawnSeq(TaskSpec{Name: "worker", Affinity: aff}, ReqCompute(30e6))
+	s.SpawnSeq(TaskSpec{Name: "late", Affinity: machine.SetOf(1)},
+		ReqSleep(40*sim.Millisecond), ReqBarrier(b, false))
 	runToDone(s, worker)
 	within(t, s.eng.Now(), 10*sim.Millisecond, 0.01, "worker time with passive waiter")
 	runToDone(s, waiter)
@@ -337,12 +338,11 @@ func TestBarrierReuse(t *testing.T) {
 	b := NewBarrier(2)
 	const rounds = 5
 	mk := func(cpu int) *Task {
-		return s.Spawn(TaskSpec{Name: "t", Affinity: machine.SetOf(cpu)}, func(c *Ctx) {
-			for r := 0; r < rounds; r++ {
-				c.Compute(3e6) // 1ms
-				c.Barrier(b, false)
-			}
-		})
+		var reqs []Request
+		for r := 0; r < rounds; r++ {
+			reqs = append(reqs, ReqCompute(3e6), ReqBarrier(b, false)) // 1ms, then wait
+		}
+		return s.SpawnSeq(TaskSpec{Name: "t", Affinity: machine.SetOf(cpu)}, reqs...)
 	}
 	a, bb := mk(0), mk(1)
 	s.eng.RunWhile(func() bool { return !a.Done() || !bb.Done() })
@@ -356,9 +356,9 @@ func TestBarrierReuse(t *testing.T) {
 func TestWakePlacementPrefersIdle(t *testing.T) {
 	s := newTiny(noBalance())
 	// Fill CPUs 0 and 1.
-	s.Spawn(TaskSpec{Name: "x", Affinity: machine.SetOf(0)}, computeBody(3e8))
-	s.Spawn(TaskSpec{Name: "y", Affinity: machine.SetOf(1)}, computeBody(3e8))
-	free := s.Spawn(TaskSpec{Name: "free"}, computeBody(3e6))
+	s.SpawnSeq(TaskSpec{Name: "x", Affinity: machine.SetOf(0)}, ReqCompute(3e8))
+	s.SpawnSeq(TaskSpec{Name: "y", Affinity: machine.SetOf(1)}, ReqCompute(3e8))
+	free := s.SpawnSeq(TaskSpec{Name: "free"}, ReqCompute(3e6))
 	if free.CPU() != 2 {
 		t.Fatalf("unpinned task placed on CPU %d, want first idle CPU 2", free.CPU())
 	}
@@ -368,8 +368,8 @@ func TestWakePlacementPrefersIdle(t *testing.T) {
 func TestAffinityRespected(t *testing.T) {
 	s := newTiny(noBalance())
 	aff := machine.SetOf(3)
-	busy := s.Spawn(TaskSpec{Name: "busy", Affinity: aff}, computeBody(3e7))
-	pinned := s.Spawn(TaskSpec{Name: "pinned", Affinity: aff}, computeBody(3e7))
+	busy := s.SpawnSeq(TaskSpec{Name: "busy", Affinity: aff}, ReqCompute(3e7))
+	pinned := s.SpawnSeq(TaskSpec{Name: "pinned", Affinity: aff}, ReqCompute(3e7))
 	s.eng.RunWhile(func() bool { return !busy.Done() || !pinned.Done() })
 	if pinned.CPU() != 3 || busy.CPU() != 3 {
 		t.Fatalf("pinned tasks ran on CPUs %d/%d, want 3", busy.CPU(), pinned.CPU())
@@ -387,9 +387,9 @@ func TestLoadBalancerMigratesWaiter(t *testing.T) {
 	// Three roaming tasks allowed on CPUs 0-1 only; initially two land on
 	// one CPU... wake placement spreads them, so force the pile-up: all
 	// pinned-ish to CPU 0 via initial placement, allowed on 0-1.
-	busy0 := s.Spawn(TaskSpec{Name: "a", Affinity: machine.SetOf(0)}, computeBody(3e8))
-	busy1 := s.Spawn(TaskSpec{Name: "b", Affinity: aff01}, computeBody(3e8))
-	third := s.Spawn(TaskSpec{Name: "c", Affinity: aff01}, computeBody(3e8))
+	busy0 := s.SpawnSeq(TaskSpec{Name: "a", Affinity: machine.SetOf(0)}, ReqCompute(3e8))
+	busy1 := s.SpawnSeq(TaskSpec{Name: "b", Affinity: aff01}, ReqCompute(3e8))
+	third := s.SpawnSeq(TaskSpec{Name: "c", Affinity: aff01}, ReqCompute(3e8))
 	_ = busy0
 	s.eng.RunWhile(func() bool { return !third.Done() || !busy1.Done() })
 	// b and c both start on CPU 1 (0 busy) and share it until busy0 frees
@@ -407,11 +407,11 @@ func TestLoadBalancerMigratesWaiter(t *testing.T) {
 	s.Shutdown()
 
 	s2 := newTiny(opt)
-	short := s2.Spawn(TaskSpec{Name: "short", Affinity: machine.SetOf(0)}, computeBody(3e7)) // 10ms
+	short := s2.SpawnSeq(TaskSpec{Name: "short", Affinity: machine.SetOf(0)}, ReqCompute(3e7)) // 10ms
 	// Two tasks fight over CPU 1 while CPUs 2,3 are forbidden to them.
 	aff1 := machine.SetOf(0, 1)
-	x := s2.Spawn(TaskSpec{Name: "x", Affinity: machine.SetOf(1)}, computeBody(3e8))
-	y := s2.Spawn(TaskSpec{Name: "y", Affinity: aff1}, computeBody(3e8)) // queued on 1
+	x := s2.SpawnSeq(TaskSpec{Name: "x", Affinity: machine.SetOf(1)}, ReqCompute(3e8))
+	y := s2.SpawnSeq(TaskSpec{Name: "y", Affinity: aff1}, ReqCompute(3e8)) // queued on 1
 	_ = short
 	_ = x
 	runToDone(s2, y)
@@ -430,8 +430,8 @@ func TestMigrationCostCharged(t *testing.T) {
 	opt.BalanceInterval = sim.Millisecond
 	opt.MigrationCost = 10 * sim.Millisecond // exaggerated for visibility
 	s := newTiny(opt)
-	blocker := s.Spawn(TaskSpec{Name: "blocker", Affinity: machine.SetOf(0)}, computeBody(3e7))
-	mover := s.Spawn(TaskSpec{Name: "mover", Affinity: machine.SetOf(0, 1)}, computeBody(3e7))
+	blocker := s.SpawnSeq(TaskSpec{Name: "blocker", Affinity: machine.SetOf(0)}, ReqCompute(3e7))
+	mover := s.SpawnSeq(TaskSpec{Name: "mover", Affinity: machine.SetOf(0, 1)}, ReqCompute(3e7))
 	_ = blocker
 	// mover lands on CPU 1 (idle) and runs clean: no migration happens.
 	got := runToDone(s, mover)
@@ -439,13 +439,13 @@ func TestMigrationCostCharged(t *testing.T) {
 	s.Shutdown()
 
 	s = newTiny(opt)
-	s.Spawn(TaskSpec{Name: "hog0", Affinity: machine.SetOf(0)}, computeBody(3e8))
-	hog1 := s.Spawn(TaskSpec{Name: "hog1", Affinity: machine.SetOf(1)}, computeBody(6e7)) // 20ms
+	s.SpawnSeq(TaskSpec{Name: "hog0", Affinity: machine.SetOf(0)}, ReqCompute(3e8))
+	hog1 := s.SpawnSeq(TaskSpec{Name: "hog1", Affinity: machine.SetOf(1)}, ReqCompute(6e7)) // 20ms
 	_ = hog1
 	// mover restricted to CPUs 0-1, queues behind hog1, gets preempted and
 	// later migrates when... both stay busy; instead directly verify the
 	// penalty: preempt mover mid-segment and let it resume on another CPU.
-	mover = s.Spawn(TaskSpec{Name: "mover", Affinity: machine.SetOf(1, 2)}, computeBody(3e7))
+	mover = s.SpawnSeq(TaskSpec{Name: "mover", Affinity: machine.SetOf(1, 2)}, ReqCompute(3e7))
 	if mover.CPU() != 2 {
 		t.Skip("placement changed; test assumes mover starts on cpu 2")
 	}
@@ -462,9 +462,9 @@ func TestRTThrottlingLimitsFIFO(t *testing.T) {
 	s := newTiny(opt)
 	aff := machine.SetOf(0)
 	// FIFO wants 100ms of CPU; throttled to 50ms per 100ms window.
-	rt := s.Spawn(TaskSpec{Name: "rt", Policy: PolicyFIFO, RTPrio: 50, Affinity: aff},
-		computeBody(300e6))
-	fair := s.Spawn(TaskSpec{Name: "fair", Affinity: aff}, computeBody(120e6)) // 40ms
+	rt := s.SpawnSeq(TaskSpec{Name: "rt", Policy: PolicyFIFO, RTPrio: 50, Affinity: aff},
+		ReqCompute(300e6))
+	fair := s.SpawnSeq(TaskSpec{Name: "fair", Affinity: aff}, ReqCompute(120e6)) // 40ms
 	runToDone(s, fair)
 	// Fair runs inside the 50ms throttle gap of window 1: done at ~90ms.
 	within(t, s.eng.Now(), 90*sim.Millisecond, 0.02, "fair under throttled FIFO")
@@ -477,9 +477,9 @@ func TestRTThrottlingLimitsFIFO(t *testing.T) {
 func TestNoThrottleFIFOStarvesFair(t *testing.T) {
 	s := newTiny(noBalance()) // RTThrottle off
 	aff := machine.SetOf(0)
-	rt := s.Spawn(TaskSpec{Name: "rt", Policy: PolicyFIFO, RTPrio: 50, Affinity: aff},
-		computeBody(300e6)) // 100ms
-	fair := s.Spawn(TaskSpec{Name: "fair", Affinity: aff}, computeBody(3e6)) // 1ms
+	rt := s.SpawnSeq(TaskSpec{Name: "rt", Policy: PolicyFIFO, RTPrio: 50, Affinity: aff},
+		ReqCompute(300e6)) // 100ms
+	fair := s.SpawnSeq(TaskSpec{Name: "fair", Affinity: aff}, ReqCompute(3e6)) // 1ms
 	runToDone(s, fair)
 	// Fair cannot run until FIFO is completely done.
 	within(t, s.eng.Now(), 101*sim.Millisecond, 0.001, "fair starved until FIFO done")
@@ -492,13 +492,14 @@ func TestYieldAlternates(t *testing.T) {
 	aff := machine.SetOf(0)
 	var order []string
 	mk := func(name string) *Task {
-		return s.Spawn(TaskSpec{Name: name, Affinity: aff}, func(c *Ctx) {
-			for i := 0; i < 3; i++ {
+		var steps script
+		for i := 0; i < 3; i++ {
+			steps = append(steps, func(*Task) Request {
 				order = append(order, name)
-				c.Compute(3e3) // 1us
-				c.Yield()
-			}
-		})
+				return ReqCompute(3e3) // 1us
+			}, func(*Task) Request { return ReqYield() })
+		}
+		return s.SpawnProgram(TaskSpec{Name: name, Affinity: aff}, &steps)
 	}
 	a := mk("a")
 	b := mk("b")
@@ -514,18 +515,20 @@ func TestSetPolicyDowngradePreempted(t *testing.T) {
 	s := newTiny(noBalance())
 	aff := machine.SetOf(0)
 	var downgradedAt, resumedAt sim.Time
-	w := s.Spawn(TaskSpec{Name: "w", Policy: PolicyFIFO, RTPrio: 10, Affinity: aff}, func(c *Ctx) {
-		c.Compute(30e6) // 10ms as FIFO
-		downgradedAt = c.Now()
-		c.SetPolicy(PolicyOther, 0)
-		c.Compute(30e6) // 10ms as fair
-		resumedAt = c.Now()
+	w := s.SpawnProgram(TaskSpec{Name: "w", Policy: PolicyFIFO, RTPrio: 10, Affinity: aff}, &script{
+		func(*Task) Request { return ReqCompute(30e6) }, // 10ms as FIFO
+		func(*Task) Request {
+			downgradedAt = s.Now()
+			return ReqSetPolicy(PolicyOther, 0, 0)
+		},
+		func(*Task) Request { return ReqCompute(30e6) }, // 10ms as fair
 	})
+	w.OnDone(func() { resumedAt = s.Now() })
 	// Another FIFO task arrives at 5ms wanting 20ms; it must wait behind
 	// the running same-prio FIFO task, then run as soon as w downgrades.
 	s.eng.At(5*sim.Millisecond, func() {
-		s.Spawn(TaskSpec{Name: "rt2", Policy: PolicyFIFO, RTPrio: 10, Affinity: aff},
-			computeBody(60e6))
+		s.SpawnSeq(TaskSpec{Name: "rt2", Policy: PolicyFIFO, RTPrio: 10, Affinity: aff},
+			ReqCompute(60e6))
 	})
 	runToDone(s, w)
 	if downgradedAt != 10*sim.Millisecond {
@@ -539,12 +542,14 @@ func TestSetPolicyDowngradePreempted(t *testing.T) {
 func TestSetPolicyUpgrade(t *testing.T) {
 	s := newTiny(noBalance())
 	aff := machine.SetOf(0)
-	w := s.Spawn(TaskSpec{Name: "w", Affinity: aff}, func(c *Ctx) {
-		c.SetPolicy(PolicyFIFO, 99)
-		if c.Task().Policy() != PolicyFIFO {
-			t.Error("policy not applied")
-		}
-		c.Compute(3e6)
+	w := s.SpawnProgram(TaskSpec{Name: "w", Affinity: aff}, &script{
+		func(*Task) Request { return ReqSetPolicy(PolicyFIFO, 99, 0) },
+		func(tk *Task) Request {
+			if tk.Policy() != PolicyFIFO {
+				t.Error("policy not applied")
+			}
+			return ReqCompute(3e6)
+		},
 	})
 	runToDone(s, w)
 	s.Shutdown()
@@ -552,21 +557,21 @@ func TestSetPolicyUpgrade(t *testing.T) {
 
 func TestKillReleasesGoroutine(t *testing.T) {
 	s := newTiny(noBalance())
-	w := s.Spawn(TaskSpec{Name: "w"}, computeBody(3e12)) // would take 1000s
+	w := s.SpawnSeq(TaskSpec{Name: "w"}, ReqCompute(3e12)) // would take 1000s
 	s.eng.RunUntil(10 * sim.Millisecond)
 	s.Kill(w)
 	if !w.Done() {
 		t.Fatal("killed task should be done")
 	}
 	// CPU must be reusable.
-	v := s.Spawn(TaskSpec{Name: "v", Affinity: machine.SetOf(w.CPU())}, computeBody(3e6))
+	v := s.SpawnSeq(TaskSpec{Name: "v", Affinity: machine.SetOf(w.CPU())}, ReqCompute(3e6))
 	runToDone(s, v)
 	s.Shutdown()
 }
 
 func TestKillSleepingTask(t *testing.T) {
 	s := newTiny(noBalance())
-	w := s.Spawn(TaskSpec{Name: "w"}, func(c *Ctx) { c.Sleep(sim.Second) })
+	w := s.SpawnSeq(TaskSpec{Name: "w"}, ReqSleep(sim.Second))
 	s.eng.RunUntil(sim.Millisecond)
 	s.Kill(w)
 	if !w.Done() {
@@ -580,7 +585,7 @@ func TestShutdownKillsEverything(t *testing.T) {
 	s := newTiny(noBalance())
 	b := NewBarrier(10) // never satisfied
 	for i := 0; i < 4; i++ {
-		s.Spawn(TaskSpec{Name: "w"}, func(c *Ctx) { c.Barrier(b, false) })
+		s.SpawnSeq(TaskSpec{Name: "w"}, ReqBarrier(b, false))
 	}
 	s.eng.RunUntil(sim.Millisecond)
 	s.Shutdown()
@@ -594,7 +599,7 @@ func TestShutdownKillsEverything(t *testing.T) {
 func TestOnDoneFires(t *testing.T) {
 	s := newTiny(noBalance())
 	fired := false
-	w := s.Spawn(TaskSpec{Name: "w"}, computeBody(3e6))
+	w := s.SpawnSeq(TaskSpec{Name: "w"}, ReqCompute(3e6))
 	w.OnDone(func() { fired = true })
 	runToDone(s, w)
 	if !fired {
@@ -610,12 +615,11 @@ func TestDeterminism(t *testing.T) {
 		var last *Task
 		for i := 0; i < 4; i++ {
 			i := i
-			last = s.Spawn(TaskSpec{Name: "w"}, func(c *Ctx) {
-				for r := 0; r < 10; r++ {
-					c.Compute(float64(1e6 * (i + 1)))
-					c.Barrier(b, i%2 == 0)
-				}
-			})
+			var reqs []Request
+			for r := 0; r < 10; r++ {
+				reqs = append(reqs, ReqCompute(float64(1e6*(i+1))), ReqBarrier(b, i%2 == 0))
+			}
+			last = s.SpawnSeq(TaskSpec{Name: "w"}, reqs...)
 		}
 		s.eng.At(3*sim.Millisecond, func() { s.InjectIRQ(0, ClassIRQ, "t", 100*sim.Microsecond) })
 		end := runToDone(s, last)
@@ -654,10 +658,10 @@ func TestTracerHookRecords(t *testing.T) {
 	h := &recHook{}
 	s.SetTracer(h)
 	aff := machine.SetOf(0)
-	w := s.Spawn(TaskSpec{Name: "w", Affinity: aff}, computeBody(30e6)) // 10ms
+	w := s.SpawnSeq(TaskSpec{Name: "w", Affinity: aff}, ReqCompute(30e6)) // 10ms
 	s.eng.At(sim.Millisecond, func() {
-		s.Spawn(TaskSpec{Name: "kw", Source: "kworker/0:1", Kind: KindNoiseThread,
-			Policy: PolicyFIFO, RTPrio: 1, Affinity: aff}, computeBody(3e6)) // 1ms
+		s.SpawnSeq(TaskSpec{Name: "kw", Source: "kworker/0:1", Kind: KindNoiseThread,
+			Policy: PolicyFIFO, RTPrio: 1, Affinity: aff}, ReqCompute(3e6)) // 1ms
 	})
 	s.eng.At(5*sim.Millisecond, func() { s.InjectIRQ(0, ClassIRQ, "local_timer:236", 200*sim.Microsecond) })
 	runToDone(s, w)
@@ -688,7 +692,7 @@ func TestTraceOverheadSlowsWorkload(t *testing.T) {
 			s.SetTracer(&recHook{})
 		}
 		aff := machine.SetOf(0)
-		w := s.Spawn(TaskSpec{Name: "w", Affinity: aff}, computeBody(30e6))
+		w := s.SpawnSeq(TaskSpec{Name: "w", Affinity: aff}, ReqCompute(30e6))
 		for i := 1; i <= 9; i++ {
 			at := sim.Time(i) * sim.Millisecond
 			s.eng.At(at, func() { s.InjectIRQ(0, ClassIRQ, "t", 10*sim.Microsecond) })
@@ -708,7 +712,7 @@ func TestTraceOverheadSlowsWorkload(t *testing.T) {
 
 func TestComputeDurHelper(t *testing.T) {
 	s := newTiny(noBalance())
-	w := s.Spawn(TaskSpec{Name: "w"}, func(c *Ctx) { c.ComputeDur(7 * sim.Millisecond) })
+	w := s.SpawnSeq(TaskSpec{Name: "w"}, computeDur(s, 7*sim.Millisecond))
 	got := runToDone(s, w)
 	within(t, got, 7*sim.Millisecond, 0.001, "ComputeDur")
 	s.Shutdown()
@@ -716,11 +720,8 @@ func TestComputeDurHelper(t *testing.T) {
 
 func TestZeroWorkRequests(t *testing.T) {
 	s := newTiny(noBalance())
-	w := s.Spawn(TaskSpec{Name: "w"}, func(c *Ctx) {
-		c.Compute(0)
-		c.Memory(-5)
-		c.SleepUntil(0) // already past
-	})
+	w := s.SpawnSeq(TaskSpec{Name: "w"}, ReqCompute(0), ReqMemory(-5),
+		ReqSleepUntil(0)) // already past
 	got := runToDone(s, w)
 	if got != 0 {
 		t.Fatalf("zero-work task took %v", got)
@@ -731,8 +732,8 @@ func TestZeroWorkRequests(t *testing.T) {
 func TestNicePriorityShares(t *testing.T) {
 	s := newTiny(noBalance())
 	aff := machine.SetOf(0)
-	heavy := s.Spawn(TaskSpec{Name: "heavy", Nice: -5, Affinity: aff}, computeBody(3e8))
-	light := s.Spawn(TaskSpec{Name: "light", Nice: 5, Affinity: aff}, computeBody(3e8))
+	heavy := s.SpawnSeq(TaskSpec{Name: "heavy", Nice: -5, Affinity: aff}, ReqCompute(3e8))
+	light := s.SpawnSeq(TaskSpec{Name: "light", Nice: 5, Affinity: aff}, ReqCompute(3e8))
 	s.eng.RunUntil(100 * sim.Millisecond)
 	if heavy.CPUTime <= light.CPUTime {
 		t.Fatalf("nice -5 task got %v vs nice +5 task %v", heavy.CPUTime, light.CPUTime)

@@ -24,7 +24,7 @@ func (s *Scheduler) Snapshot() Snapshot {
 // Fork rewinds the scheduler to its construction snapshot. Unfinished tasks
 // are killed exactly as Shutdown kills them (callers that want the legacy
 // end-of-run trace records call Shutdown first, while the tracer is still
-// attached); finished inline-program tasks are recycled into the task pool;
+// attached); every task is recycled into the task pool;
 // and every piece of mutable state — run queues, IRQ state, RT-throttle
 // windows, accounting arrays, sequence counters — resets to its post-New
 // value. Backing arrays (heaps, IRQ queues, the timer free pool) keep their
@@ -47,12 +47,8 @@ func (s *Scheduler) Fork(Snapshot) {
 		s.balanceTimer = nil
 	}
 	for i, t := range s.tasks {
-		if t.prog != nil {
-			// Inline-program tasks never have a backing goroutine, so the
-			// struct is quiescent the moment it is done and safe to reuse.
-			t.recycle()
-			s.taskPool = append(s.taskPool, t)
-		}
+		t.recycle()
+		s.taskPool = append(s.taskPool, t)
 		s.tasks[i] = nil
 	}
 	s.tasks = s.tasks[:0]
@@ -108,6 +104,5 @@ func (s *Scheduler) Fork(Snapshot) {
 	s.arrival = 0
 	s.liveTasks = 0
 	s.ContextSwitches = 0
-	s.GoroutineHandoffs = 0
 	s.InlineDispatches = 0
 }

@@ -9,13 +9,13 @@ import (
 
 // forkScenario runs a small mixed workload to completion and returns its
 // observable outcome: finish time plus the scheduler counters.
-func forkScenario(s *Scheduler) (sim.Time, uint64, uint64) {
-	a := s.Spawn(TaskSpec{Name: "a"}, computeBody(3e8))
-	b := s.Spawn(TaskSpec{Name: "b", Policy: PolicyFIFO, RTPrio: 10,
-		Affinity: machine.SetOf(0)}, computeBody(1e8))
-	c := s.Spawn(TaskSpec{Name: "c", Affinity: machine.SetOf(0)}, computeBody(6e8))
+func forkScenario(s *Scheduler) (sim.Time, uint64) {
+	a := s.SpawnSeq(TaskSpec{Name: "a"}, ReqCompute(3e8))
+	b := s.SpawnSeq(TaskSpec{Name: "b", Policy: PolicyFIFO, RTPrio: 10,
+		Affinity: machine.SetOf(0)}, ReqCompute(1e8))
+	c := s.SpawnSeq(TaskSpec{Name: "c", Affinity: machine.SetOf(0)}, ReqCompute(6e8))
 	s.eng.RunWhile(func() bool { return !a.Done() || !b.Done() || !c.Done() })
-	return s.eng.Now(), s.ContextSwitches, s.GoroutineHandoffs
+	return s.eng.Now(), s.ContextSwitches
 }
 
 // TestSchedulerForkByteIdentical proves a forked scheduler replays a
@@ -26,17 +26,17 @@ func TestSchedulerForkByteIdentical(t *testing.T) {
 	topo := machine.MustPreset(machine.TinyTest)
 
 	fresh := New(sim.NewEngine(), topo, noBalance())
-	ft, fc, fh := forkScenario(fresh)
+	ft, fc := forkScenario(fresh)
 	fresh.Shutdown()
 
 	batch := sim.NewBatch()
 	s := New(batch.Engine(), topo, noBalance())
 	snap := s.Snapshot()
 	for round := 0; round < 3; round++ {
-		gt, gc, gh := forkScenario(s)
-		if gt != ft || gc != fc || gh != fh {
-			t.Fatalf("round %d diverged: time=%v switches=%d handoffs=%d, fresh time=%v switches=%d handoffs=%d",
-				round, gt, gc, gh, ft, fc, fh)
+		gt, gc := forkScenario(s)
+		if gt != ft || gc != fc {
+			t.Fatalf("round %d diverged: time=%v switches=%d, fresh time=%v switches=%d",
+				round, gt, gc, ft, fc)
 		}
 		s.Shutdown()
 		s.Fork(snap)
@@ -59,31 +59,31 @@ func TestSchedulerForkMidRun(t *testing.T) {
 	topo := machine.MustPreset(machine.TinyTest)
 
 	fresh := New(sim.NewEngine(), topo, noBalance())
-	ft, fc, fh := forkScenario(fresh)
+	ft, fc := forkScenario(fresh)
 	fresh.Shutdown()
 
 	batch := sim.NewBatch()
 	s := New(batch.Engine(), topo, noBalance())
 	snap := s.Snapshot()
 	// Abort a run mid-flight: tasks are still queued or running.
-	s.Spawn(TaskSpec{Name: "doomed"}, computeBody(9e9))
-	s.Spawn(TaskSpec{Name: "doomed2", Affinity: machine.SetOf(1)}, computeBody(9e9))
+	s.SpawnSeq(TaskSpec{Name: "doomed"}, ReqCompute(9e9))
+	s.SpawnSeq(TaskSpec{Name: "doomed2", Affinity: machine.SetOf(1)}, ReqCompute(9e9))
 	batch.Engine().RunUntil(sim.Millisecond)
 	s.Shutdown()
 	s.Fork(snap)
 	batch.Fork()
 
-	gt, gc, gh := forkScenario(s)
-	if gt != ft || gc != fc || gh != fh {
-		t.Fatalf("post-abort rep diverged: time=%v switches=%d handoffs=%d, fresh time=%v switches=%d handoffs=%d",
-			gt, gc, gh, ft, fc, fh)
+	gt, gc := forkScenario(s)
+	if gt != ft || gc != fc {
+		t.Fatalf("post-abort rep diverged: time=%v switches=%d, fresh time=%v switches=%d",
+			gt, gc, ft, fc)
 	}
 }
 
 // TestSchedulerSnapshotAfterSpawnPanics pins the pristine-only contract.
 func TestSchedulerSnapshotAfterSpawnPanics(t *testing.T) {
 	s := newTiny(noBalance())
-	s.Spawn(TaskSpec{Name: "w"}, computeBody(1e6))
+	s.SpawnSeq(TaskSpec{Name: "w"}, ReqCompute(1e6))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Snapshot after Spawn did not panic")

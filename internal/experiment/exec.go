@@ -94,12 +94,13 @@ type ObsOptions struct {
 	// OnTimeline receives rep 0's recorder after a successful series when
 	// Timeline is set. Called once per series, on the series' goroutine.
 	OnTimeline func(*obs.Recorder)
-	// FlightSink, when non-nil, receives a flight-recorder dump (JSON) for
-	// every failed rep. Dumps are serialized.
+	// FlightSink, when non-nil, receives a flight-recorder dump (JSON) when
+	// a series fails: one document, from the failed rep whose error the
+	// series returns (the lowest failing index). Dumps are serialized.
 	FlightSink io.Writer
-	// OnFlight, when non-nil, receives the structured form of every failed
-	// rep's flight dump (the daemon retains these for /debug/flightrecorder).
-	// Calls are serialized with FlightSink writes.
+	// OnFlight, when non-nil, receives the structured form of the same
+	// single flight dump (the daemon retains these for
+	// /debug/flightrecorder). Calls are serialized with FlightSink writes.
 	OnFlight func(obs.Flight)
 }
 
@@ -155,9 +156,11 @@ func (e Executor) Workers() int {
 
 // run executes rep(i) for every i in [0, n) over the worker pool. The first
 // error cancels the remaining (not yet started) reps; when several reps
-// fail, the lowest rep index deterministically wins. A parent-context
-// cancellation surfaces as ctx.Err() once in-flight reps have drained.
-func (e Executor) run(ctx context.Context, n int, rep func(i int) error) error {
+// fail, the lowest rep index deterministically wins, and only the winner's
+// flight ring (the recorder its rep returned with the error) is dumped,
+// once the pool has drained. A parent-context cancellation surfaces as
+// ctx.Err() once in-flight reps have drained.
+func (e Executor) run(ctx context.Context, n int, rep func(i int) (*obs.Recorder, error)) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -176,6 +179,7 @@ func (e Executor) run(ctx context.Context, n int, rep func(i int) error) error {
 		relaying bool // a worker is currently draining OnRep calls
 		firstIdx = -1
 		firstErr error
+		firstRec *obs.Recorder
 	)
 	// notifyDone delivers OnRep(done, n) calls with the pool mutex
 	// RELEASED: a slow or re-entrant callback must never stall the other
@@ -210,11 +214,11 @@ func (e Executor) run(ctx context.Context, n int, rep func(i int) error) error {
 				if i >= n || ctx.Err() != nil {
 					return
 				}
-				err := rep(i)
+				rec, err := rep(i)
 				mu.Lock()
 				if err != nil {
 					if firstIdx < 0 || i < firstIdx {
-						firstIdx, firstErr = i, err
+						firstIdx, firstErr, firstRec = i, err, rec
 					}
 					mu.Unlock()
 					cancel()
@@ -228,6 +232,7 @@ func (e Executor) run(ctx context.Context, n int, rep func(i int) error) error {
 	}
 	wg.Wait()
 	if firstIdx >= 0 {
+		e.dumpFlight(firstIdx, firstRec, firstErr)
 		return fmt.Errorf("experiment: rep %d: %w", firstIdx, firstErr)
 	}
 	if err := context.Cause(ctx); err != nil && err != context.Canceled {
@@ -258,7 +263,7 @@ func (e Executor) applyObs(s *Spec, i int) {
 // are rare, so one process-wide lock is not a bottleneck.
 var flightMu sync.Mutex
 
-// dumpFlight delivers the failed rep's flight ring to the configured sinks.
+// dumpFlight delivers a failed rep's flight ring to the configured sinks.
 func (e Executor) dumpFlight(i int, rec *obs.Recorder, err error) {
 	if e.Obs == nil || rec == nil || (e.Obs.FlightSink == nil && e.Obs.OnFlight == nil) {
 		return
@@ -296,21 +301,20 @@ func (e Executor) Series(ctx context.Context, spec Spec, reps int) ([]sim.Time, 
 	times := make([]sim.Time, reps)
 	traces := make([]*trace.Trace, reps)
 	var rec0 *obs.Recorder
-	err := e.run(ctx, reps, func(i int) error {
+	err := e.run(ctx, reps, func(i int) (*obs.Recorder, error) {
 		s := spec
 		s.Seed = seedAt(spec.Seed, i)
 		e.applyObs(&s, i)
 		res, err := RunOnce(s)
 		if err != nil {
-			e.dumpFlight(i, res.Obs, err)
-			return err
+			return res.Obs, err
 		}
 		if i == 0 {
 			rec0 = res.Obs
 		}
 		times[i] = res.ExecTime
 		traces[i] = res.Trace
-		return nil
+		return nil, nil
 	})
 	if err != nil {
 		return nil, nil, err
@@ -328,20 +332,19 @@ func (e Executor) seriesWithPlan(ctx context.Context, spec Spec, plan *mitigate.
 	}
 	times := make([]sim.Time, reps)
 	var rec0 *obs.Recorder
-	err := e.run(ctx, reps, func(i int) error {
+	err := e.run(ctx, reps, func(i int) (*obs.Recorder, error) {
 		s := spec
 		s.Seed = seedAt(spec.Seed, i)
 		e.applyObs(&s, i)
 		res, err := runOnceWithPlan(s, plan)
 		if err != nil {
-			e.dumpFlight(i, res.Obs, err)
-			return err
+			return res.Obs, err
 		}
 		if i == 0 {
 			rec0 = res.Obs
 		}
 		times[i] = res.ExecTime
-		return nil
+		return nil, nil
 	})
 	if err != nil {
 		return nil, err

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/mitigate"
+	"repro/internal/obs"
 )
 
 func TestSeedAtMatchesHistoricalStride(t *testing.T) {
@@ -131,9 +132,9 @@ func TestRunBlockedOnRepDoesNotStallWorkers(t *testing.T) {
 	}}
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- e.run(context.Background(), reps, func(i int) error {
+		errCh <- e.run(context.Background(), reps, func(i int) (*obs.Recorder, error) {
 			perRep <- struct{}{}
-			return nil
+			return nil, nil
 		})
 	}()
 	<-blocked

@@ -116,11 +116,10 @@ func FuzzBatchEqualsFresh(f *testing.F) {
 			t.Fatalf("exec time diverged: warm %v, fresh %v", got.ExecTime, fresh.ExecTime)
 		}
 		if got.ContextSwitches != fresh.ContextSwitches ||
-			got.GoroutineHandoffs != fresh.GoroutineHandoffs ||
 			got.InlineDispatches != fresh.InlineDispatches {
-			t.Fatalf("counters diverged: warm %d/%d/%d, fresh %d/%d/%d",
-				got.ContextSwitches, got.GoroutineHandoffs, got.InlineDispatches,
-				fresh.ContextSwitches, fresh.GoroutineHandoffs, fresh.InlineDispatches)
+			t.Fatalf("counters diverged: warm %d/%d, fresh %d/%d",
+				got.ContextSwitches, got.InlineDispatches,
+				fresh.ContextSwitches, fresh.InlineDispatches)
 		}
 		if spec.Tracing {
 			gh, gn := fingerprintTraces([]*trace.Trace{got.Trace})

@@ -198,17 +198,17 @@ func runGoldenCase(t *testing.T, c goldenCase, parallelism int, withObs bool, po
 	injectorNs := make([]int64, c.Reps)
 	injectedAll := make([]bool, c.Reps)
 	var traces []*trace.Trace
-	err := exec.run(context.Background(), c.Reps, func(i int) error {
+	err := exec.run(context.Background(), c.Reps, func(i int) (*obs.Recorder, error) {
 		s := spec
 		s.Seed = seedAt(spec.Seed, i)
 		res, err := runOne(s)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		times[i] = int64(res.ExecTime)
 		injectorNs[i] = int64(res.InjectorCPUTime)
 		injectedAll[i] = res.InjectedAll
-		return nil
+		return nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)

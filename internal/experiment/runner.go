@@ -91,14 +91,10 @@ type Result struct {
 	// cores absorbed. Zero unless Spec.Inject was set.
 	InjectorCPUTime    sim.Time
 	InjectorOnWorkload sim.Time
-	// Scheduler kernel counters: ContextSwitches is dispatches;
-	// GoroutineHandoffs is requests fetched over the coroutine channel
-	// handshake, InlineDispatches requests served by inline task programs
-	// on the engine thread. Their ratio shows how much task traffic took
-	// the fast path (noiselab -v prints them).
-	ContextSwitches   uint64
-	GoroutineHandoffs uint64
-	InlineDispatches  uint64
+	// Scheduler kernel counters (noiselab -v prints them): ContextSwitches
+	// is dispatches, InlineDispatches requests served by task programs.
+	ContextSwitches  uint64
+	InlineDispatches uint64
 	// Batch-execution counters (noiselab -v prints them): Snapshots is 1
 	// when this rep built a fresh world (engine + scheduler constructed and
 	// snapshotted), BatchedReps is 1 when it reused a warm pooled world,
@@ -154,9 +150,7 @@ func publishRunCounters(reg *obs.Registry, eng *sim.Engine, sched *cpusched.Sche
 	reg.Counter("repro_sim_steps_total", "Engine events processed.").Add(eng.Stats().Steps)
 	reg.Counter("repro_sched_context_switches_total", "Task dispatches.").Add(sched.ContextSwitches)
 	reg.Counter("repro_sched_inline_dispatches_total",
-		"Requests served by inline task programs on the engine thread.").Add(sched.InlineDispatches)
-	reg.Counter("repro_sched_goroutine_handoffs_total",
-		"Requests fetched over the coroutine channel handshake.").Add(sched.GoroutineHandoffs)
+		"Requests served by task programs on the engine thread.").Add(sched.InlineDispatches)
 	reg.Counter("repro_sched_preemptions_total", "Involuntary context switches.").Add(sched.TotalPreemptions())
 	reg.Counter("repro_sched_migrations_total", "Cross-CPU task migrations.").Add(sched.TotalMigrations())
 	reg.Counter("repro_noise_tasks_spawned_total", "Noise tasks spawned.").Add(uint64(gen.Spawned))

@@ -1,9 +1,9 @@
 package experiment
 
 // ModelVersion identifies the simulation semantics. Runs are pure functions
-// of (spec, seed, ModelVersion): PR 1 made repetition fan-out bit-identical
-// to sequential execution and PR 2 kept the fast-path kernel byte-identical
-// to the coroutine path, so two executions of the same spec under the same
+// of (spec, seed, ModelVersion): repetition fan-out is bit-identical to
+// sequential execution, and kernel refactors keep the byte-identity
+// goldens unchanged, so two executions of the same spec under the same
 // ModelVersion produce the same bytes. The result cache (internal/rescache)
 // folds this constant into every cache key; bump it whenever a change could
 // alter any simulated output, and stale cached results become unreachable

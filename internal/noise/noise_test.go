@@ -20,9 +20,8 @@ func runNoisy(t *testing.T, p Profile, seed uint64, horizon sim.Time) (*trace.Tr
 	rng := sim.NewRNG(seed)
 	g := Attach(s, p, rng.Stream("noise"), horizon)
 	// A workload that just spins so noise has something to preempt.
-	w := s.Spawn(cpusched.TaskSpec{Name: "w", Affinity: machine.SetOf(0)}, func(c *cpusched.Ctx) {
-		c.ComputeDur(horizon - 10*sim.Millisecond)
-	})
+	w := s.SpawnSeq(cpusched.TaskSpec{Name: "w", Affinity: machine.SetOf(0)},
+		cpusched.ReqCompute(float64(horizon-10*sim.Millisecond)*s.Topology().CyclesPerNs()))
 	eng.RunWhile(func() bool { return !w.Done() })
 	tr := tracer.Finish(eng.Now(), "tiny", "spin", "omp", "Rm", seed)
 	s.Shutdown()
@@ -133,8 +132,8 @@ func TestReservedMaskConfinesThreadNoise(t *testing.T) {
 	s.SetTracer(tracer)
 	p := HPCReserved(topo).Scale(4) // crank rates so the test sees events
 	Attach(s, p, sim.NewRNG(7).Stream("noise"), 100*sim.Millisecond)
-	w := s.Spawn(cpusched.TaskSpec{Name: "w", Affinity: machine.SetOf(0)},
-		func(c *cpusched.Ctx) { c.ComputeDur(90 * sim.Millisecond) })
+	w := s.SpawnSeq(cpusched.TaskSpec{Name: "w", Affinity: machine.SetOf(0)},
+		cpusched.ReqCompute(float64(90*sim.Millisecond)*s.Topology().CyclesPerNs()))
 	eng.RunWhile(func() bool { return !w.Done() })
 	tr := tracer.Finish(eng.Now(), "a64fx", "spin", "omp", "Rm", 7)
 	s.Shutdown()

@@ -109,7 +109,7 @@ type Team struct {
 
 	startBar *cpusched.Barrier
 	endBar   *cpusched.Barrier
-	loop     *loopState
+	loop     loopState
 	stop     bool
 	// regions counts parallel regions for obs span naming (only advanced
 	// while an observer is attached).
@@ -117,18 +117,19 @@ type Team struct {
 
 	cyclesPerNs float64
 
-	masterCtx *cpusched.Ctx
-	master    *cpusched.Task
-	workers   []*cpusched.Task
+	master  *cpusched.Task
+	workers []*cpusched.Task
 }
 
-// Start creates the team (master + workers, spawned immediately; workers
-// park at the region barrier) and runs body on the master thread. It
-// returns the master task; the caller drives the engine until it is done.
+// Start records body (parmodel.Record) and creates the team: master and
+// workers are spawned immediately as scheduler Programs, workers parking
+// at the region barrier while the master executes the recorded phases. It
+// returns the team; the caller drives the engine until Master is done.
 func Start(s *cpusched.Scheduler, plan *mitigate.Plan, cfg Config, body parmodel.Body) *Team {
 	if cfg.CostFactor <= 0 {
 		cfg.CostFactor = 1.0
 	}
+	phases := parmodel.Record(body, plan.Threads, "omp")
 	t := &Team{
 		s:           s,
 		plan:        plan,
@@ -137,100 +138,95 @@ func Start(s *cpusched.Scheduler, plan *mitigate.Plan, cfg Config, body parmodel
 		endBar:      cpusched.NewBarrier(plan.Threads),
 		cyclesPerNs: s.Topology().CyclesPerNs(),
 	}
-	// Workers are threads 1..N-1; master is thread 0. Workers run as inline
-	// scheduler Programs (no goroutine per thread); the master keeps the
-	// imperative path because it executes the arbitrary workload body.
+	// Workers are threads 1..N-1; master is thread 0.
 	for i := 1; i < plan.Threads; i++ {
-		w := s.SpawnProgram(cpusched.TaskSpec{
-			Name:      workerName(i),
-			Kind:      cpusched.KindWorkload,
-			Affinity:  plan.AffinityOf(i),
-			Policy:    cfg.Policy,
-			DLRuntime: cfg.DLRuntime,
-			DLPeriod:  cfg.DLPeriod,
-		}, &workerProgram{t: t, id: i})
-		t.workers = append(t.workers, w)
+		t.workers = append(t.workers, s.SpawnProgram(t.spec(i, workerName(i)), &workerProgram{t: t, id: i}))
 	}
-	t.master = s.Spawn(cpusched.TaskSpec{
-		Name:      "omp-master",
-		Kind:      cpusched.KindWorkload,
-		Affinity:  plan.AffinityOf(0),
-		Policy:    cfg.Policy,
-		DLRuntime: cfg.DLRuntime,
-		DLPeriod:  cfg.DLPeriod,
-	}, func(ctx *cpusched.Ctx) {
-		t.masterCtx = ctx
-		body(t)
-		t.shutdownWorkers()
-	})
+	t.master = s.SpawnProgram(t.spec(0, "omp-master"),
+		&masterProgram{t: t, phases: phases, share: workerProgram{t: t}})
 	return t
+}
+
+func (t *Team) spec(thread int, name string) cpusched.TaskSpec {
+	return cpusched.TaskSpec{
+		Name:      name,
+		Kind:      cpusched.KindWorkload,
+		Affinity:  t.plan.AffinityOf(thread),
+		Policy:    t.cfg.Policy,
+		DLRuntime: t.cfg.DLRuntime,
+		DLPeriod:  t.cfg.DLPeriod,
+	}
 }
 
 // Master returns the master task (the workload's completion handle).
 func (t *Team) Master() *cpusched.Task { return t.master }
 
-var _ parmodel.Model = (*Team)(nil)
-
-// Threads implements parmodel.Model.
-func (t *Team) Threads() int { return t.plan.Threads }
-
-// Name implements parmodel.Model.
-func (t *Team) Name() string { return "omp" }
-
-// MasterCompute implements parmodel.Model.
-func (t *Team) MasterCompute(cycles float64) {
-	t.masterCtx.Compute(cycles * t.cfg.CostFactor)
+// masterProgram is the master thread: it executes the recorded phases in
+// order. A parallel region costs ForkOverhead of master-side setup, then
+// the master runs thread 0's share through the same workerProgram walk the
+// workers run (start barrier, chunks, end barrier). A one-thread team's
+// barriers release on arrival, so it needs no special case. After the last
+// phase the master raises stop and arrives at the start barrier once more,
+// releasing the parked workers to exit.
+type masterProgram struct {
+	t        *Team
+	phases   []parmodel.Phase
+	pc       int
+	share    workerProgram // thread 0's part of the current region
+	inRegion bool
+	// spanOpen marks a region whose obs span closes at the fetch after its
+	// end barrier; regionStart is its fork instant.
+	spanOpen    bool
+	regionStart sim.Time
 }
 
-// MasterMemory implements parmodel.Model.
-func (t *Team) MasterMemory(bytes float64) {
-	t.masterCtx.Memory(bytes * t.cfg.CostFactor)
+func (m *masterProgram) Next(task *cpusched.Task) (cpusched.Request, bool) {
+	t := m.t
+	if m.inRegion {
+		r, _ := m.share.Next(task) // never ends: stop is only raised below
+		m.inRegion = m.share.state != wStartBar
+		return r, true
+	}
+	if m.spanOpen {
+		// Observability only reads the clock: the span steals no time.
+		m.spanOpen = false
+		t.s.Observer().Span(task.CPU(), fmt.Sprintf("parallel-region-%d", t.regions),
+			"omp", t.cfg.Schedule.String(), m.regionStart, t.s.Now())
+	}
+	if m.pc == len(m.phases) {
+		if t.stop {
+			return cpusched.Request{}, false
+		}
+		t.stop = true
+		return cpusched.ReqBarrier(t.startBar, false), true
+	}
+	p := &m.phases[m.pc]
+	m.pc++
+	switch p.Kind {
+	case parmodel.PhaseParallelFor:
+		t.loop = loopState{n: p.N, cost: p.Cost}
+		if t.s.Observer() != nil {
+			m.spanOpen, m.regionStart = true, t.s.Now()
+			t.regions++
+		}
+		m.inRegion = true
+		return cpusched.ReqCompute(float64(t.cfg.ForkOverhead) * t.cyclesPerNs), true
+	case parmodel.PhaseCompute:
+		return cpusched.ReqCompute(p.Amount * t.cfg.CostFactor), true
+	case parmodel.PhaseMemory:
+		return cpusched.ReqMemory(p.Amount * t.cfg.CostFactor), true
+	default: // parmodel.PhaseBlockOn; I/O volume is data, CostFactor does not apply
+		return cpusched.ReqBlockOn(t.device(p.Dev), p.Amount), true
+	}
 }
 
-// MasterBlockOn implements parmodel.Model. I/O volume is data, not work:
-// CostFactor does not apply.
-func (t *Team) MasterBlockOn(dev string, bytes float64) {
-	t.masterCtx.BlockOn(t.device(dev), bytes)
-}
-
-// ParallelFor implements parmodel.Model: one parallel region with an
-// implicit end barrier.
-func (t *Team) ParallelFor(n int, cost func(int) parmodel.Cost) {
-	if n < 0 {
-		panic("omprt: negative trip count")
-	}
-	t.loop = &loopState{n: n, cost: cost}
-	// Observability only reads the clock (safe from the body goroutine,
-	// like Ctx.Now): the region span steals no simulated time.
-	rec := t.s.Observer()
-	var regionStart sim.Time
-	if rec != nil {
-		regionStart = t.masterCtx.Now()
-		t.regions++
-	}
-	// Region fork: master-side setup work.
-	t.masterCtx.Compute(float64(t.cfg.ForkOverhead) * t.cyclesPerNs)
-	if t.plan.Threads == 1 {
-		t.runChunks(t.masterCtx, 0)
-	} else {
-		t.masterCtx.Barrier(t.startBar, false) // releases parked workers
-		t.runChunks(t.masterCtx, 0)
-		t.masterCtx.Barrier(t.endBar, t.cfg.ActiveWait)
-	}
-	if rec != nil {
-		rec.Span(t.masterCtx.CPU(), fmt.Sprintf("parallel-region-%d", t.regions),
-			"omp", t.cfg.Schedule.String(), regionStart, t.masterCtx.Now())
-	}
-}
-
-// workerProgram is the worker thread's loop as an inline scheduler
-// Program, yielding the byte-identical request sequence workerLoop's
-// imperative form issued: park at the region start barrier, claim/execute
-// this thread's chunks, wait at the end barrier, repeat. Shared loop state
-// (t.loop, l.next, t.stop) is read and written inside Next, which runs at
-// exactly the simulated instants the goroutine body performed the same
-// accesses (the fetch points), so dynamic/guided claim races resolve
-// identically.
+// workerProgram is one team thread's part of every region: park at the
+// region start barrier, claim/execute this thread's chunks, wait at the
+// end barrier, repeat. Workers run it directly; the master runs it with id
+// 0 inside each region. Shared loop state (t.loop, l.next, t.stop) is read
+// and written inside Next, at the simulated instants the scheduler fetches
+// each thread's next request, so dynamic/guided claim races resolve in
+// fetch order.
 type workerProgram struct {
 	t     *Team
 	id    int
@@ -279,7 +275,7 @@ func (w *workerProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 			switch t.cfg.Schedule {
 			case Static:
 				if t.cfg.Chunk <= 0 {
-					l := t.loop
+					l := &t.loop
 					lo := w.id * l.n / t.plan.Threads
 					hi := (w.id + 1) * l.n / t.plan.Threads
 					c, b, io, dev := t.rangeCost(lo, hi)
@@ -295,7 +291,7 @@ func (w *workerProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 				panic("omprt: unknown schedule")
 			}
 		case wStaticNext:
-			l := t.loop
+			l := &t.loop
 			if w.base >= l.n {
 				w.state = wEndBar
 				continue
@@ -311,13 +307,12 @@ func (w *workerProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 			return cpusched.ReqCompute(c), true
 		case wDispatch:
 			// Zero overhead yields a zero-demand request the scheduler
-			// skips, exactly as dispatchCost sends nothing.
+			// skips.
 			w.state = wClaim
 			return cpusched.ReqCompute(float64(t.cfg.DispatchOverhead) * t.cyclesPerNs), true
 		case wClaim:
-			// The claim runs at the fetch following the dispatch compute —
-			// the instant the imperative body resumed and read l.next.
-			l := t.loop
+			// The claim runs at the fetch following the dispatch compute.
+			l := &t.loop
 			lo := l.next
 			if lo >= l.n {
 				w.state = wEndBar
@@ -405,92 +400,4 @@ func workerName(i int) string {
 		return workerNames[i]
 	}
 	return fmt.Sprintf("omp-worker-%d", i)
-}
-
-func (t *Team) shutdownWorkers() {
-	if t.plan.Threads == 1 {
-		return
-	}
-	t.stop = true
-	t.masterCtx.Barrier(t.startBar, false)
-}
-
-// runChunks executes thread id's share of the current loop.
-func (t *Team) runChunks(ctx *cpusched.Ctx, id int) {
-	l := t.loop
-	T := t.plan.Threads
-	switch t.cfg.Schedule {
-	case Static:
-		if t.cfg.Chunk <= 0 {
-			lo := id * l.n / T
-			hi := (id + 1) * l.n / T
-			t.execRange(ctx, lo, hi)
-			return
-		}
-		// Round-robin fixed chunks.
-		for base := id * t.cfg.Chunk; base < l.n; base += T * t.cfg.Chunk {
-			hi := base + t.cfg.Chunk
-			if hi > l.n {
-				hi = l.n
-			}
-			t.execRange(ctx, base, hi)
-		}
-	case Dynamic:
-		chunk := t.cfg.Chunk
-		if chunk <= 0 {
-			chunk = 1
-		}
-		for {
-			t.dispatchCost(ctx)
-			lo := l.next
-			if lo >= l.n {
-				return
-			}
-			hi := lo + chunk
-			if hi > l.n {
-				hi = l.n
-			}
-			l.next = hi
-			t.execRange(ctx, lo, hi)
-		}
-	case Guided:
-		minChunk := t.cfg.Chunk
-		if minChunk <= 0 {
-			minChunk = 1
-		}
-		for {
-			t.dispatchCost(ctx)
-			lo := l.next
-			if lo >= l.n {
-				return
-			}
-			size := (l.n - lo + 2*T - 1) / (2 * T)
-			if size < minChunk {
-				size = minChunk
-			}
-			hi := lo + size
-			if hi > l.n {
-				hi = l.n
-			}
-			l.next = hi
-			t.execRange(ctx, lo, hi)
-		}
-	default:
-		panic("omprt: unknown schedule")
-	}
-}
-
-func (t *Team) dispatchCost(ctx *cpusched.Ctx) {
-	if t.cfg.DispatchOverhead > 0 {
-		ctx.Compute(float64(t.cfg.DispatchOverhead) * t.cyclesPerNs)
-	}
-}
-
-func (t *Team) execRange(ctx *cpusched.Ctx, lo, hi int) {
-	c, b, io, dev := t.rangeCost(lo, hi)
-	ctx.Compute(c)
-	ctx.Memory(b)
-	if io > 0 {
-		ctx.BlockOn(t.device(dev), io)
-	}
 }

@@ -92,11 +92,11 @@ func TestStaticStragglerSensitivity(t *testing.T) {
 		s := newSched()
 		if noise {
 			s.Engine().At(2*sim.Millisecond, func() {
-				s.Spawn(cpusched.TaskSpec{
+				s.SpawnSeq(cpusched.TaskSpec{
 					Name: "noise", Kind: cpusched.KindNoiseThread,
 					Policy: cpusched.PolicyFIFO, RTPrio: 50,
 					Affinity: machine.SetOf(3),
-				}, func(c *cpusched.Ctx) { c.ComputeDur(50 * sim.Millisecond) })
+				}, cpusched.ReqCompute(float64(50*sim.Millisecond)*s.Topology().CyclesPerNs()))
 			})
 		}
 		return runBody(t, s, mitigate.TP, DefaultConfig(), func(m parmodel.Model) {
@@ -117,11 +117,11 @@ func TestDynamicAbsorbsStraggler(t *testing.T) {
 	run := func(schedKind Schedule) sim.Time {
 		s := newSched()
 		s.Engine().At(2*sim.Millisecond, func() {
-			s.Spawn(cpusched.TaskSpec{
+			s.SpawnSeq(cpusched.TaskSpec{
 				Name: "noise", Kind: cpusched.KindNoiseThread,
 				Policy: cpusched.PolicyFIFO, RTPrio: 50,
 				Affinity: machine.SetOf(3),
-			}, func(c *cpusched.Ctx) { c.ComputeDur(50 * sim.Millisecond) })
+			}, cpusched.ReqCompute(float64(50*sim.Millisecond)*s.Topology().CyclesPerNs()))
 		})
 		cfg := DefaultConfig()
 		cfg.Schedule = schedKind

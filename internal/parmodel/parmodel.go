@@ -1,6 +1,7 @@
 // Package parmodel defines the interface between workload cost models and
 // the parallel runtime models (omprt, syclrt): a workload is a function of
-// a Model, and a Model executes parallel loops of costed work units on the
+// a Model, the runtimes record its calls as a phase list (Record), and
+// execute the phases as parallel loops of costed work units on the
 // simulated machine. The two runtime implementations differ exactly where
 // the paper says OpenMP and SYCL differ: work distribution policy,
 // synchronization style, and fixed runtime overheads.
@@ -42,9 +43,13 @@ func (c Cost) Scale(f float64) Cost {
 	return Cost{c.Cycles * f, c.Bytes * f, c.IOBytes, c.IODev}
 }
 
-// Model is a parallel runtime executing work on the simulated machine. All
-// methods must be called from the workload body function passed to the
-// runtime's Start.
+// Model is the interface a workload body describes its work against. A
+// runtime's Start does not execute the body on the simulated machine: it
+// records the body once (Record) into a fixed phase list that the
+// master/host thread then executes. The model has no clock, so a body can
+// observe only Threads() and Name(); everything else it does must be a
+// fixed sequence of ParallelFor/Master* calls. Cost functions are called
+// later, while the phases run.
 type Model interface {
 	// ParallelFor executes n work units, unit i costing cost(i), across
 	// the team, then synchronizes (implicit end-of-region barrier /
@@ -68,3 +73,62 @@ type Model interface {
 
 // Body is a workload expressed against a runtime model.
 type Body func(Model)
+
+// PhaseKind identifies the Model call a recorded Phase stands for.
+type PhaseKind int
+
+const (
+	PhaseParallelFor PhaseKind = iota // Model.ParallelFor
+	PhaseCompute                      // Model.MasterCompute
+	PhaseMemory                       // Model.MasterMemory
+	PhaseBlockOn                      // Model.MasterBlockOn
+)
+
+// Phase is one recorded Model call.
+type Phase struct {
+	Kind PhaseKind
+	// N and Cost are the ParallelFor trip count and unit cost.
+	N    int
+	Cost func(i int) Cost
+	// Amount is the MasterCompute cycles, MasterMemory bytes, or
+	// MasterBlockOn bytes; Dev is the MasterBlockOn device.
+	Amount float64
+	Dev    string
+}
+
+// Record runs body against a recording Model that reports the given
+// thread count and runtime name, and returns the calls it made in order.
+// It panics on a negative ParallelFor trip count.
+func Record(body Body, threads int, name string) []Phase {
+	r := &recorder{threads: threads, name: name}
+	body(r)
+	return r.phases
+}
+
+type recorder struct {
+	threads int
+	name    string
+	phases  []Phase
+}
+
+func (r *recorder) ParallelFor(n int, cost func(int) Cost) {
+	if n < 0 {
+		panic("parmodel: negative ParallelFor trip count")
+	}
+	r.phases = append(r.phases, Phase{Kind: PhaseParallelFor, N: n, Cost: cost})
+}
+
+func (r *recorder) MasterCompute(cycles float64) {
+	r.phases = append(r.phases, Phase{Kind: PhaseCompute, Amount: cycles})
+}
+
+func (r *recorder) MasterMemory(bytes float64) {
+	r.phases = append(r.phases, Phase{Kind: PhaseMemory, Amount: bytes})
+}
+
+func (r *recorder) MasterBlockOn(dev string, bytes float64) {
+	r.phases = append(r.phases, Phase{Kind: PhaseBlockOn, Amount: bytes, Dev: dev})
+}
+
+func (r *recorder) Threads() int { return r.threads }
+func (r *recorder) Name() string { return r.name }

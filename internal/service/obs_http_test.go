@@ -5,6 +5,7 @@ package service
 // and the metrics regression fixes (inflight clamp, quantile ring copy).
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -110,6 +111,37 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 	}
 	if len(dumps[0].Events) != 1 || dumps[0].Events[0].Name != "preempt" {
 		t.Fatalf("dump events mangled: %+v", dumps[0])
+	}
+}
+
+// TestFailedJobRetainsOneFlightDump: a job whose every rep fails leaves
+// exactly one document in /debug/flightrecorder — the ring of the rep whose
+// error the job reports — however many reps the executor's pool ran before
+// the failure cancelled the rest.
+func TestFailedJobRetainsOneFlightDump(t *testing.T) {
+	srv, ts, _ := newTestServer(t, Config{Parallelism: 4})
+	// Resolve does not validate the model, so a job built past submission
+	// validation fails inside every rep.
+	spec := tinySpec(64, 8)
+	spec.Model = "tbb"
+	job := &Job{ID: "bad", Spec: spec, events: NewEventLog(0)}
+	if _, err := srv.execute(context.Background(), job); err == nil {
+		t.Fatal("job with unknown model succeeded")
+	}
+	resp, err := http.Get(ts.URL + "/debug/flightrecorder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var dumps []obs.Flight
+	if err := json.NewDecoder(resp.Body).Decode(&dumps); err != nil {
+		t.Fatal(err)
+	}
+	if len(dumps) != 1 {
+		t.Fatalf("failed job left %d flight dumps, want 1", len(dumps))
+	}
+	if dumps[0].Label != "rep 0" {
+		t.Fatalf("flight dump label = %q, want the lowest failing rep", dumps[0].Label)
 	}
 }
 

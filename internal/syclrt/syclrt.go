@@ -59,8 +59,7 @@ type kernel struct {
 	next int // work-group claim cursor
 }
 
-// Queue is the SYCL in-order queue plus its worker pool. It implements
-// parmodel.Model for workload bodies running on the host thread.
+// Queue is the SYCL in-order queue plus its worker pool.
 type Queue struct {
 	s    *cpusched.Scheduler
 	plan *mitigate.Plan
@@ -68,7 +67,7 @@ type Queue struct {
 
 	kernelBar *cpusched.Barrier // host+workers rendezvous to start a kernel
 	doneBar   *cpusched.Barrier // host+workers rendezvous at kernel end
-	kern      *kernel
+	kern      kernel
 	stop      bool
 	// kernels counts submissions for obs span naming (only advanced while
 	// an observer is attached).
@@ -76,14 +75,14 @@ type Queue struct {
 
 	cyclesPerNs float64
 
-	hostCtx *cpusched.Ctx
 	host    *cpusched.Task
 	workers []*cpusched.Task
 }
 
-// Start creates the queue's worker pool and runs body on the host thread.
-// The host participates in kernel execution as one of the workers (CPU
-// backends do this), so the pool size equals the plan's thread count.
+// Start records body (parmodel.Record) and creates the queue's worker pool
+// and host thread, all scheduler Programs; the host executes the recorded
+// phases. The host participates in kernel execution as one of the workers
+// (CPU backends do this), so the pool size equals the plan's thread count.
 func Start(s *cpusched.Scheduler, plan *mitigate.Plan, cfg Config, body parmodel.Body) *Queue {
 	if cfg.CostFactor <= 0 {
 		cfg.CostFactor = 1.0
@@ -91,6 +90,7 @@ func Start(s *cpusched.Scheduler, plan *mitigate.Plan, cfg Config, body parmodel
 	if cfg.WGUnits <= 0 {
 		cfg.WGUnits = 1
 	}
+	phases := parmodel.Record(body, plan.Threads, "sycl")
 	q := &Queue{
 		s:           s,
 		plan:        plan,
@@ -99,99 +99,95 @@ func Start(s *cpusched.Scheduler, plan *mitigate.Plan, cfg Config, body parmodel
 		doneBar:     cpusched.NewBarrier(plan.Threads),
 		cyclesPerNs: s.Topology().CyclesPerNs(),
 	}
-	// Workers run as inline scheduler Programs (no goroutine per pool
-	// thread); the host keeps the imperative path because it executes the
-	// arbitrary workload body.
 	for i := 1; i < plan.Threads; i++ {
-		w := s.SpawnProgram(cpusched.TaskSpec{
-			Name:      workerName(i),
-			Kind:      cpusched.KindWorkload,
-			Affinity:  plan.AffinityOf(i),
-			Policy:    cfg.Policy,
-			DLRuntime: cfg.DLRuntime,
-			DLPeriod:  cfg.DLPeriod,
-		}, &poolProgram{q: q})
-		q.workers = append(q.workers, w)
+		q.workers = append(q.workers, s.SpawnProgram(q.spec(i, workerName(i)), &poolProgram{q: q}))
 	}
-	q.host = s.Spawn(cpusched.TaskSpec{
-		Name:      "sycl-host",
-		Kind:      cpusched.KindWorkload,
-		Affinity:  plan.AffinityOf(0),
-		Policy:    cfg.Policy,
-		DLRuntime: cfg.DLRuntime,
-		DLPeriod:  cfg.DLPeriod,
-	}, func(ctx *cpusched.Ctx) {
-		q.hostCtx = ctx
-		body(q)
-		q.shutdown()
-	})
+	q.host = s.SpawnProgram(q.spec(0, "sycl-host"),
+		&hostProgram{q: q, phases: phases, share: poolProgram{q: q}})
 	return q
+}
+
+func (q *Queue) spec(thread int, name string) cpusched.TaskSpec {
+	return cpusched.TaskSpec{
+		Name:      name,
+		Kind:      cpusched.KindWorkload,
+		Affinity:  q.plan.AffinityOf(thread),
+		Policy:    q.cfg.Policy,
+		DLRuntime: q.cfg.DLRuntime,
+		DLPeriod:  q.cfg.DLPeriod,
+	}
 }
 
 // Host returns the host task (the workload's completion handle).
 func (q *Queue) Host() *cpusched.Task { return q.host }
 
-var _ parmodel.Model = (*Queue)(nil)
-
-// Threads implements parmodel.Model.
-func (q *Queue) Threads() int { return q.plan.Threads }
-
-// Name implements parmodel.Model.
-func (q *Queue) Name() string { return "sycl" }
-
-// MasterCompute implements parmodel.Model (host-side serial work).
-func (q *Queue) MasterCompute(cycles float64) {
-	q.hostCtx.Compute(cycles * q.cfg.CostFactor)
+// hostProgram is the host thread: it executes the recorded phases in
+// order. A ParallelFor submits one kernel and waits for it (an in-order
+// queue with an immediately-consumed event, the pattern the benchmarks
+// use): SubmitOverhead of host-side work, then the host joins execution
+// through the same poolProgram walk the workers run (kernel barrier,
+// work-groups, done barrier). A one-thread pool's barriers release on
+// arrival, so it needs no special case. After the last phase the host
+// raises stop and arrives at the kernel barrier once more, releasing the
+// parked workers to exit.
+type hostProgram struct {
+	q        *Queue
+	phases   []parmodel.Phase
+	pc       int
+	share    poolProgram // the host's part of the current kernel
+	inKernel bool
+	// spanOpen marks a kernel whose obs span closes at the fetch after its
+	// done barrier; submitStart is its submission instant.
+	spanOpen    bool
+	submitStart sim.Time
 }
 
-// MasterMemory implements parmodel.Model.
-func (q *Queue) MasterMemory(bytes float64) {
-	q.hostCtx.Memory(bytes * q.cfg.CostFactor)
-}
-
-// MasterBlockOn implements parmodel.Model. I/O volume is data, not work:
-// CostFactor does not apply.
-func (q *Queue) MasterBlockOn(dev string, bytes float64) {
-	q.hostCtx.BlockOn(q.device(dev), bytes)
-}
-
-// ParallelFor implements parmodel.Model: submit one kernel and wait for it
-// (in-order queue with an immediately-consumed event, the pattern the
-// benchmarks use).
-func (q *Queue) ParallelFor(n int, cost func(int) parmodel.Cost) {
-	if n < 0 {
-		panic("syclrt: negative ND-range")
+func (h *hostProgram) Next(task *cpusched.Task) (cpusched.Request, bool) {
+	q := h.q
+	if h.inKernel {
+		r, _ := h.share.Next(task) // never ends: stop is only raised below
+		h.inKernel = h.share.state != pKernelBar
+		return r, true
 	}
-	// Observability only reads the clock (safe from the body goroutine,
-	// like Ctx.Now): the kernel span steals no simulated time.
-	rec := q.s.Observer()
-	var submitStart sim.Time
-	if rec != nil {
-		submitStart = q.hostCtx.Now()
-		q.kernels++
+	if h.spanOpen {
+		// Observability only reads the clock: the span steals no time.
+		h.spanOpen = false
+		q.s.Observer().Span(task.CPU(), fmt.Sprintf("kernel-%d", q.kernels),
+			"sycl", "in-order", h.submitStart, q.s.Now())
 	}
-	// Host-side submission cost.
-	q.hostCtx.Compute(float64(q.cfg.SubmitOverhead) * q.cyclesPerNs)
-	q.kern = &kernel{n: n, cost: cost}
-	if q.plan.Threads == 1 {
-		q.runWorkGroups(q.hostCtx)
-	} else {
-		q.hostCtx.Barrier(q.kernelBar, false) // wake the pool
-		q.runWorkGroups(q.hostCtx)            // host joins execution
-		q.hostCtx.Barrier(q.doneBar, q.cfg.ActiveWait)
+	if h.pc == len(h.phases) {
+		if q.stop {
+			return cpusched.Request{}, false
+		}
+		q.stop = true
+		return cpusched.ReqBarrier(q.kernelBar, false), true
 	}
-	if rec != nil {
-		rec.Span(q.hostCtx.CPU(), fmt.Sprintf("kernel-%d", q.kernels),
-			"sycl", "in-order", submitStart, q.hostCtx.Now())
+	p := &h.phases[h.pc]
+	h.pc++
+	switch p.Kind {
+	case parmodel.PhaseParallelFor:
+		q.kern = kernel{n: p.N, cost: p.Cost}
+		if q.s.Observer() != nil {
+			h.spanOpen, h.submitStart = true, q.s.Now()
+			q.kernels++
+		}
+		h.inKernel = true
+		return cpusched.ReqCompute(float64(q.cfg.SubmitOverhead) * q.cyclesPerNs), true
+	case parmodel.PhaseCompute:
+		return cpusched.ReqCompute(p.Amount * q.cfg.CostFactor), true
+	case parmodel.PhaseMemory:
+		return cpusched.ReqMemory(p.Amount * q.cfg.CostFactor), true
+	default: // parmodel.PhaseBlockOn; I/O volume is data, CostFactor does not apply
+		return cpusched.ReqBlockOn(q.device(p.Dev), p.Amount), true
 	}
 }
 
-// poolProgram is the pool worker's loop as an inline scheduler Program,
-// yielding the byte-identical request sequence the imperative workerLoop
-// issued: park at the kernel barrier, claim and execute work-groups from
-// the shared cursor, rendezvous at the done barrier, repeat. Claims run
-// inside Next at exactly the fetch instants the goroutine body read and
-// advanced q.kern.next, so work-group distribution resolves identically.
+// poolProgram is one pool thread's part of every kernel: park at the
+// kernel barrier, claim and execute work-groups from the shared cursor,
+// rendezvous at the done barrier, repeat. Workers run it directly; the host
+// runs it inside each kernel. Claims run inside Next, at the simulated
+// instants the scheduler fetches each thread's next request, so
+// work-group distribution resolves in fetch order.
 type poolProgram struct {
 	q     *Queue
 	state int
@@ -224,12 +220,11 @@ func (p *poolProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 			p.state = pDispatch
 		case pDispatch:
 			// Zero dispatch cost yields a zero-demand request the
-			// scheduler skips, exactly as the imperative guard sent
-			// nothing.
+			// scheduler skips.
 			p.state = pClaim
 			return cpusched.ReqCompute(float64(q.cfg.WGDispatch) * q.cyclesPerNs), true
 		case pClaim:
-			k := q.kern
+			k := &q.kern
 			lo := k.next
 			if lo >= k.n {
 				p.state = pDoneBar
@@ -261,39 +256,6 @@ func (p *poolProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 		case pDoneBar:
 			p.state = pKernelBar
 			return cpusched.ReqBarrier(q.doneBar, q.cfg.ActiveWait), true
-		}
-	}
-}
-
-func (q *Queue) shutdown() {
-	if q.plan.Threads == 1 {
-		return
-	}
-	q.stop = true
-	q.hostCtx.Barrier(q.kernelBar, false)
-}
-
-// runWorkGroups claims and executes work-groups until the kernel drains.
-func (q *Queue) runWorkGroups(ctx *cpusched.Ctx) {
-	k := q.kern
-	for {
-		if q.cfg.WGDispatch > 0 {
-			ctx.Compute(float64(q.cfg.WGDispatch) * q.cyclesPerNs)
-		}
-		lo := k.next
-		if lo >= k.n {
-			return
-		}
-		hi := lo + q.cfg.WGUnits
-		if hi > k.n {
-			hi = k.n
-		}
-		k.next = hi
-		c, b, io, dev := q.groupCost(lo, hi)
-		ctx.Compute(c)
-		ctx.Memory(b)
-		if io > 0 {
-			ctx.BlockOn(q.device(dev), io)
 		}
 	}
 }

@@ -94,11 +94,11 @@ func TestNoiseResilienceVsOMPStatic(t *testing.T) {
 	// queue (dynamic work-groups) must degrade less than OpenMP static.
 	noiseAt := func(s *cpusched.Scheduler) {
 		s.Engine().At(2*sim.Millisecond, func() {
-			s.Spawn(cpusched.TaskSpec{
+			s.SpawnSeq(cpusched.TaskSpec{
 				Name: "noise", Kind: cpusched.KindNoiseThread,
 				Policy: cpusched.PolicyFIFO, RTPrio: 50,
 				Affinity: machine.SetOf(3),
-			}, func(c *cpusched.Ctx) { c.ComputeDur(40 * sim.Millisecond) })
+			}, cpusched.ReqCompute(float64(40*sim.Millisecond)*s.Topology().CyclesPerNs()))
 		})
 	}
 	// SYCL with noise.

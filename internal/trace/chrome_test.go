@@ -41,12 +41,12 @@ func TestTimelineRecorderCapturesEverything(t *testing.T) {
 	s := cpusched.New(eng, topo, opt)
 	rec := NewTimelineRecorder(0)
 	s.SetTracer(rec)
-	w := s.Spawn(cpusched.TaskSpec{Name: "w", Affinity: machine.SetOf(0)},
-		func(c *cpusched.Ctx) { c.Compute(30e6) })
-	s.Spawn(cpusched.TaskSpec{
+	w := s.SpawnSeq(cpusched.TaskSpec{Name: "w", Affinity: machine.SetOf(0)},
+		cpusched.ReqCompute(30e6))
+	s.SpawnSeq(cpusched.TaskSpec{
 		Name: "kw", Kind: cpusched.KindNoiseThread,
 		Policy: cpusched.PolicyFIFO, RTPrio: 1, Affinity: machine.SetOf(0),
-	}, func(c *cpusched.Ctx) { c.Compute(3e6) })
+	}, cpusched.ReqCompute(3e6))
 	eng.At(2*sim.Millisecond, func() {
 		s.InjectIRQ(0, cpusched.ClassIRQ, "timer", 100*sim.Microsecond)
 	})

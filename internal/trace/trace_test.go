@@ -236,14 +236,13 @@ func TestTracerRecordsSchedulerNoise(t *testing.T) {
 	s.SetTracer(tracer)
 
 	aff := machine.SetOf(0)
-	w := s.Spawn(cpusched.TaskSpec{Name: "w", Affinity: aff}, func(c *cpusched.Ctx) {
-		c.Compute(30e6) // 10ms at 3GHz
-	})
+	w := s.SpawnSeq(cpusched.TaskSpec{Name: "w", Affinity: aff},
+		cpusched.ReqCompute(30e6)) // 10ms at 3GHz
 	eng.At(sim.Millisecond, func() {
-		s.Spawn(cpusched.TaskSpec{
+		s.SpawnSeq(cpusched.TaskSpec{
 			Name: "kw", Source: "kworker/0:1", Kind: cpusched.KindNoiseThread,
 			Policy: cpusched.PolicyFIFO, RTPrio: 1, Affinity: aff,
-		}, func(c *cpusched.Ctx) { c.Compute(3e6) }) // 1ms
+		}, cpusched.ReqCompute(3e6)) // 1ms
 	})
 	eng.At(5*sim.Millisecond, func() {
 		s.InjectIRQ(0, cpusched.ClassIRQ, "local_timer:236", 200*sim.Microsecond)
@@ -278,9 +277,9 @@ func TestTracerInjectorFiltering(t *testing.T) {
 	s := cpusched.New(eng, topo, opt)
 	tracer := NewTracer(0)
 	s.SetTracer(tracer)
-	inj := s.Spawn(cpusched.TaskSpec{
+	inj := s.SpawnSeq(cpusched.TaskSpec{
 		Name: "inj", Kind: cpusched.KindInjector, Affinity: machine.SetOf(0),
-	}, func(c *cpusched.Ctx) { c.Compute(3e6) })
+	}, cpusched.ReqCompute(3e6))
 	eng.RunWhile(func() bool { return !inj.Done() })
 	s.Shutdown()
 	if len(tracer.Trace().Events) != 0 {
