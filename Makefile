@@ -65,8 +65,9 @@ test-io:
 	$(GO) test -race -count=3 -run 'TestFleetByteIdenticalIODeadline' ./internal/fleet/
 
 # Short deterministic-budget fuzz smoke of the fuzz targets (cache-key
-# canonicalization, the trace codec round trip, the analysis spec hash, and
-# the analysis-artifact codec). `go test -fuzz` accepts one target per
+# canonicalization, the trace codec round trip, batched-vs-fresh reps, the
+# scheduler fork with pending BlockOn/IRQ timers, ring placement, the
+# analysis spec hash, and the analysis-artifact codec). `go test -fuzz` accepts one target per
 # package invocation, hence the separate runs. FUZZTIME is overridable;
 # 10s each keeps CI wall clock bounded.
 FUZZTIME ?= 10s
@@ -74,6 +75,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run xxx -fuzz 'FuzzTraceCodecRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/service -run xxx -fuzz 'FuzzSpecHashCanonical$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/experiment -run xxx -fuzz 'FuzzBatchEqualsFresh$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cpusched -run xxx -fuzz 'FuzzBlockOnForkDeterminism$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fleet -run xxx -fuzz 'FuzzRingPlacement$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analyze -run xxx -fuzz 'FuzzAnalysisSpecHash$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analyze -run xxx -fuzz 'FuzzArtifactRoundTrip$$' -fuzztime $(FUZZTIME)

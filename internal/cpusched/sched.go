@@ -376,6 +376,7 @@ func (s *Scheduler) Shutdown() {
 	}
 	if s.balanceTimer != nil {
 		s.balanceTimer.Cancel()
+		s.balanceTimer = nil
 	}
 }
 

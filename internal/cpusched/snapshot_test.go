@@ -52,6 +52,26 @@ func TestSchedulerForkByteIdentical(t *testing.T) {
 	}
 }
 
+// TestForkAfterShutdownKeepsLiveEvent pins that Shutdown drops its
+// balance-timer handle: a cancelled timer's struct is recycled at once, so
+// a stale handle cancelled again by Fork would remove whichever live event
+// reused the struct.
+func TestForkAfterShutdownKeepsLiveEvent(t *testing.T) {
+	eng := sim.NewEngine()
+	s := New(eng, machine.MustPreset(machine.TinyTest), Defaults())
+	snap := s.Snapshot()
+	s.SpawnSeq(TaskSpec{Name: "a"}, ReqCompute(9e9))
+	eng.RunUntil(sim.Millisecond) // the balance timer is armed and pending
+	s.Shutdown()
+	fired := false
+	eng.After(sim.Millisecond, func() { fired = true })
+	s.Fork(snap)
+	eng.Run()
+	if !fired {
+		t.Fatal("Fork after Shutdown cancelled an unrelated live event")
+	}
+}
+
 // TestSchedulerForkMidRun kills an unfinished workload via Fork and checks
 // the next rep still matches a fresh scheduler — the erroring-rep teardown
 // path of the batch executor.

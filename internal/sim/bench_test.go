@@ -4,11 +4,11 @@ import "testing"
 
 // Engine microbenchmarks: the event loop is the innermost layer of every
 // simulated run, so per-event costs here multiply through the whole
-// evaluation harness. `make bench` records these in BENCH_kernel.json.
+// evaluation harness. `make bench-kernel` records these in BENCH_kernel.json.
 
 // BenchmarkEngineEventThroughput measures raw schedule+fire cost with a
-// self-rescheduling timer chain (the noise-generator pattern) over a heap
-// that stays ~1k entries deep.
+// self-rescheduling timer chain (the noise-generator pattern) over an event
+// queue that stays ~1k entries deep.
 func BenchmarkEngineEventThroughput(b *testing.B) {
 	e := NewEngine()
 	const depth = 1024
@@ -28,8 +28,10 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineRunUntil measures the combined deadline-check-and-pop loop
-// (one heap-top inspection per event).
+// BenchmarkEngineRunUntil measures the deadline-check-and-fire loop over a
+// 64-event periodic chain. In steady state each re-armed tick is the
+// queue's new maximum, so every pop sifts a large leaf down from the root:
+// the heap's worst pattern, where a sorted array would only append.
 func BenchmarkEngineRunUntil(b *testing.B) {
 	e := NewEngine()
 	var tick func()
@@ -45,8 +47,9 @@ func BenchmarkEngineRunUntil(b *testing.B) {
 }
 
 // BenchmarkEngineCancel measures schedule+cancel cycles — the slice-timer
-// and completion-timer churn pattern in the CPU scheduler. Eager reap keeps
-// the heap free of zombies; the free list keeps it allocation-free.
+// and completion-timer churn pattern in the CPU scheduler. Cancel removes
+// the timer from the heap at once and returns it to the free list, so the
+// cycle is allocation-free.
 func BenchmarkEngineCancel(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}

@@ -4,73 +4,55 @@ import "fmt"
 
 // Timer is a scheduled callback. It can be cancelled before it fires.
 //
-// Timer structs are pooled: once a timer has fired (or been cancelled and
-// then popped) the engine may recycle it for a later At/After call. A
-// handle therefore must not be retained past its callback — holders that
-// store a *Timer must clear or reassign the reference when the callback
-// runs, which every in-tree holder does as the first statement of its
-// callback. Cancel and Pending on a handle whose timer already fired
-// remain safe no-ops only until the struct is reused.
+// Timer structs are pooled: once a timer has fired or been cancelled the
+// engine may recycle it for a later At/After call. A handle is therefore
+// dead after its callback fires or after Cancel — holders that store a
+// *Timer must clear or reassign the reference when the callback runs
+// (every in-tree holder does so as the first statement of its callback)
+// and when they cancel it. Cancel and Pending on a dead handle remain safe
+// no-ops only until the struct is reused.
 type Timer struct {
-	at     Time
-	seq    uint64
-	fn     func()
-	queued bool
-	zombie bool
-	eng    *Engine
+	at  Time
+	fn  func()
+	idx int // position in the engine's heap; -1 when not queued
+	eng *Engine
 }
 
 // At returns the simulated instant the timer fires at.
 func (t *Timer) At() Time { return t.at }
 
-// Cancel prevents the timer from firing. Cancellation is lazy: the entry
-// stays in the queue as a zombie and is discarded (without firing) when it
-// reaches the head, which makes Cancel O(1) where an eager removal paid a
-// search plus a window shift — the cancel-heavy refresh path (interrupt
-// arrivals pausing a running task's completion timer) is why. Cancelling
-// an already-fired or already-cancelled timer is a no-op. It reports
-// whether the timer was still pending.
+// Cancel prevents the timer from firing: the timer leaves the queue at once
+// (O(log n)) and its struct returns to the free pool. Cancelling an
+// already-fired or already-cancelled timer is a no-op. It reports whether
+// the timer was still pending.
 func (t *Timer) Cancel() bool {
-	if t == nil || !t.queued || t.zombie {
+	if t == nil || t.idx < 0 {
 		return false
 	}
-	t.zombie = true
-	t.eng.zombies++
+	t.eng.removeAt(t.idx)
+	t.eng.release(t)
 	return true
 }
 
 // Pending reports whether the timer is scheduled and not cancelled.
-func (t *Timer) Pending() bool { return t != nil && t.queued && !t.zombie }
+func (t *Timer) Pending() bool { return t != nil && t.idx >= 0 }
 
 // Engine is a single-threaded discrete-event simulator. Events scheduled for
 // the same instant fire in scheduling order, which keeps runs deterministic.
 //
-// The event queue is a sorted deque: events live in ascending (time,
-// scheduling sequence) order in the window [head, tail) of a backing array
-// with slack at both ends. Popping the minimum is a head increment; an
-// insert searches its position (a short scan from the head, then binary)
-// and shifts whichever side of the window is shorter; a cancel marks its
-// entry a zombie that the pop path discards. The measured queue stays
-// small (tens of events for a single node, ~100 for a cluster), and the
-// dominant insert patterns — an interrupt-end event that is or is nearly
-// the new minimum, a periodic loop's next tick that is the new maximum —
-// land at or next to the window's edges and shift little or nothing, which
-// makes this measurably faster than the former 4-ary heap: the heap paid a
-// sift (with data-dependent branches) on every pop and an eager removal on
-// every cancel. The keys live in a struct-of-arrays slice parallel to the
-// timers so searches and shifts touch packed (at, seq) pairs.
+// The event queue is a 4-ary min-heap on the (time, scheduling sequence)
+// key. The key is unique, so the heap pops events in exactly the order any
+// correct priority queue would. Each queued Timer records its heap index,
+// so Cancel removes it eagerly instead of leaving a cancelled entry behind;
+// the cancel-heavy refresh path (interrupt arrivals pausing a running
+// task's completion timer) would otherwise fill the queue with dead
+// entries. Heap entries carry their key inline, so sifts compare packed
+// (at, seq) pairs rather than chasing Timer pointers.
 type Engine struct {
 	now  Time
-	keys []timerKey // ascending in [head, tail); index-parallel to evs
-	evs  []*Timer
-	head int
-	tail int
+	heap []heapEntry
 	free []*Timer // recycled Timer structs, so steady-state event flow does not allocate
 	seq  uint64
-	// zombies counts cancelled entries still occupying queue slots; they
-	// are discarded when popped. Pending subtracts them, so the live count
-	// stays exact.
-	zombies int
 	// Steps counts processed events, for diagnostics and runaway detection
 	// in tests.
 	Steps uint64
@@ -102,8 +84,9 @@ func (e *Engine) At(t Time, fn func()) *Timer {
 		tm = &Timer{eng: e}
 		e.TimerAllocs++
 	}
-	tm.at, tm.seq, tm.fn = t, e.seq, fn
-	e.push(tm)
+	tm.at, tm.fn = t, fn
+	e.heap = append(e.heap, heapEntry{})
+	e.up(len(e.heap)-1, heapEntry{at: t, seq: e.seq, tm: tm})
 	return tm
 }
 
@@ -116,9 +99,7 @@ func (e *Engine) After(d Time, fn func()) *Timer {
 }
 
 // Pending returns the number of live (scheduled, uncancelled) events.
-// Cancelled entries still occupying queue slots are subtracted, so this is
-// an exact count, never an overcount.
-func (e *Engine) Pending() int { return e.tail - e.head - e.zombies }
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Stats is a snapshot of engine-level counters, feeding the observability
 // registry (internal/obs) at end of run.
@@ -167,42 +148,38 @@ func (e *Engine) Fork(s Snapshot) {
 	if s.pending != 0 {
 		panic("sim: Fork from a snapshot with pending events")
 	}
-	for i := e.head; i < e.tail; i++ {
-		tm := e.evs[i]
-		tm.fn = nil
-		tm.queued, tm.zombie = false, false
-		e.free = append(e.free, tm)
-		e.evs[i] = nil
+	for _, h := range e.heap {
+		e.release(h.tm)
 	}
-	e.head, e.tail, e.zombies = len(e.evs)/2, len(e.evs)/2, 0
+	clear(e.heap)
+	e.heap = e.heap[:0]
 	e.now, e.seq, e.Steps = s.now, s.seq, s.steps
 }
 
-// release returns a fired or discarded timer to the free list.
+// release returns a fired or cancelled timer to the free list.
 func (e *Engine) release(tm *Timer) {
 	tm.fn = nil
-	tm.queued, tm.zombie = false, false
+	tm.idx = -1
 	e.free = append(e.free, tm)
 }
 
+// fire pops the earliest event and runs it.
+func (e *Engine) fire() {
+	tm := e.heap[0].tm
+	e.removeAt(0)
+	e.now = tm.at
+	e.Steps++
+	tm.fn()
+	e.release(tm)
+}
+
 // Step processes the next event. It reports false when the queue is empty.
-// Cancelled entries reaching the head are discarded without firing (and
-// without counting as a step).
 func (e *Engine) Step() bool {
-	for e.head != e.tail {
-		tm := e.popMin()
-		if tm.zombie {
-			e.zombies--
-			e.release(tm)
-			continue
-		}
-		e.now = tm.at
-		e.Steps++
-		tm.fn()
-		e.release(tm)
-		return true
+	if len(e.heap) == 0 {
+		return false
 	}
-	return false
+	e.fire()
+	return true
 }
 
 // Run processes events until the queue is empty.
@@ -212,20 +189,10 @@ func (e *Engine) Run() {
 }
 
 // RunUntil processes events with timestamps <= t, then advances the clock to
-// t (even if no event fired exactly at t). The deadline check and the pop
-// are a single queue-head inspection per event, not a peek-then-pop pair.
+// t (even if no event fired exactly at t).
 func (e *Engine) RunUntil(t Time) {
-	for e.head != e.tail && e.keys[e.head].at <= t {
-		tm := e.popMin()
-		if tm.zombie {
-			e.zombies--
-			e.release(tm)
-			continue
-		}
-		e.now = tm.at
-		e.Steps++
-		tm.fn()
-		e.release(tm)
+	for len(e.heap) > 0 && e.heap[0].at <= t {
+		e.fire()
 	}
 	if e.now < t {
 		e.now = t
@@ -238,133 +205,80 @@ func (e *Engine) RunWhile(cond func() bool) {
 	}
 }
 
-// ---- sorted-deque event queue ----
+// ---- 4-ary min-heap event queue ----
 
-// timerKey is the queue ordering key, stored struct-of-arrays style in
-// Engine.keys so searches and shifts touch packed memory instead of Timer
-// pointers.
-type timerKey struct {
+// heapEntry is one queue slot: the ordering key inline, plus its timer.
+type heapEntry struct {
 	at  Time
 	seq uint64
+	tm  *Timer
 }
 
-func keyLess(a, b timerKey) bool {
+func (a heapEntry) less(b heapEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (e *Engine) push(tm *Timer) {
-	key := timerKey{at: tm.at, seq: tm.seq}
-	tm.queued = true
-	if e.tail == len(e.keys) {
-		// Pops only ever advance head, so a long-lived window drifts right;
-		// slide it back to the middle (or grow when genuinely full) so the
-		// append-at-tail fast path below stays open.
-		if e.head == 0 {
-			e.grow()
-		} else {
-			e.recenter()
+// up places x at slot i or above it, moving larger parents down into the
+// hole.
+func (e *Engine) up(i int, x heapEntry) {
+	h := e.heap
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.less(h[p]) {
+			break
 		}
+		h[i] = h[p]
+		h[i].tm.idx = i
+		i = p
 	}
-	// Fast paths first: the new maximum appends at the tail, the new
-	// minimum prepends at the head. Between them, shift whichever side of
-	// the insertion point is shorter.
-	switch {
-	case e.head == e.tail || !keyLess(key, e.keys[e.tail-1]):
-		e.keys[e.tail], e.evs[e.tail] = key, tm
-		e.tail++
-	case e.head > 0 && keyLess(key, e.keys[e.head]):
-		e.head--
-		e.keys[e.head], e.evs[e.head] = key, tm
-	default:
-		p := e.searchNearHead(key)
-		if left, right := p-e.head, e.tail-p; e.head > 0 && left <= right {
-			copy(e.keys[e.head-1:p-1], e.keys[e.head:p])
-			copy(e.evs[e.head-1:p-1], e.evs[e.head:p])
-			e.head--
-			p--
-		} else {
-			copy(e.keys[p+1:e.tail+1], e.keys[p:e.tail])
-			copy(e.evs[p+1:e.tail+1], e.evs[p:e.tail])
-			e.tail++
-		}
-		e.keys[p], e.evs[p] = key, tm
-	}
+	h[i] = x
+	x.tm.idx = i
 }
 
-// grow reallocates the backing arrays (doubling, minimum 64 slots) and
-// re-centers the window so both ends regain slack.
-func (e *Engine) grow() {
-	n := e.tail - e.head
-	newCap := 2 * len(e.keys)
-	if newCap < 64 {
-		newCap = 64
-	}
-	keys := make([]timerKey, newCap)
-	evs := make([]*Timer, newCap)
-	head := (newCap - n) / 2
-	copy(keys[head:], e.keys[e.head:e.tail])
-	copy(evs[head:], e.evs[e.head:e.tail])
-	e.keys, e.evs = keys, evs
-	e.head, e.tail = head, head+n
-}
-
-// recenter slides the window back to the middle of the backing array,
-// restoring slack at both ends. Only called with head > 0, so the window
-// moves left; vacated pointer slots are cleared for the garbage collector.
-func (e *Engine) recenter() {
-	n := e.tail - e.head
-	head := (len(e.keys) - n) / 2
-	copy(e.keys[head:head+n], e.keys[e.head:e.tail])
-	copy(e.evs[head:head+n], e.evs[e.head:e.tail])
-	for i := head + n; i < e.tail; i++ {
-		e.evs[i] = nil
-	}
-	e.head, e.tail = head, head+n
-}
-
-func (e *Engine) popMin() *Timer {
-	tm := e.evs[e.head]
-	e.evs[e.head] = nil
-	e.head++
-	if e.head == e.tail {
-		// Empty: re-center so both ends regain slack.
-		e.head, e.tail = len(e.keys)/2, len(e.keys)/2
-	}
-	tm.queued = false
-	return tm
-}
-
-// remove deletes a queued timer (used by Cancel), shifting the shorter side
-// of the window over its slot.
-// searchNearHead returns the window position where key belongs: the first
-// index in [head, tail) whose key is not less than key. It starts with a
-// bounded linear scan from the head — measured mid-window inserts
-// (interrupt-end and completion events a few entries past the current
-// minimum) land well within the bound, where a sequential scan's
-// predictable branches beat a binary search's data-dependent ones — and
-// falls back to binary search over the remainder for larger windows.
-func (e *Engine) searchNearHead(key timerKey) int {
-	hi := e.head + 32
-	if hi > e.tail {
-		hi = e.tail
-	}
-	for p := e.head; p < hi; p++ {
-		if !keyLess(e.keys[p], key) {
-			return p
+// down places x at slot i or below it, moving the smallest child up into
+// the hole.
+func (e *Engine) down(i int, x heapEntry) {
+	h := e.heap
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
 		}
-	}
-	lo := hi
-	hi = e.tail
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keyLess(e.keys[mid], key) {
-			lo = mid + 1
-		} else {
-			hi = mid
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if h[j].less(h[m]) {
+				m = j
+			}
 		}
+		if !h[m].less(x) {
+			break
+		}
+		h[i] = h[m]
+		h[i].tm.idx = i
+		i = m
 	}
-	return lo
+	h[i] = x
+	x.tm.idx = i
+}
+
+// removeAt takes the entry at slot i out of the heap and marks its timer
+// unqueued; the last entry refills the slot and sifts to its place.
+func (e *Engine) removeAt(i int) {
+	e.heap[i].tm.idx = -1
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap[n] = heapEntry{}
+	e.heap = e.heap[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.less(e.heap[(i-1)/4]) {
+		e.up(i, last)
+	} else {
+		e.down(i, last)
+	}
 }

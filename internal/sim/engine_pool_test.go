@@ -1,14 +1,15 @@
 package sim
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-// TestEnginePendingExact verifies the satellite fix: Pending() counts live
-// timers exactly, with cancellations reaped eagerly instead of lingering as
-// zombies until popped.
+// TestEnginePendingExact verifies Pending() counts live timers exactly:
+// cancelled timers leave the queue at once.
 func TestEnginePendingExact(t *testing.T) {
 	e := NewEngine()
 	var tms []*Timer
@@ -22,7 +23,7 @@ func TestEnginePendingExact(t *testing.T) {
 	tms[2].Cancel()
 	tms[7].Cancel()
 	if e.Pending() != 8 {
-		t.Fatalf("Pending() after 2 cancels = %d, want 8 (no zombie entries)", e.Pending())
+		t.Fatalf("Pending() after 2 cancels = %d, want 8", e.Pending())
 	}
 	e.RunUntil(40) // fires 10, 20, 40 (30 was cancelled)
 	if e.Pending() != 5 {
@@ -95,60 +96,133 @@ func TestEngineTimerReuse(t *testing.T) {
 	}
 }
 
-// Property: with random schedule times and a random subset cancelled (some
-// from inside callbacks), exactly the uncancelled timers fire, in
-// (time, schedule-order) sequence — exercising push/popMin/removeAt of the
-// 4-ary heap together.
+// Property: with random schedule times, a random subset cancelled up
+// front, and cancels and re-arms from inside callbacks — including cancels
+// of same-instant successors — exactly the surviving timers fire, in the
+// order of a reference sort of the survivors by (time, schedule order).
+// This exercises the heap's insert, pop, and interior removal together.
 func TestEngineHeapRemoveProperty(t *testing.T) {
 	f := func(seed int64, delays []uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
 		type rec struct {
-			at  Time
-			seq int
+			at        Time
+			tm        *Timer
+			cancelled bool
+			fired     bool
 		}
-		var fired []rec
-		tms := make([]*Timer, len(delays))
-		cancelled := make([]bool, len(delays))
-		for i, d := range delays {
-			i, at := i, Time(d)
-			tms[i] = e.At(at, func() { fired = append(fired, rec{at, i}) })
+		var recs []*rec // index = schedule order
+		var fired []int
+		ok := true
+		budget := 2*len(delays) + 8
+		var arm func(at Time)
+		cancel := func(i int) {
+			ok = ok && recs[i].tm.Cancel()
+			recs[i].cancelled = true
+		}
+		// pending lists the schedule orders of timers neither fired nor
+		// cancelled, split into those due at the current instant and later
+		// ones.
+		pending := func() (now, later []int) {
+			for i, r := range recs {
+				if r.fired || r.cancelled {
+					continue
+				}
+				if r.at == e.Now() {
+					now = append(now, i)
+				} else {
+					later = append(later, i)
+				}
+			}
+			return now, later
+		}
+		arm = func(at Time) {
+			i := len(recs)
+			r := &rec{at: at}
+			recs = append(recs, r)
+			r.tm = e.At(at, func() {
+				r.fired = true
+				fired = append(fired, i)
+				now, later := pending()
+				ok = ok && e.Pending() == len(now)+len(later)
+				switch rng.Intn(4) {
+				case 0: // cancel a same-instant successor if there is one
+					if len(now) > 0 {
+						cancel(now[rng.Intn(len(now))])
+					} else if len(later) > 0 {
+						cancel(later[rng.Intn(len(later))])
+					}
+				case 1: // refresh: cancel a pending timer and re-arm it
+					if all := append(now, later...); len(all) > 0 && len(recs) < budget {
+						j := all[rng.Intn(len(all))]
+						cancel(j)
+						arm(e.Now() + Time(rng.Intn(8)))
+					}
+				case 2: // arm a new timer, possibly at this same instant
+					if len(recs) < budget {
+						arm(e.Now() + Time(rng.Intn(3)))
+					}
+				}
+			})
+		}
+		for _, d := range delays {
+			arm(Time(d))
 		}
 		// Cancel ~1/3 up front.
-		for i := range tms {
+		for i := range delays {
 			if rng.Intn(3) == 0 {
-				cancelled[i] = tms[i].Cancel()
+				cancel(i)
 			}
 		}
-		// And one more from inside the earliest surviving callback.
 		e.Run()
-		want := 0
-		for i := range tms {
-			if !cancelled[i] {
-				want++
+		var want []int
+		for i, r := range recs {
+			if !r.cancelled {
+				want = append(want, i)
 			}
 		}
-		if len(fired) != want {
-			return false
-		}
-		for i := 1; i < len(fired); i++ {
-			if fired[i].at < fired[i-1].at {
-				return false
-			}
-			if fired[i].at == fired[i-1].at && fired[i].seq < fired[i-1].seq {
-				return false
-			}
-		}
-		return true
+		slices.SortStableFunc(want, func(a, b int) int { return cmp.Compare(recs[a].at, recs[b].at) })
+		return ok && slices.Equal(fired, want) && e.Pending() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestEngineRunUntilSingleTraversal pins the satellite behaviour: RunUntil
-// inspects the heap top once per event (no peek-then-pop double traversal)
-// and stops exactly at the deadline.
+// TestEngineCancelRearmDoesNotGrow runs the refresh pattern — cancel a
+// pending timer and re-arm it a little later, as an interrupt arrival does
+// to a running task's completion timer — against a fixed background of
+// timers. A cancelled timer leaves the queue and returns to the free pool
+// at once, so after warm-up neither the queue nor the pool grows.
+func TestEngineCancelRearmDoesNotGrow(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	const background = 64
+	for i := 0; i < background; i++ {
+		e.At(Time(1<<40)+Time(i), fn)
+	}
+	tm := e.After(1000, fn)
+	var warm uint64
+	for i := 0; i < 20000; i++ {
+		if i == 100 {
+			warm = e.TimerAllocs
+		}
+		tm.Cancel()
+		tm = e.After(1000, fn)
+		e.RunUntil(e.Now() + 1)
+	}
+	if e.TimerAllocs != warm {
+		t.Fatalf("TimerAllocs grew from %d to %d after warm-up: cancelled timers are not recycled",
+			warm, e.TimerAllocs)
+	}
+	if e.Pending() != background+1 {
+		t.Fatalf("Pending() = %d, want %d", e.Pending(), background+1)
+	}
+}
+
+// TestEngineRunUntilSingleTraversal pins that RunUntil fires every event
+// at or before the deadline, stops exactly there, and advances the clock to
+// it.
 func TestEngineRunUntilSingleTraversal(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
