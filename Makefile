@@ -33,11 +33,12 @@ test-service:
 	$(GO) test -race ./internal/service/ ./internal/rescache/
 
 # The sharded-fleet layer: ring/splitter/merger property tests and the
-# 3-backend coordinator e2e suite under the race detector, plus the SSE
-# stream contract (repeated: subscriber registration races only surface
-# across runs).
+# 3-backend coordinator e2e suite under the race detector, 3x like the
+# service job (the coordinator's job table is the service's queue,
+# single-flight and SSE code), plus the SSE stream contract (repeated:
+# subscriber registration races only surface across runs).
 test-fleet:
-	$(GO) test -race ./internal/fleet/
+	$(GO) test -race -count=3 ./internal/fleet/
 	$(GO) test -race -count=3 -run 'TestSSE' ./internal/service/
 
 # Differential bottleneck analysis (internal/analyze, the advisor it feeds,

@@ -6,9 +6,12 @@
 // backend dies against the next node on the ring, and streams aggregated
 // live progress over SSE.
 //
-// The coordinator's API mirrors noiselabd's, so the noiselab CLI drives
-// either one unchanged; GET /v1/jobs/{id} additionally reports per-sub-job
-// placement, and GET /v1/ring?key=K shows where a content key lives.
+// The coordinator is noiselabd's API: the same service.Server, job queue,
+// result cache, SSE streams and metrics, with a runner that fans each job
+// out across the backends instead of executing it locally. So the noiselab
+// CLI drives either one unchanged; GET /v1/jobs/{id} additionally reports
+// per-sub-job placement, GET /v1/ring?key=K shows where a content key
+// lives, and a full queue answers 503 with Retry-After, as on a daemon.
 //
 // Usage:
 //
@@ -20,7 +23,6 @@ package main
 import (
 	"flag"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -28,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/service"
 )
 
 func main() {
@@ -62,7 +65,7 @@ func main() {
 		log.Fatalf("noisefleet: %v", err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: coord.Handler()}
+	httpSrv := service.NewHTTPServer(*addr, coord.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	log.Printf("noisefleet: listening on %s, %d backends: %s", *addr, len(urls), strings.Join(urls, ", "))

@@ -16,7 +16,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/service"
 )
 
@@ -183,7 +182,7 @@ func followEvents(server, id string) error {
 // printShards reports a fleet job's per-sub-job placement (best-effort:
 // non-coordinator servers simply return no sub_jobs).
 func printShards(server, id string) {
-	var st fleet.Status
+	var st service.JobStatus
 	if code, err := apiGet(server, "/v1/jobs/"+id, &st); err != nil || code != http.StatusOK {
 		return
 	}

@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -65,7 +64,7 @@ func main() {
 		log.Fatalf("noiselabd: %v", err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := service.NewHTTPServer(*addr, srv.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	log.Printf("noiselabd: listening on %s (cache %s)", *addr, *cacheDir)

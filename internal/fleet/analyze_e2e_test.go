@@ -30,7 +30,7 @@ func fleetAnalysisSpec(seed uint64) analyze.Spec {
 }
 
 // submitFleetAnalysis posts a bare analysis spec to the coordinator.
-func submitFleetAnalysis(t *testing.T, f *testFleet, spec analyze.Spec, want ...int) Status {
+func submitFleetAnalysis(t *testing.T, f *testFleet, spec analyze.Spec, want ...int) service.JobStatus {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -49,7 +49,7 @@ func submitFleetAnalysis(t *testing.T, f *testFleet, spec analyze.Spec, want ...
 	if !ok {
 		t.Fatalf("submit analysis: HTTP %d (want %v): %s", resp.StatusCode, want, data)
 	}
-	var st Status
+	var st service.JobStatus
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatalf("submit analysis: decoding %q: %v", data, err)
 	}
@@ -66,7 +66,7 @@ func TestFleetAnalysisByteIdentical(t *testing.T) {
 	f := newTestFleet(t, 3, service.Config{Workers: 2}, Config{})
 	clone := fleetAnalysisSpec(42)
 	st := submitFleetAnalysis(t, f, clone, http.StatusAccepted)
-	if got := f.watch.awaitTerminal(t, st.ID); got != service.StateDone {
+	if got := f.awaitTerminal(t, st.ID); got != service.StateDone {
 		final, _ := f.coord.Status(st.ID)
 		t.Fatalf("fleet analysis %s: %s", got, final.Error)
 	}
@@ -132,7 +132,7 @@ func TestFleetAnalysisResubmitZeroExecution(t *testing.T) {
 	f := newTestFleet(t, 3, service.Config{Workers: 2}, Config{})
 
 	first := submitFleetAnalysis(t, f, fleetAnalysisSpec(7), http.StatusAccepted)
-	if got := f.watch.awaitTerminal(t, first.ID); got != service.StateDone {
+	if got := f.awaitTerminal(t, first.ID); got != service.StateDone {
 		final, _ := f.coord.Status(first.ID)
 		t.Fatalf("fleet analysis %s: %s", got, final.Error)
 	}
@@ -153,7 +153,7 @@ func TestFleetAnalysisResubmitZeroExecution(t *testing.T) {
 	if got := backendExecutions(f); got != execs {
 		t.Fatalf("resubmission executed on a backend: executions %d -> %d", execs, got)
 	}
-	if !strings.Contains(coordMetrics(t, f), "noisefleet_merged_cache_hits_total 1") {
+	if !strings.Contains(coordMetrics(t, f.coordTS), "noisefleet_merged_cache_hits_total 1") {
 		t.Fatal("coordinator metrics missing the merged-cache hit")
 	}
 }

@@ -6,6 +6,7 @@ package fleet
 // are what `make bench-service` records into BENCH_service.json.
 
 import (
+	"context"
 	"net/http/httptest"
 	"sort"
 	"testing"
@@ -14,10 +15,10 @@ import (
 	"repro/internal/service"
 )
 
-// newBenchFleet stands up n in-process backends and a coordinator, with a
-// channel carrying terminal-state notifications (the benchmarks submit one
-// job at a time, so a single buffered channel is enough).
-func newBenchFleet(b *testing.B, n int) (*Coordinator, chan service.JobState) {
+// newBenchFleet stands up n in-process backends and a coordinator, and
+// returns the coordinator with a wait function that follows a job's event
+// stream to its terminal state.
+func newBenchFleet(b *testing.B, n int) (*Coordinator, func(id string) service.JobState) {
 	b.Helper()
 	var backends []*service.Server
 	var backendTS []*httptest.Server
@@ -36,27 +37,24 @@ func newBenchFleet(b *testing.B, n int) (*Coordinator, chan service.JobState) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// The benchmarks keep at most one uncached job in flight, so a dropped
-	// notification can only come from the merged-cache fast path (whose
-	// Submit already returns a terminal status nobody waits on) — the hook
-	// must never block Submit when that path floods the channel.
-	terminal := make(chan service.JobState, 16)
-	coord.testHookJobUpdate = func(id string, state service.JobState) {
-		if state.Terminal() {
-			select {
-			case terminal <- state:
-			default:
-			}
+	coordTS := httptest.NewServer(coord.Handler())
+	api := &Backend{Name: coordTS.URL}
+	wait := func(id string) service.JobState {
+		state, err := api.WaitDone(context.Background(), id, nil)
+		if err != nil {
+			b.Fatal(err)
 		}
+		return state
 	}
 	b.Cleanup(func() {
+		coordTS.Close()
 		coord.Close()
 		for i := range backends {
 			backendTS[i].Close()
 			backends[i].Close()
 		}
 	})
-	return coord, terminal
+	return coord, wait
 }
 
 func p99ms(latencies []time.Duration) float64 {
@@ -72,21 +70,17 @@ func p99ms(latencies []time.Duration) float64 {
 // through the coordinator and waits for each merged result: the full
 // split → fan-out → execute → merge → cache path per iteration.
 func BenchmarkFleetThroughput(b *testing.B) {
-	coord, terminal := newBenchFleet(b, 3)
+	coord, wait := newBenchFleet(b, 3)
 	latencies := make([]time.Duration, 0, b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		st, err := coord.Submit(kernelSpec(uint64(10_000+i), 6))
+		job, err := coord.Submit(kernelSpec(uint64(10_000+i), 6))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !st.State.Terminal() {
-			if got := <-terminal; got != service.StateDone {
-				b.Fatalf("job %s: %s", st.ID, got)
-			}
-		} else if st.State != service.StateDone {
-			b.Fatalf("job %s: %s", st.ID, st.State)
+		if got := wait(job.ID); got != service.StateDone {
+			b.Fatalf("job %s: %s", job.ID, got)
 		}
 		latencies = append(latencies, time.Since(start))
 	}
@@ -99,26 +93,24 @@ func BenchmarkFleetThroughput(b *testing.B) {
 // coordinator must answer from its merged-result cache without touching
 // any backend, so this bounds the coordinator's own bookkeeping overhead.
 func BenchmarkFleetCachedResubmit(b *testing.B) {
-	coord, terminal := newBenchFleet(b, 3)
+	coord, wait := newBenchFleet(b, 3)
 	spec := kernelSpec(20_001, 6)
-	st, err := coord.Submit(spec)
+	job, err := coord.Submit(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !st.State.Terminal() {
-		if got := <-terminal; got != service.StateDone {
-			b.Fatalf("warm-up job: %s", got)
-		}
+	if got := wait(job.ID); got != service.StateDone {
+		b.Fatalf("warm-up job: %s", got)
 	}
 	latencies := make([]time.Duration, 0, b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		st, err := coord.Submit(spec)
+		job, err := coord.Submit(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if st.State != service.StateDone || !st.Cached {
+		if st, _ := coord.Status(job.ID); st.State != service.StateDone || !st.Cached {
 			b.Fatalf("resubmit not served from merged cache: state=%s cached=%v", st.State, st.Cached)
 		}
 		latencies = append(latencies, time.Since(start))

@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/analyze"
-	"repro/internal/rescache"
 	"repro/internal/service"
 )
 
@@ -36,258 +34,178 @@ type Config struct {
 	Client *http.Client
 }
 
-func (c Config) withDefaults() Config {
-	if c.SubJobs <= 0 {
-		c.SubJobs = len(c.Backends)
-	}
-	if c.MemEntries <= 0 {
-		c.MemEntries = 256
-	}
-	if c.JobTimeout <= 0 {
-		c.JobTimeout = 10 * time.Minute
-	}
-	if c.MaxReps <= 0 {
-		c.MaxReps = 100000
-	}
-	return c
-}
+// queueSize bounds the coordinator's job queue. A fleet job's worker
+// mostly waits on backends, so the coordinator runs one worker per queue
+// slot: up to queueSize jobs run at once, as many more wait, and a
+// submission past that gets 503.
+const queueSize = 64
 
-// SubStatus is the wire status of one sub-job slice.
-type SubStatus struct {
-	Offset  int              `json:"offset"`
-	Reps    int              `json:"reps"`
-	Hash    string           `json:"hash"`
-	Node    string           `json:"node,omitempty"`
-	JobID   string           `json:"job_id,omitempty"`
-	State   service.JobState `json:"state,omitempty"`
-	Cached  bool             `json:"cached,omitempty"`
-	Retries int              `json:"retries,omitempty"`
-}
+// subCancelTimeout bounds the best-effort cancel of an abandoned sub-job.
+const subCancelTimeout = 2 * time.Second
 
-// Status is the coordinator's wire status: the single-node status shape
-// (so noiselab's client code works unchanged against a coordinator) plus
-// per-sub-job detail.
-type Status struct {
-	service.JobStatus
-	SubJobs []SubStatus `json:"sub_jobs,omitempty"`
-}
-
-// fleetJob tracks one coordinated submission.
-type fleetJob struct {
-	id      string
-	spec    service.JobSpec
-	hash    string
-	state   service.JobState
-	cached  bool
-	err     string
-	started time.Time
-
-	result []byte
-	cancel context.CancelFunc
-	events *service.EventLog
-
-	subs                []SubStatus
-	subDone             []int // per-sub max observed rep completions
-	repsDone, repsTotal int
-}
-
-// Coordinator shards fleet jobs across noiselabd backends. Create with New,
-// serve its Handler, stop with Close.
+// Coordinator is noiselabd's Server running the fleet runner: its jobs
+// fan out across noiselabd backends instead of executing locally. Create
+// with New, serve its Handler, stop with Close.
 type Coordinator struct {
-	cfg   Config
-	ring  *Ring
-	cache *rescache.Cache // memory-only merged-result cache
-	met   *metrics
-
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-
-	mu       sync.Mutex
-	backends map[string]*Backend
-	down     map[string]bool // coordinator's view of backend liveness
-	jobs     map[string]*fleetJob
-	nextID   uint64
-	draining bool
-
-	wg sync.WaitGroup
-
-	// testHookJobUpdate / testHookSubUpdate mirror the service package's
-	// condition-based test waiting: called after every fleet-job state
-	// transition / sub-job status change, with the coordinator mutex
-	// released. Set before submitting.
-	testHookJobUpdate func(id string, state service.JobState)
-	testHookSubUpdate func(id string, sub SubStatus)
+	*service.Server
+	run *runner
 }
 
 // New builds a Coordinator over the given backends.
 func New(cfg Config) (*Coordinator, error) {
-	cfg = cfg.withDefaults()
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("fleet: no backends configured")
 	}
-	cache, err := rescache.New("", cfg.MemEntries)
+	if cfg.SubJobs <= 0 {
+		cfg.SubJobs = len(cfg.Backends)
+	}
+	ring := NewRing(cfg.Backends, cfg.Replicas)
+	c := &Coordinator{}
+	r := &runner{
+		ring: ring, width: cfg.SubJobs,
+		met: newMetrics(ring.Members(), func() uint64 {
+			// Jobs the server answered from merged results without a
+			// fan-out of their own. Only the server's /metrics renders
+			// this, so c.Server is set by then.
+			return c.Metrics().CacheHits
+		}),
+		backends: make(map[string]*Backend, len(cfg.Backends)),
+		down:     make(map[string]bool),
+	}
+	for _, name := range ring.Members() {
+		r.backends[name] = &Backend{Name: name, Client: cfg.Client}
+	}
+	srv, err := service.NewServer(service.Config{
+		MemEntries: cfg.MemEntries, QueueSize: queueSize, Workers: queueSize,
+		JobTimeout: cfg.JobTimeout, MaxReps: cfg.MaxReps, EventKeep: cfg.EventKeep,
+	}, r, r.met.reg)
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ring := NewRing(cfg.Backends, cfg.Replicas)
-	c := &Coordinator{
-		cfg: cfg, ring: ring, cache: cache, met: newMetrics(ring.Members()),
-		baseCtx: ctx, baseCancel: cancel,
-		backends: make(map[string]*Backend, len(cfg.Backends)),
-		down:     make(map[string]bool),
-		jobs:     make(map[string]*fleetJob),
-	}
-	for _, name := range ring.Members() {
-		c.backends[name] = &Backend{Name: name, Client: cfg.Client}
-	}
+	c.Server, c.run = srv, r
 	return c, nil
 }
 
-var errDraining = errors.New("fleet: draining, not accepting jobs")
+// runner is the fleet's service.Runner: it splits a job into sub-jobs,
+// runs each on its ring owner with failover, and merges the slices.
+type runner struct {
+	ring     *Ring
+	width    int
+	met      *metrics
+	backends map[string]*Backend
 
-// Submit validates and hashes a spec, serves it from the merged-result
-// cache when possible, and otherwise fans it out across the ring in a
-// background goroutine.
-func (c *Coordinator) Submit(spec service.JobSpec) (Status, error) {
-	spec.Normalize()
-	if err := spec.Validate(c.cfg.MaxReps); err != nil {
-		return Status{}, err
-	}
-	hash, err := service.SpecHash(&spec)
-	if err != nil {
-		return Status{}, err
-	}
-	subs, err := Split(spec, c.cfg.SubJobs)
-	if err != nil {
-		return Status{}, err
-	}
+	mu   sync.Mutex
+	down map[string]bool // the coordinator's view of backend liveness
 
-	c.mu.Lock()
-	if c.draining {
-		c.mu.Unlock()
-		return Status{}, errDraining
-	}
-	c.nextID++
-	job := &fleetJob{
-		id:        fmt.Sprintf("f%06d", c.nextID),
-		spec:      spec,
-		hash:      hash,
-		state:     service.StateQueued,
-		events:    service.NewEventLog(c.cfg.EventKeep),
-		subs:      make([]SubStatus, len(subs)),
-		subDone:   make([]int, len(subs)),
-		repsTotal: spec.TotalReps(),
-	}
-	for i, sub := range subs {
-		job.subs[i] = SubStatus{Offset: sub.Offset, Reps: sub.Spec.TotalReps(), Hash: sub.Hash}
-	}
-	c.jobs[job.id] = job
-	c.mu.Unlock()
-	c.met.submitted.Inc()
-	c.met.inflight.Add(1)
-
-	// Fast path: a previously merged result completes the job at submit time.
-	if data, ok := c.cache.Get(hash); ok {
-		c.mu.Lock()
-		job.state = service.StateDone
-		job.cached = true
-		job.result = data
-		job.repsDone = spec.TotalReps()
-		c.mu.Unlock()
-		c.met.mergedHits.Inc()
-		c.met.jobFinished("done", 0)
-		c.notifyJob(job.id, service.StateDone)
-		return c.status(job.id), nil
-	}
-
-	ctx, cancel := context.WithTimeout(c.baseCtx, c.cfg.JobTimeout)
-	c.mu.Lock()
-	job.cancel = cancel
-	c.mu.Unlock()
-	c.notifyJob(job.id, service.StateQueued)
-
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		defer cancel()
-		c.runJob(ctx, job, subs)
-	}()
-	return c.status(job.id), nil
+	// testHookSubUpdate is called after every sub-job status change with
+	// no lock held. Set before submitting.
+	testHookSubUpdate func(id string, sub service.SubStatus)
 }
 
-// runJob fans the sub-jobs out, merges the slices, and finalizes the job.
-func (c *Coordinator) runJob(ctx context.Context, job *fleetJob, subs []SubJob) {
-	c.mu.Lock()
-	job.state = service.StateRunning
-	job.started = time.Now()
-	c.mu.Unlock()
-	c.notifyJob(job.id, service.StateRunning)
-	c.met.fanout.Observe(float64(len(subs)))
+// fleetRun is one fleet job in flight: the service job it reports into
+// and the highest rep count each slice has reported.
+type fleetRun struct {
+	job   *service.Job
+	total int
 
-	payloads := make([][]byte, len(subs))
-	errs := make([]error, len(subs))
-	var subWG sync.WaitGroup
+	mu   sync.Mutex
+	done []int
+}
+
+// landing is where one slice ran and what it returned.
+type landing struct {
+	b       *Backend
+	id      string
+	payload []byte
+	err     error
+}
+
+// Run fans the sub-jobs out, merges the slices, and mirrors the slices'
+// timelines into the job's derived cache entries.
+func (r *runner) Run(ctx context.Context, job *service.Job) ([]byte, error) {
+	subs, err := Split(job.Spec, r.width)
+	if err != nil {
+		return nil, err
+	}
+	statuses := make([]service.SubStatus, len(subs))
+	for i, sub := range subs {
+		statuses[i] = service.SubStatus{Offset: sub.Offset, Reps: sub.Spec.TotalReps(), Hash: sub.Hash}
+	}
+	job.SetSubJobs(statuses)
+	r.met.fanout.Observe(float64(len(subs)))
+
+	run := &fleetRun{job: job, total: job.Spec.TotalReps(), done: make([]int, len(subs))}
+	out := make([]landing, len(subs))
+	var wg sync.WaitGroup
 	for i := range subs {
-		subWG.Add(1)
+		wg.Add(1)
 		go func(i int) {
-			defer subWG.Done()
-			payloads[i], errs[i] = c.runSub(ctx, job, i, subs[i])
+			defer wg.Done()
+			out[i] = r.runSub(ctx, run, i, subs[i])
 		}(i)
 	}
-	subWG.Wait()
+	wg.Wait()
 
-	var data []byte
-	err := ctx.Err()
-	if err == nil {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	payloads := make([][]byte, len(subs))
+	for i, l := range out {
 		// Deterministic error selection: the lowest failing slice wins,
 		// mirroring the executor's lowest-failing-rep rule.
-		for _, e := range errs {
-			if e != nil {
-				err = e
-				break
+		if l.err != nil {
+			return nil, l.err
+		}
+		payloads[i] = l.payload
+	}
+	data, err := Merge(job.Hash, job.Spec, subs, payloads)
+	if err != nil {
+		return nil, err
+	}
+	if job.Spec.Timeline {
+		// Only the offset-0 slice recorded a timeline.
+		if tl, err := out[0].b.Timeline(ctx, out[0].id); err == nil && len(tl) > 0 {
+			if err := job.Store("tl", tl); err != nil {
+				return nil, err
 			}
 		}
 	}
-	if err == nil {
-		data, err = Merge(job.hash, job.spec, subs, payloads)
-	}
-	if err == nil {
-		err = c.cache.Put(job.hash, data)
-	}
-	if err == nil && job.spec.Timeline {
-		// Only the offset-0 slice recorded a timeline; mirror it into the
-		// coordinator cache so /timeline serves it like a single node would.
-		if tl := c.fetchSubTimeline(ctx, job, 0); len(tl) > 0 {
-			err = c.cache.Put(rescache.DerivedKey(job.hash, "tl"), tl)
+	if job.Spec.Analyze != nil && job.Spec.Analyze.Timeline {
+		if err := mirrorAnalysisTimelines(ctx, job, subs, out, data); err != nil {
+			return nil, err
 		}
 	}
-	if err == nil && job.spec.Analyze != nil && job.spec.Analyze.Timeline {
-		err = c.mirrorAnalysisTimelines(ctx, job, subs, data)
-	}
+	return data, nil
+}
 
-	c.mu.Lock()
-	var state service.JobState
-	switch {
-	case err == nil:
-		job.state = service.StateDone
-		job.result = data
-		job.repsDone = job.spec.TotalReps()
-	case errors.Is(err, context.Canceled):
-		job.state = service.StateCanceled
-		job.err = "canceled"
-	case errors.Is(err, context.DeadlineExceeded):
-		job.state = service.StateFailed
-		job.err = fmt.Sprintf("timed out after %v", c.cfg.JobTimeout)
-	default:
-		job.state = service.StateFailed
-		job.err = err.Error()
+// mirrorAnalysisTimelines pulls each source's evidence timeline from the
+// shard that ran it and stores it under the derived keys noiselabd uses
+// ("tl-<source>", plus the bottleneck source's copy under "tl"), so the
+// coordinator's timeline endpoints serve exactly what a single daemon
+// would. Fetches are best-effort — the merged artifact is already
+// complete — but a failed cache write fails the job, as on a single node.
+func mirrorAnalysisTimelines(ctx context.Context, job *service.Job, subs []SubJob, out []landing, merged []byte) error {
+	art, err := analyze.Decode(merged)
+	if err != nil {
+		return fmt.Errorf("fleet: decoding merged analysis artifact: %w", err)
 	}
-	state = job.state
-	latency := time.Since(job.started).Seconds()
-	c.mu.Unlock()
-	c.met.jobFinished(string(state), latency)
-	c.notifyJob(job.id, state)
+	for i, sub := range subs {
+		for _, src := range sub.Spec.Analyze.EffectiveSources() {
+			tl, err := out[i].b.AnalysisTimeline(ctx, out[i].id, src)
+			if err != nil || len(tl) == 0 {
+				continue
+			}
+			if err := job.Store("tl-"+src, tl); err != nil {
+				return err
+			}
+			if src == art.Bottleneck {
+				if err := job.Store("tl", tl); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // runSub executes one sub-job, walking the ring's failover sequence: the
@@ -295,33 +213,33 @@ func (c *Coordinator) runJob(ctx context.Context, job *fleetJob, subs []SubJob) 
 // that cannot be reached, loses the job mid-stream, or cannot serve the
 // result is marked down and the slice moves on; a deterministic execution
 // failure is terminal everywhere, so it propagates instead of retrying.
-func (c *Coordinator) runSub(ctx context.Context, job *fleetJob, idx int, sub SubJob) ([]byte, error) {
+func (r *runner) runSub(ctx context.Context, run *fleetRun, idx int, sub SubJob) landing {
 	var lastErr error
-	for attempt, name := range c.candidates(sub.Hash) {
+	for attempt, name := range r.candidates(sub.Hash) {
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return landing{err: ctx.Err()}
 		}
 		if attempt > 0 {
-			c.met.subRetries.Inc()
-			c.updateSub(job, idx, func(s *SubStatus) { s.Retries++ })
+			r.met.subRetries.Inc()
+			r.updateSub(run, idx, func(s *service.SubStatus) { s.Retries++ })
 		}
-		b := c.backends[name]
-		payload, err := c.runSubOn(ctx, job, idx, sub, b)
+		b := r.backends[name]
+		id, payload, err := r.runSubOn(ctx, run, idx, sub, b)
 		if err == nil {
-			c.markUp(name, true)
-			return payload, nil
+			r.markUp(name, true)
+			return landing{b: b, id: id, payload: payload}
 		}
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return landing{err: ctx.Err()}
 		}
 		var exec *execFailure
 		if errors.As(err, &exec) {
-			return nil, fmt.Errorf("fleet: sub-job %d (offset %d) failed on %s: %s", idx, sub.Offset, name, exec.msg)
+			return landing{err: fmt.Errorf("fleet: sub-job %d (offset %d) failed on %s: %s", idx, sub.Offset, name, exec.msg)}
 		}
-		c.markUp(name, false)
+		r.markUp(name, false)
 		lastErr = err
 	}
-	return nil, fmt.Errorf("fleet: sub-job %d (offset %d): all backends failed, last: %w", idx, sub.Offset, lastErr)
+	return landing{err: fmt.Errorf("fleet: sub-job %d (offset %d): all backends failed, last: %w", idx, sub.Offset, lastErr)}
 }
 
 // execFailure marks a deterministic execution failure (the backend ran the
@@ -331,24 +249,33 @@ type execFailure struct{ msg string }
 func (e *execFailure) Error() string { return e.msg }
 
 // runSubOn runs one sub-job attempt against one backend: submit, follow the
-// SSE stream to a terminal state, fetch the stored bytes.
-func (c *Coordinator) runSubOn(ctx context.Context, job *fleetJob, idx int, sub SubJob, b *Backend) ([]byte, error) {
-	c.met.subJobs.Inc()
+// SSE stream to a terminal state, fetch the stored bytes. Once the backend
+// has accepted the sub-job, an end of ctx (cancel, timeout, Close) cancels
+// the backend's copy too, so no abandoned slice keeps a shard busy.
+func (r *runner) runSubOn(ctx context.Context, run *fleetRun, idx int, sub SubJob, b *Backend) (string, []byte, error) {
+	r.met.subJobs.Inc()
 	st, err := b.Submit(ctx, sub.Spec)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	c.updateSub(job, idx, func(s *SubStatus) {
+	defer func() {
+		if ctx.Err() != nil {
+			cctx, done := context.WithTimeout(context.WithoutCancel(ctx), subCancelTimeout)
+			_ = b.Cancel(cctx, st.ID)
+			done()
+		}
+	}()
+	r.updateSub(run, idx, func(s *service.SubStatus) {
 		s.Node, s.JobID, s.State = b.Name, st.ID, st.State
 	})
 	state := st.State
 	if !state.Terminal() {
 		state, err = b.WaitDone(ctx, st.ID, func(done, total int) {
-			c.subProgress(job, idx, done)
-			c.updateSub(job, idx, func(s *SubStatus) { s.State = service.StateRunning })
+			run.progress(idx, done)
+			r.updateSub(run, idx, func(s *service.SubStatus) { s.State = service.StateRunning })
 		})
 		if err != nil {
-			return nil, err
+			return "", nil, err
 		}
 	}
 	if state != service.StateDone {
@@ -358,272 +285,67 @@ func (c *Coordinator) runSubOn(ctx context.Context, job *fleetJob, idx int, sub 
 		if serr == nil && final.Error != "" {
 			msg = final.Error
 		}
-		return nil, &execFailure{msg: msg}
+		return "", nil, &execFailure{msg: msg}
 	}
 	final, err := b.Status(ctx, st.ID)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	payload, err := b.Result(ctx, st.ID)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	if final.Cached {
-		c.met.subCacheHits.Inc()
+		r.met.subCacheHits.Inc()
 	}
-	c.subProgress(job, idx, sub.Spec.TotalReps())
-	c.updateSub(job, idx, func(s *SubStatus) {
+	run.progress(idx, sub.Spec.TotalReps())
+	r.updateSub(run, idx, func(s *service.SubStatus) {
 		s.State, s.Cached = service.StateDone, final.Cached
 	})
-	return payload, nil
-}
-
-// fetchSubTimeline pulls the recorded timeline of the sub-job at idx from
-// the node that completed it. Best-effort: a missing timeline is not an
-// error (the result payload is already merged and correct).
-func (c *Coordinator) fetchSubTimeline(ctx context.Context, job *fleetJob, idx int) []byte {
-	c.mu.Lock()
-	node, id := job.subs[idx].Node, job.subs[idx].JobID
-	c.mu.Unlock()
-	b, ok := c.backends[node]
-	if !ok || id == "" {
-		return nil
-	}
-	tl, err := b.Timeline(ctx, id)
-	if err != nil {
-		return nil
-	}
-	return tl
-}
-
-// mirrorAnalysisTimelines pulls each source's evidence timeline from the
-// shard that ran it and mirrors the bytes into the coordinator cache under
-// the same derived keys noiselabd uses ("tl-<source>", plus the bottleneck
-// source's copy under "tl"), so the coordinator's timeline endpoints serve
-// exactly what a single daemon would. Fetches are best-effort — the merged
-// artifact is already complete — but a failed cache write still fails the
-// job, matching the single-node rule.
-func (c *Coordinator) mirrorAnalysisTimelines(ctx context.Context, job *fleetJob, subs []SubJob, merged []byte) error {
-	art, err := analyze.Decode(merged)
-	if err != nil {
-		return fmt.Errorf("fleet: decoding merged analysis artifact: %w", err)
-	}
-	for i, sub := range subs {
-		c.mu.Lock()
-		node, id := job.subs[i].Node, job.subs[i].JobID
-		c.mu.Unlock()
-		b, ok := c.backends[node]
-		if !ok || id == "" {
-			continue
-		}
-		for _, src := range sub.Spec.Analyze.EffectiveSources() {
-			tl, err := b.AnalysisTimeline(ctx, id, src)
-			if err != nil || len(tl) == 0 {
-				continue
-			}
-			if err := c.cache.Put(rescache.DerivedKey(job.hash, "tl-"+src), tl); err != nil {
-				return fmt.Errorf("fleet: storing %s timeline: %w", src, err)
-			}
-			if src == art.Bottleneck {
-				if err := c.cache.Put(rescache.DerivedKey(job.hash, "tl"), tl); err != nil {
-					return fmt.Errorf("fleet: storing timeline: %w", err)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// AnalysisTimeline returns one mirrored evidence timeline of a done fleet
-// analysis job.
-func (c *Coordinator) AnalysisTimeline(id, source string) (data []byte, state service.JobState, found bool) {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	if !ok {
-		c.mu.Unlock()
-		return nil, "", false
-	}
-	state, hash := j.state, j.hash
-	c.mu.Unlock()
-	if state != service.StateDone {
-		return nil, state, true
-	}
-	data, _ = c.cache.Get(rescache.DerivedKey(hash, "tl-"+source))
-	return data, state, true
+	return st.ID, payload, nil
 }
 
 // candidates returns the failover walk for a placement key with known-down
 // backends moved to the back (stable within each class). Down nodes stay in
 // the list — a sub-job would rather probe a recovering node than fail.
-func (c *Coordinator) candidates(key string) []string {
-	seq := c.ring.Seq(key)
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (r *runner) candidates(key string) []string {
+	seq := r.ring.Seq(key)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	sort.SliceStable(seq, func(i, j int) bool {
-		return !c.down[seq[i]] && c.down[seq[j]]
+		return !r.down[seq[i]] && r.down[seq[j]]
 	})
 	return seq
 }
 
 // markUp records the coordinator's liveness view after a backend contact.
-func (c *Coordinator) markUp(name string, up bool) {
-	c.mu.Lock()
-	c.down[name] = !up
-	c.mu.Unlock()
-	c.met.setBackendUp(name, up)
+func (r *runner) markUp(name string, up bool) {
+	r.mu.Lock()
+	r.down[name] = !up
+	r.mu.Unlock()
+	r.met.setBackendUp(name, up)
 }
 
-// subProgress folds one sub-job's rep completions into the job-level
-// aggregate. Per-sub counts only grow (failover restarts a slice from zero
-// on the new node; the aggregate must not regress), and the EventLog's own
-// monotone guard de-duplicates racing publishes.
-func (c *Coordinator) subProgress(job *fleetJob, idx int, done int) {
-	c.mu.Lock()
-	if done > job.subDone[idx] {
-		job.subDone[idx] = done
+// progress folds one slice's rep completions into the job's. Per-slice
+// counts only grow: failover restarts a slice from zero on the new node,
+// and the job-level count must not regress.
+func (f *fleetRun) progress(idx, done int) {
+	f.mu.Lock()
+	if done > f.done[idx] {
+		f.done[idx] = done
 	}
-	total := 0
-	for _, d := range job.subDone {
-		total += d
+	sum := 0
+	for _, d := range f.done {
+		sum += d
 	}
-	if total > job.repsDone {
-		job.repsDone = total
-	}
-	cur, reps := job.repsDone, job.repsTotal
-	c.mu.Unlock()
-	job.events.PublishProgress(cur, reps)
+	f.mu.Unlock()
+	f.job.Progress(sum, f.total)
 }
 
 // updateSub mutates one sub-job's wire status and fires the test hook.
-func (c *Coordinator) updateSub(job *fleetJob, idx int, f func(*SubStatus)) {
-	c.mu.Lock()
-	f(&job.subs[idx])
-	snap := job.subs[idx]
-	c.mu.Unlock()
-	if c.testHookSubUpdate != nil {
-		c.testHookSubUpdate(job.id, snap)
+func (r *runner) updateSub(run *fleetRun, idx int, f func(*service.SubStatus)) {
+	snap := run.job.UpdateSub(idx, f)
+	if r.testHookSubUpdate != nil {
+		r.testHookSubUpdate(run.job.ID, snap)
 	}
-}
-
-// notifyJob publishes a fleet-job state transition to the job's event
-// stream and the test hook, with the coordinator mutex released.
-func (c *Coordinator) notifyJob(id string, state service.JobState) {
-	c.mu.Lock()
-	j := c.jobs[id]
-	c.mu.Unlock()
-	if j != nil && j.events != nil {
-		j.events.PublishState(state)
-	}
-	if c.testHookJobUpdate != nil {
-		c.testHookJobUpdate(id, state)
-	}
-}
-
-// status snapshots a job's wire status. Caller must hold no locks.
-func (c *Coordinator) status(id string) Status {
-	st, _ := c.Status(id)
-	return st
-}
-
-// Status returns the wire status of a fleet job.
-func (c *Coordinator) Status(id string) (Status, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return Status{}, false
-	}
-	st := Status{
-		JobStatus: service.JobStatus{
-			ID: j.id, State: j.state, SpecHash: j.hash, Cached: j.cached, Error: j.err,
-			RepsDone: j.repsDone, RepsTotal: j.repsTotal,
-		},
-		SubJobs: append([]SubStatus(nil), j.subs...),
-	}
-	return st, true
-}
-
-// Events returns a fleet job's SSE event log.
-func (c *Coordinator) Events(id string) (*service.EventLog, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	return j.events, true
-}
-
-// Result returns the merged payload bytes of a finished fleet job.
-func (c *Coordinator) Result(id string) ([]byte, service.JobState, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return nil, "", false
-	}
-	return j.result, j.state, true
-}
-
-// Timeline returns the mirrored timeline of a done fleet job.
-func (c *Coordinator) Timeline(id string) (data []byte, state service.JobState, found bool) {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	if !ok {
-		c.mu.Unlock()
-		return nil, "", false
-	}
-	state, hash := j.state, j.hash
-	c.mu.Unlock()
-	if state != service.StateDone {
-		return nil, state, true
-	}
-	data, _ = c.cache.Get(rescache.DerivedKey(hash, "tl"))
-	return data, state, true
-}
-
-// Cancel cancels a running fleet job (best-effort: in-flight sub-jobs are
-// abandoned via context cancellation and cleaned up on their backends).
-func (c *Coordinator) Cancel(id string) (service.JobState, bool) {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	if !ok {
-		c.mu.Unlock()
-		return "", false
-	}
-	cancel := j.cancel
-	state := j.state
-	subs := append([]SubStatus(nil), j.subs...)
-	c.mu.Unlock()
-	if state.Terminal() || cancel == nil {
-		return state, true
-	}
-	cancel()
-	// Best-effort backend cleanup so abandoned sub-jobs stop burning shards.
-	for _, s := range subs {
-		if s.JobID != "" && !s.State.Terminal() {
-			if b, ok := c.backends[s.Node]; ok {
-				ctx, done := context.WithTimeout(context.Background(), 2*time.Second)
-				_ = b.Cancel(ctx, s.JobID)
-				done()
-			}
-		}
-	}
-	st, _ := c.Status(id)
-	return st.State, true
-}
-
-// WriteMetrics renders the coordinator's registry in Prometheus text form.
-func (c *Coordinator) WriteMetrics(w io.Writer) {
-	c.met.reg.WritePrometheus(w)
-}
-
-// Close stops the coordinator: cancels every running fleet job and waits
-// for the job goroutines to exit.
-func (c *Coordinator) Close() {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
-	c.baseCancel()
-	c.wg.Wait()
 }

@@ -5,12 +5,14 @@ package fleet
 // a fleet run is byte-identical to a direct single-node run (kernel and
 // cluster jobs), resubmission executes zero reps anywhere, and killing a
 // backend mid-job reroutes its slices to the next ring node with the final
-// payload still byte-identical. All waits are condition-based (job/sub-job
-// test hooks) — no wall-clock sleeps. The whole file runs under -race in CI.
+// payload still byte-identical. All waits are condition-based (the
+// coordinator's event stream and the sub-job test hook) — no wall-clock
+// sleeps. The whole file runs under -race in CI.
 
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -29,49 +31,39 @@ type testFleet struct {
 	coordTS   *httptest.Server
 	backends  []*service.Server
 	backendTS []*httptest.Server
-	watch     *fleetWatcher
+	watch     *subWatcher
 }
 
-// fleetWatcher turns the coordinator's test hooks into condition-based
+// subWatcher turns the fleet runner's sub-job hook into condition-based
 // waiting, mirroring the service package's jobWatcher.
-type fleetWatcher struct {
+type subWatcher struct {
 	mu     chan struct{}
-	last   map[string]service.JobState
-	subs   map[string]map[int]SubStatus // job id -> offset -> last sub status
+	subs   map[string]map[int]service.SubStatus // job id -> offset -> last sub status
 	change chan struct{}
 }
 
-func newFleetWatcher(c *Coordinator) *fleetWatcher {
-	w := &fleetWatcher{
+func newSubWatcher(c *Coordinator) *subWatcher {
+	w := &subWatcher{
 		mu:     make(chan struct{}, 1),
-		last:   make(map[string]service.JobState),
-		subs:   make(map[string]map[int]SubStatus),
+		subs:   make(map[string]map[int]service.SubStatus),
 		change: make(chan struct{}),
 	}
 	w.mu <- struct{}{}
-	pulse := func(f func()) {
+	c.run.testHookSubUpdate = func(id string, sub service.SubStatus) {
 		<-w.mu
-		f()
+		if w.subs[id] == nil {
+			w.subs[id] = make(map[int]service.SubStatus)
+		}
+		w.subs[id][sub.Offset] = sub
 		close(w.change)
 		w.change = make(chan struct{})
 		w.mu <- struct{}{}
-	}
-	c.testHookJobUpdate = func(id string, state service.JobState) {
-		pulse(func() { w.last[id] = state })
-	}
-	c.testHookSubUpdate = func(id string, sub SubStatus) {
-		pulse(func() {
-			if w.subs[id] == nil {
-				w.subs[id] = make(map[int]SubStatus)
-			}
-			w.subs[id][sub.Offset] = sub
-		})
 	}
 	return w
 }
 
 // await blocks until pred holds over the watcher state.
-func (w *fleetWatcher) await(t *testing.T, desc string, pred func() bool) {
+func (w *subWatcher) await(t *testing.T, desc string, pred func() bool) {
 	t.Helper()
 	timeout := time.After(120 * time.Second)
 	for {
@@ -90,14 +82,22 @@ func (w *fleetWatcher) await(t *testing.T, desc string, pred func() bool) {
 	}
 }
 
-func (w *fleetWatcher) awaitTerminal(t *testing.T, id string) service.JobState {
+// awaitTerminal follows a job's event stream on the server at url to its
+// terminal state.
+func awaitTerminal(t *testing.T, url, id string) service.JobState {
 	t.Helper()
-	var st service.JobState
-	w.await(t, "job "+id+" terminal", func() bool {
-		st = w.last[id]
-		return st.Terminal()
-	})
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	st, err := (&Backend{Name: url}).WaitDone(ctx, id, nil)
+	if err != nil {
+		t.Fatalf("waiting for job %s: %v", id, err)
+	}
 	return st
+}
+
+func (f *testFleet) awaitTerminal(t *testing.T, id string) service.JobState {
+	t.Helper()
+	return awaitTerminal(t, f.coordTS.URL, id)
 }
 
 // newTestFleet spins up n in-process backends and a coordinator over them.
@@ -127,7 +127,7 @@ func newTestFleet(t *testing.T, n int, backendCfg service.Config, fleetCfg Confi
 		t.Fatal(err)
 	}
 	f.coord = coord
-	f.watch = newFleetWatcher(coord)
+	f.watch = newSubWatcher(coord)
 	f.coordTS = httptest.NewServer(coord.Handler())
 	t.Cleanup(func() {
 		f.coordTS.Close()
@@ -141,7 +141,7 @@ func newTestFleet(t *testing.T, n int, backendCfg service.Config, fleetCfg Confi
 }
 
 // submitFleet posts a spec to the coordinator's HTTP API.
-func submitFleet(t *testing.T, ts *httptest.Server, spec service.JobSpec, want ...int) Status {
+func submitFleet(t *testing.T, ts *httptest.Server, spec service.JobSpec, want ...int) service.JobStatus {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -160,7 +160,7 @@ func submitFleet(t *testing.T, ts *httptest.Server, spec service.JobSpec, want .
 	if !ok {
 		t.Fatalf("submit: HTTP %d (want %v): %s", resp.StatusCode, want, data)
 	}
-	var st Status
+	var st service.JobStatus
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatalf("submit: decoding %q: %v", data, err)
 	}
@@ -220,9 +220,9 @@ func backendExecutions(f *testFleet) uint64 {
 	return n
 }
 
-func coordMetrics(t *testing.T, f *testFleet) string {
+func coordMetrics(t *testing.T, ts *httptest.Server) string {
 	t.Helper()
-	resp, err := http.Get(f.coordTS.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestFleetByteIdenticalKernel(t *testing.T) {
 
 	f := newTestFleet(t, 3, service.Config{Workers: 2}, Config{})
 	st := submitFleet(t, f.coordTS, spec, http.StatusAccepted)
-	if final := f.watch.awaitTerminal(t, st.ID); final != service.StateDone {
+	if final := f.awaitTerminal(t, st.ID); final != service.StateDone {
 		got, _ := f.coord.Status(st.ID)
 		t.Fatalf("fleet job %s: %s (%s)", st.ID, final, got.Error)
 	}
@@ -261,10 +261,10 @@ func TestFleetByteIdenticalKernel(t *testing.T) {
 	if final.RepsDone != 10 || final.RepsTotal != 10 {
 		t.Fatalf("aggregated progress %d/%d, want 10/10", final.RepsDone, final.RepsTotal)
 	}
-	text := coordMetrics(t, f)
+	text := coordMetrics(t, f.coordTS)
 	for _, wantLine := range []string{
 		"noisefleet_subjobs_total 3",
-		`noisefleet_jobs_total{state="done"} 1`,
+		`noiselabd_jobs_total{state="done"} 1`,
 		"noisefleet_subjob_retries_total 0",
 	} {
 		if !strings.Contains(text, wantLine) {
@@ -281,7 +281,7 @@ func TestFleetByteIdenticalCluster(t *testing.T) {
 
 	f := newTestFleet(t, 3, service.Config{Workers: 2}, Config{})
 	st := submitFleet(t, f.coordTS, spec, http.StatusAccepted)
-	if final := f.watch.awaitTerminal(t, st.ID); final != service.StateDone {
+	if final := f.awaitTerminal(t, st.ID); final != service.StateDone {
 		got, _ := f.coord.Status(st.ID)
 		t.Fatalf("fleet cluster job: %s (%s)", final, got.Error)
 	}
@@ -312,7 +312,7 @@ func TestFleetByteIdenticalIODeadline(t *testing.T) {
 
 	f := newTestFleet(t, 3, service.Config{Workers: 2}, Config{})
 	st := submitFleet(t, f.coordTS, spec, http.StatusAccepted)
-	if final := f.watch.awaitTerminal(t, st.ID); final != service.StateDone {
+	if final := f.awaitTerminal(t, st.ID); final != service.StateDone {
 		got, _ := f.coord.Status(st.ID)
 		t.Fatalf("fleet io+deadline job: %s (%s)", final, got.Error)
 	}
@@ -330,7 +330,7 @@ func TestFleetCacheHitZeroExecutions(t *testing.T) {
 	f := newTestFleet(t, 3, service.Config{Workers: 2}, Config{})
 
 	st := submitFleet(t, f.coordTS, spec, http.StatusAccepted)
-	if final := f.watch.awaitTerminal(t, st.ID); final != service.StateDone {
+	if final := f.awaitTerminal(t, st.ID); final != service.StateDone {
 		t.Fatalf("first run: %s", final)
 	}
 	payload1 := fetchFleetResult(t, f.coordTS, st.ID)
@@ -342,7 +342,7 @@ func TestFleetCacheHitZeroExecutions(t *testing.T) {
 	// Resubmit: the coordinator's merged cache answers at submit time.
 	st2 := submitFleet(t, f.coordTS, spec, http.StatusOK)
 	if st2.State != service.StateDone || !st2.Cached {
-		t.Fatalf("resubmission not served from merged cache: %+v", st2.JobStatus)
+		t.Fatalf("resubmission not served from merged cache: %+v", st2)
 	}
 	if !bytes.Equal(payload1, fetchFleetResult(t, f.coordTS, st2.ID)) {
 		t.Fatal("merged-cache payload not byte-identical")
@@ -353,18 +353,17 @@ func TestFleetCacheHitZeroExecutions(t *testing.T) {
 
 	// A fresh coordinator has no merged cache: the job fans out again, but
 	// every slice hits its backend's shard cache — still zero executions.
-	coord2, err := New(Config{Backends: f.coord.ring.Members(), JobTimeout: 2 * time.Minute})
+	coord2, err := New(Config{Backends: f.coord.run.ring.Members(), JobTimeout: 2 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord2.Close()
-	w2 := newFleetWatcher(coord2)
 	ts2 := httptest.NewServer(coord2.Handler())
 	defer ts2.Close()
 
 	st3 := submitFleet(t, ts2, spec, http.StatusAccepted, http.StatusOK)
 	if !st3.State.Terminal() {
-		if final := w2.awaitTerminal(t, st3.ID); final != service.StateDone {
+		if final := awaitTerminal(t, ts2.URL, st3.ID); final != service.StateDone {
 			t.Fatalf("shard-cache run: %s", final)
 		}
 	}
@@ -380,9 +379,7 @@ func TestFleetCacheHitZeroExecutions(t *testing.T) {
 			t.Fatalf("sub-job at offset %d missed the shard cache: %+v", s.Offset, s)
 		}
 	}
-	var buf bytes.Buffer
-	coord2.WriteMetrics(&buf)
-	text := buf.String()
+	text := coordMetrics(t, ts2)
 	for _, wantLine := range []string{
 		"noisefleet_subjob_cache_hits_total 3",
 		"noisefleet_shard_hit_ratio 1.000000",
@@ -421,7 +418,7 @@ func TestFleetBackendFailureFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := f.coord.ring.Pick(subs[0].Hash)
+	victim := f.coord.run.ring.Pick(subs[0].Hash)
 	victimIdx := -1
 	for i, ts := range f.backendTS {
 		if ts.URL == victim {
@@ -462,7 +459,7 @@ func TestFleetBackendFailureFailover(t *testing.T) {
 		}
 	}
 
-	if final := f.watch.awaitTerminal(t, st.ID); final != service.StateDone {
+	if final := f.awaitTerminal(t, st.ID); final != service.StateDone {
 		got, _ := f.coord.Status(st.ID)
 		t.Fatalf("fleet job after backend kill: %s (%s)", final, got.Error)
 	}
@@ -485,7 +482,7 @@ func TestFleetBackendFailureFailover(t *testing.T) {
 	if retries == 0 {
 		t.Fatal("no sub-job retried despite the backend kill")
 	}
-	text := coordMetrics(t, f)
+	text := coordMetrics(t, f.coordTS)
 	if !strings.Contains(text, `noisefleet_backend_up{backend="`+victim+`"} 0`) {
 		t.Fatalf("dead backend not marked down in /metrics:\n%s", text)
 	}
@@ -524,7 +521,7 @@ func TestFleetTimeline(t *testing.T) {
 
 	f := newTestFleet(t, 3, service.Config{Workers: 2}, Config{})
 	st := submitFleet(t, f.coordTS, spec, http.StatusAccepted)
-	if final := f.watch.awaitTerminal(t, st.ID); final != service.StateDone {
+	if final := f.awaitTerminal(t, st.ID); final != service.StateDone {
 		t.Fatalf("fleet job: %s", final)
 	}
 	resp, err := http.Get(f.coordTS.URL + "/v1/jobs/" + st.ID + "/timeline")
@@ -548,7 +545,7 @@ func TestFleetSSEAggregated(t *testing.T) {
 	spec := kernelSpec(97, 8)
 	f := newTestFleet(t, 3, service.Config{Workers: 2}, Config{})
 	st := submitFleet(t, f.coordTS, spec, http.StatusAccepted)
-	if final := f.watch.awaitTerminal(t, st.ID); final != service.StateDone {
+	if final := f.awaitTerminal(t, st.ID); final != service.StateDone {
 		t.Fatalf("fleet job: %s", final)
 	}
 

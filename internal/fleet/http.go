@@ -2,226 +2,28 @@ package fleet
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
-
-	"repro/internal/analyze"
-	"repro/internal/service"
 )
 
-// Coordinator API surface — a superset-compatible mirror of noiselabd's, so
-// the noiselab CLI talks to either unchanged:
-//
-//	POST   /v1/jobs             submit a JobSpec; 202 + Status (200 when
-//	                            served from the merged-result cache)
-//	GET    /v1/jobs/{id}        poll status (includes per-sub-job detail)
-//	GET    /v1/jobs/{id}/result fetch the merged result payload
-//	GET    /v1/jobs/{id}/events aggregated live progress as SSE
-//	GET    /v1/jobs/{id}/timeline fetch the offset-0 slice's timeline
-//	DELETE /v1/jobs/{id}        cancel
-//	POST   /v1/analyses         submit a bare analysis spec; the per-source
-//	                            sweeps fan out across the ring and the merged
-//	                            artifact is byte-identical to a single node's
-//	GET    /v1/analyses/{id}           poll status (alias of the job route)
-//	GET    /v1/analyses/{id}/result    fetch the merged analysis artifact
-//	GET    /v1/analyses/{id}/events    aggregated live progress as SSE
-//	GET    /v1/analyses/{id}/timeline  bottleneck source's evidence timeline
-//	GET    /v1/analyses/{id}/timeline/{source} one source's evidence timeline
-//	DELETE /v1/analyses/{id}           cancel
-//	GET    /v1/ring?key=K       inspect a key's placement (debugging)
-//	GET    /metrics             Prometheus text metrics
-//	GET    /healthz             liveness
-
-// Handler returns the coordinator's HTTP handler.
+// Handler returns the coordinator's HTTP handler: the service API (see
+// internal/service/http.go) plus GET /v1/ring.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs/{id}", c.handleStatus)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", c.handleResult)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleEvents)
-	mux.HandleFunc("GET /v1/jobs/{id}/timeline", c.handleTimeline)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleCancel)
-	mux.HandleFunc("POST /v1/analyses", c.handleSubmitAnalysis)
-	mux.HandleFunc("GET /v1/analyses/{id}", c.handleStatus)
-	mux.HandleFunc("GET /v1/analyses/{id}/result", c.handleResult)
-	mux.HandleFunc("GET /v1/analyses/{id}/events", c.handleEvents)
-	mux.HandleFunc("GET /v1/analyses/{id}/timeline", c.handleTimeline)
-	mux.HandleFunc("GET /v1/analyses/{id}/timeline/{source}", c.handleAnalysisTimeline)
-	mux.HandleFunc("DELETE /v1/analyses/{id}", c.handleCancel)
+	mux.Handle("/", c.Server.Handler())
 	mux.HandleFunc("GET /v1/ring", c.handleRing)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		c.WriteMetrics(w)
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte("ok\n"))
-	})
 	return mux
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec service.JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding spec: "+err.Error())
-		return
-	}
-	st, err := c.Submit(spec)
-	switch {
-	case err == nil:
-	case errors.Is(err, errDraining):
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	default:
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	code := http.StatusAccepted
-	if st.State.Terminal() {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
-}
-
-// handleSubmitAnalysis accepts a bare analysis spec and submits it as a
-// fleet analysis job, mirroring noiselabd's endpoint of the same path.
-func (c *Coordinator) handleSubmitAnalysis(w http.ResponseWriter, r *http.Request) {
-	var spec analyze.Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding analysis spec: "+err.Error())
-		return
-	}
-	st, err := c.Submit(service.JobSpec{Analyze: &spec})
-	switch {
-	case err == nil:
-	case errors.Is(err, errDraining):
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	default:
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	code := http.StatusAccepted
-	if st.State.Terminal() {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
-}
-
-// handleAnalysisTimeline serves one source's mirrored evidence timeline.
-func (c *Coordinator) handleAnalysisTimeline(w http.ResponseWriter, r *http.Request) {
-	data, state, ok := c.AnalysisTimeline(r.PathValue("id"), r.PathValue("source"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job")
-		return
-	}
-	switch {
-	case state == "done" && data != nil:
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-	case state == "done":
-		httpError(w, http.StatusNotFound, "no evidence timeline for that source (submit with \"timeline\": true)")
-	case state.Terminal():
-		httpError(w, http.StatusConflict, "job "+string(state)+", no timeline")
-	default:
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusAccepted, "job "+string(state))
-	}
-}
-
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, ok := c.Status(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job")
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	data, state, ok := c.Result(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job")
-		return
-	}
-	switch state {
-	case "done":
-		// Merged bytes serve verbatim — byte-identical to a single-node run.
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-	case "failed", "canceled":
-		httpError(w, http.StatusConflict, "job "+string(state)+", no result")
-	default:
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusAccepted, "job "+string(state))
-	}
-}
-
-func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	log, ok := c.Events(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job")
-		return
-	}
-	service.ServeSSE(w, r, log)
-}
-
-func (c *Coordinator) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	data, state, ok := c.Timeline(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job")
-		return
-	}
-	switch {
-	case state == "done" && data != nil:
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-	case state == "done":
-		httpError(w, http.StatusNotFound, "no timeline recorded (submit with \"timeline\": true)")
-	case state.Terminal():
-		httpError(w, http.StatusConflict, "job "+string(state)+", no timeline")
-	default:
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusAccepted, "job "+string(state))
-	}
-}
-
-func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	state, ok := c.Cancel(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job")
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"id": r.PathValue("id"), "state": string(state)})
 }
 
 // handleRing reports a key's placement and failover order — an operator's
 // window into where a spec hash lives.
 func (c *Coordinator) handleRing(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
-	resp := map[string]any{"members": c.ring.Members()}
+	resp := map[string]any{"members": c.run.ring.Members()}
 	if key != "" {
 		resp["key"] = key
-		resp["owner"] = c.ring.Pick(key)
-		resp["failover"] = c.ring.Seq(key)
+		resp["owner"] = c.run.ring.Pick(key)
+		resp["failover"] = c.run.ring.Seq(key)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(resp)
 }

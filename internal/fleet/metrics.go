@@ -9,59 +9,44 @@ import (
 // fanoutBounds bucket the sub-job fan-out width per fleet job.
 var fanoutBounds = []float64{1, 2, 4, 8, 16, 32}
 
-// fleetLatencyBounds bucket coordinator-side job wall latency (seconds).
-var fleetLatencyBounds = []float64{0.001, 0.01, 0.1, 0.5, 1, 5, 30, 120}
-
-// metrics aggregates the coordinator's counters on an obs.Registry, the same
-// machinery noiselabd and the kernel publish through. The shard hit ratio is
-// a GaugeFunc so the rendered value can never drift from the counters it
-// derives from.
+// metrics holds the fleet runner's shard families. The job-level families
+// (submitted, by state, in flight, latency) are the coordinator server's
+// noiselabd_* families. The shard hit ratio is a GaugeFunc so the rendered
+// value can never drift from the counters it derives from.
 type metrics struct {
 	reg *obs.Registry
 
-	submitted  *obs.Counter
-	done       *obs.Counter
-	failed     *obs.Counter
-	canceled   *obs.Counter
-	inflight   *obs.Gauge
 	subJobs    *obs.Counter
 	subRetries *obs.Counter
 	// subCacheHits counts sub-jobs whose backend answered from its shard
 	// cache without an engine execution; with subJobs it yields the fleet's
 	// shard hit ratio.
 	subCacheHits *obs.Counter
-	// mergedHits counts fleet jobs served from the coordinator's own merged
-	// result cache (zero sub-jobs dispatched).
-	mergedHits *obs.Counter
-	fanout     *obs.Histogram
-	latency    *obs.Histogram
+	fanout       *obs.Histogram
 
 	backendUp map[string]*obs.Gauge
 }
 
-func newMetrics(backends []string) *metrics {
+// newMetrics registers the shard families. mergedHits reads how many fleet
+// jobs the coordinator answered from its merged results (zero sub-jobs
+// dispatched).
+func newMetrics(backends []string, mergedHits func() uint64) *metrics {
 	reg := obs.NewRegistry()
 	m := &metrics{
-		reg:       reg,
-		submitted: reg.Counter("noisefleet_jobs_submitted_total", "Fleet jobs accepted by the coordinator."),
-		done:      reg.Counter(`noisefleet_jobs_total{state="done"}`, "Fleet jobs by terminal state."),
-		failed:    reg.Counter(`noisefleet_jobs_total{state="failed"}`, "Fleet jobs by terminal state."),
-		canceled:  reg.Counter(`noisefleet_jobs_total{state="canceled"}`, "Fleet jobs by terminal state."),
-		inflight:  reg.Gauge("noisefleet_jobs_inflight", "Fleet jobs currently executing."),
-		subJobs:   reg.Counter("noisefleet_subjobs_total", "Sub-jobs dispatched to backends."),
+		reg:     reg,
+		subJobs: reg.Counter("noisefleet_subjobs_total", "Sub-jobs dispatched to backends."),
 		subRetries: reg.Counter("noisefleet_subjob_retries_total",
 			"Sub-job attempts re-routed to another ring node after a backend failure."),
 		subCacheHits: reg.Counter("noisefleet_subjob_cache_hits_total",
 			"Sub-jobs served from a backend's shard cache without execution."),
-		mergedHits: reg.Counter("noisefleet_merged_cache_hits_total",
-			"Fleet jobs served from the coordinator's merged-result cache."),
 		fanout: reg.Histogram("noisefleet_fanout_width",
 			"Sub-job fan-out width per fleet job.", fanoutBounds),
-		latency: reg.Histogram("noisefleet_job_latency_hist_seconds",
-			"Fleet job wall latency distribution.", fleetLatencyBounds),
 		backendUp: make(map[string]*obs.Gauge, len(backends)),
 	}
-	m.reg.GaugeFunc("noisefleet_shard_hit_ratio",
+	reg.CounterFunc("noisefleet_merged_cache_hits_total",
+		"Fleet jobs served from the coordinator's merged results (its cache, or an identical job in flight).",
+		mergedHits)
+	reg.GaugeFunc("noisefleet_shard_hit_ratio",
 		"Fraction of dispatched sub-jobs served from shard caches.",
 		func() float64 {
 			total := m.subJobs.Value()
@@ -90,17 +75,4 @@ func (m *metrics) setBackendUp(name string, up bool) {
 	} else {
 		g.Set(0)
 	}
-}
-
-func (m *metrics) jobFinished(state string, latencySecs float64) {
-	m.inflight.AddFloor(-1, 0)
-	switch state {
-	case "done":
-		m.done.Inc()
-	case "failed":
-		m.failed.Inc()
-	case "canceled":
-		m.canceled.Inc()
-	}
-	m.latency.Observe(latencySecs)
 }

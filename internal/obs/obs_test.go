@@ -165,6 +165,28 @@ func TestRegistryCountersGaugesRender(t *testing.T) {
 	}
 }
 
+// TestRegistryCounterFunc: a computed counter renders as an integer
+// counter read at render time, in both formats.
+func TestRegistryCounterFunc(t *testing.T) {
+	reg := NewRegistry()
+	var n uint64 = 4
+	reg.CounterFunc("hits_total", "Hits kept elsewhere.", func() uint64 { return n })
+	n = 5
+	var buf bytes.Buffer
+	reg.WritePrometheus(&buf)
+	if want := "# TYPE hits_total counter\nhits_total 5\n"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("prometheus output missing %q:\n%s", want, buf.String())
+	}
+	buf.Reset()
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out registryJSON
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil || out.Counters["hits_total"] != 5 {
+		t.Fatalf("JSON counters %v (err %v), want hits_total 5", out.Counters, err)
+	}
+}
+
 func TestRegistryHistogram(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("latency_seconds", "Latency.", []float64{0.01, 0.1, 1})

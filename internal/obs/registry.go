@@ -27,6 +27,7 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	funcs    map[string]func() float64
+	cfuncs   map[string]func() uint64
 	help     map[string]string // by family
 }
 
@@ -37,6 +38,7 @@ func NewRegistry() *Registry {
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		funcs:    make(map[string]func() float64),
+		cfuncs:   make(map[string]func() uint64),
 		help:     make(map[string]string),
 	}
 }
@@ -96,6 +98,20 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	}
 	r.setHelp(name, help)
 	r.funcs[name] = fn
+}
+
+// CounterFunc registers a counter whose value is read at render time — for
+// a count another component already keeps, published here under this
+// registry's name. fn has the same constraints as GaugeFunc's; the first fn
+// for a name wins.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.cfuncs[name]; ok {
+		return
+	}
+	r.setHelp(name, help)
+	r.cfuncs[name] = fn
 }
 
 // Histogram returns the histogram with this name, creating it on first use
@@ -215,6 +231,9 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	for name := range r.counters {
 		add(name, "counter")
 	}
+	for name := range r.cfuncs {
+		add(name, "counterfunc")
+	}
 	for name := range r.gauges {
 		add(name, "gauge")
 	}
@@ -236,14 +255,19 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "# HELP %s %s\n", fname, help)
 		}
 		typ := f.typ
-		if typ == "gaugefunc" { // computed gauges render as plain gauges
+		switch typ { // computed metrics render as their plain kinds
+		case "gaugefunc":
 			typ = "gauge"
+		case "counterfunc":
+			typ = "counter"
 		}
 		fmt.Fprintf(w, "# TYPE %s %s\n", fname, typ)
 		for _, name := range f.names {
 			switch f.typ {
 			case "counter":
 				fmt.Fprintf(w, "%s %d\n", name, r.counters[name].Value())
+			case "counterfunc":
+				fmt.Fprintf(w, "%s %d\n", name, r.cfuncs[name]())
 			case "gauge":
 				fmt.Fprintf(w, "%s %d\n", name, r.gauges[name].Value())
 			case "gaugefunc":
@@ -281,10 +305,13 @@ type registryJSON struct {
 func (r *Registry) WriteJSON(w io.Writer) error {
 	r.mu.Lock()
 	out := registryJSON{}
-	if len(r.counters) > 0 {
-		out.Counters = make(map[string]uint64, len(r.counters))
+	if len(r.counters)+len(r.cfuncs) > 0 {
+		out.Counters = make(map[string]uint64, len(r.counters)+len(r.cfuncs))
 		for name, c := range r.counters {
 			out.Counters[name] = c.Value()
+		}
+		for name, fn := range r.cfuncs {
+			out.Counters[name] = fn()
 		}
 	}
 	if len(r.gauges) > 0 {

@@ -136,12 +136,10 @@ func (l *EventLog) next(after uint64) (evs []Event, wait <-chan struct{}, finish
 	return evs, l.change, l.done && last >= l.seq
 }
 
-// ServeSSE streams an EventLog over w as server-sent events until the
+// serveSSE streams an EventLog over w as server-sent events until the
 // terminal event has been delivered or the client disconnects. A
-// Last-Event-ID request header resumes after that event. Both noiselabd's
-// per-job endpoint and the fleet coordinator's serve through this one
-// implementation, so the wire contract cannot drift between layers.
-func ServeSSE(w http.ResponseWriter, r *http.Request, log *EventLog) {
+// Last-Event-ID request header resumes after that event.
+func serveSSE(w http.ResponseWriter, r *http.Request, log *EventLog) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		httpError(w, http.StatusInternalServerError, "streaming unsupported")

@@ -5,25 +5,33 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"time"
 
 	"repro/internal/analyze"
 )
 
-// API surface:
+// API surface, served by noiselabd and by the noisefleet coordinator alike
+// (one Server, one route table; only the runner differs):
 //
 //	POST   /v1/jobs            submit a JobSpec; 202 + JobStatus (200 when
 //	                           served from cache at submit time)
-//	GET    /v1/jobs/{id}       poll status
-//	GET    /v1/jobs/{id}/result fetch the stored result payload verbatim
+//	GET    /v1/jobs/{id}       poll status (a fleet job adds sub_jobs: each
+//	                           slice's node, backend job ID and retries)
+//	GET    /v1/jobs/{id}/result fetch the stored result payload verbatim (a
+//	                           fleet job's is the merged payload, byte-identical
+//	                           to a single node's)
 //	GET    /v1/jobs/{id}/events live progress as server-sent events (state
-//	                           transitions + rep completions; Last-Event-ID
-//	                           resumes a dropped stream)
+//	                           transitions + rep completions, aggregated across
+//	                           a fleet job's slices; Last-Event-ID resumes a
+//	                           dropped stream)
 //	GET    /v1/jobs/{id}/timeline fetch the Chrome trace-event timeline
-//	                           (specs submitted with "timeline": true)
-//	DELETE /v1/jobs/{id}       cancel
+//	                           (specs submitted with "timeline": true; a fleet
+//	                           job serves its offset-0 slice's)
+//	DELETE /v1/jobs/{id}       cancel (a fleet job cancels its backend sub-jobs)
 //	POST   /v1/analyses        submit a bare analysis spec (analyze.Spec);
 //	                           the body is wrapped as JobSpec{Analyze: spec}
 //	                           and rides the same queue, cache and SSE stream
+//	                           (a fleet splits the sweep by source)
 //	GET    /v1/analyses/{id}           poll status (alias of the job route)
 //	GET    /v1/analyses/{id}/result    fetch the analysis artifact verbatim
 //	GET    /v1/analyses/{id}/events    live progress (SSE)
@@ -34,9 +42,27 @@ import (
 //	                           JSON rendering of the same registries)
 //	GET    /debug/flightrecorder recent flight-recorder dumps of failed reps
 //	GET    /healthz            liveness
+//	GET    /v1/ring?key=K      coordinator only: a key's owner and failover
+//	                           order on the hash ring (internal/fleet)
 //
 // Malformed specs get 400, unknown jobs 404, a full queue 503 with
 // Retry-After, and submissions during drain 503.
+
+// Timeouts of the listeners built by NewHTTPServer: how long a client may
+// take to send request headers, and how long an idle keep-alive connection
+// stays open.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the listener noiselabd and noisefleet serve h on.
+// It bounds header reads and idle connections only: no ReadTimeout or
+// WriteTimeout, because a spec body may be 64 MB and an SSE progress
+// stream legitimately stays open for as long as its job runs.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
 
 // Handler returns the HTTP handler for the service API.
 func (s *Server) Handler() http.Handler {
@@ -191,7 +217,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown job")
 		return
 	}
-	ServeSSE(w, r, log)
+	serveSSE(w, r, log)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -239,8 +265,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.runReg.WritePrometheus(w)
 }
 
-// writeMetricsJSON renders the service snapshot plus both registries (the
-// service families and the kernel's repro_* families) as one JSON document.
+// writeMetricsJSON renders the service snapshot plus both registries as one
+// JSON document: the service families, and under "kernel" the runner's
+// (the kernel's repro_* families on a daemon, noisefleet_* on a
+// coordinator).
 func (s *Server) writeMetricsJSON(w http.ResponseWriter) {
 	var svc, kernel bytes.Buffer
 	if err := s.met.reg.WriteJSON(&svc); err != nil {

@@ -35,7 +35,9 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Job is one tracked submission.
+// Job is one tracked submission. Its exported fields other than ID,
+// Spec and Hash change under the server's lock; read them through
+// Server.Status.
 type Job struct {
 	ID       string
 	Spec     JobSpec // normalized
@@ -47,13 +49,63 @@ type Job struct {
 	Started  time.Time
 	Finished time.Time
 
+	srv    *Server
 	result []byte
 	cancel context.CancelFunc
 	events *EventLog
 
-	// repsDone/repsTotal mirror the executor's OnRep progress for the
+	// repsDone/repsTotal mirror the runner's Progress reports for the
 	// status endpoint; the SSE stream carries the same numbers live.
 	repsDone, repsTotal int
+	subs                []SubStatus
+}
+
+// Runner does a job's work: given a running job, it returns the payload
+// the cache stores under the job's hash. Everything else in the job's
+// life — IDs, queue, states, single-flight, timeout, cancellation, SSE and
+// metrics — belongs to the Server, so every runner shares one lifecycle.
+// A runner reports progress, sub-job placement and derived cache entries
+// through the Job's methods, and must return promptly once ctx ends.
+type Runner interface {
+	Run(ctx context.Context, job *Job) ([]byte, error)
+}
+
+// Progress records done of total reps complete. Counts only grow, so
+// reporters that race cannot make the status or the stream regress.
+func (j *Job) Progress(done, total int) {
+	j.srv.mu.Lock()
+	if done > j.repsDone {
+		j.repsDone = done
+	}
+	j.repsTotal = total
+	j.srv.mu.Unlock()
+	j.events.PublishProgress(done, total)
+}
+
+// SetSubJobs sets the job's sub-job table, reported as sub_jobs in its
+// status.
+func (j *Job) SetSubJobs(subs []SubStatus) {
+	j.srv.mu.Lock()
+	j.subs = append([]SubStatus(nil), subs...)
+	j.srv.mu.Unlock()
+}
+
+// UpdateSub applies f to sub-job i and returns the updated entry.
+func (j *Job) UpdateSub(i int, f func(*SubStatus)) SubStatus {
+	j.srv.mu.Lock()
+	defer j.srv.mu.Unlock()
+	f(&j.subs[i])
+	return j.subs[i]
+}
+
+// Store saves data as the derived cache entry name next to the job's
+// result (see rescache.DerivedKey): "tl" is the timeline GET .../timeline
+// serves, "tl-<source>" one analysis source's evidence.
+func (j *Job) Store(name string, data []byte) error {
+	if err := j.srv.cache.Put(rescache.DerivedKey(j.Hash, name), data); err != nil {
+		return fmt.Errorf("service: storing %s: %w", name, err)
+	}
+	return nil
 }
 
 // JobStatus is the wire form of a job's state.
@@ -68,6 +120,20 @@ type JobStatus struct {
 	// them across shards).
 	RepsDone  int `json:"reps_done,omitempty"`
 	RepsTotal int `json:"reps_total,omitempty"`
+	// SubJobs is a fleet job's per-slice placement (see internal/fleet).
+	SubJobs []SubStatus `json:"sub_jobs,omitempty"`
+}
+
+// SubStatus is the wire status of one sub-job slice of a fleet job.
+type SubStatus struct {
+	Offset  int      `json:"offset"`
+	Reps    int      `json:"reps"`
+	Hash    string   `json:"hash"`
+	Node    string   `json:"node,omitempty"`
+	JobID   string   `json:"job_id,omitempty"`
+	State   JobState `json:"state,omitempty"`
+	Cached  bool     `json:"cached,omitempty"`
+	Retries int      `json:"retries,omitempty"`
 }
 
 // Config parameterizes a Server.
@@ -144,15 +210,18 @@ func (l *flightLog) list() []obs.Flight {
 	return append([]obs.Flight{}, l.dumps...)
 }
 
-// Server owns the job queue, the worker pool, and the result cache. Create
-// with New, serve its Handler, and stop with Drain (graceful) or Close.
+// Server owns the job queue, the worker pool, and the result cache; its
+// Runner does each job's work. Create with New (a daemon) or NewServer,
+// serve its Handler, and stop with Drain (graceful) or Close.
 type Server struct {
-	cfg   Config
-	cache *rescache.Cache
-	met   *metrics
-	// runReg accumulates the simulation kernel's counters across every job
-	// execution (repro_* families); rendered after the service families on
-	// /metrics.
+	cfg    Config
+	runner Runner
+	cache  *rescache.Cache
+	met    *metrics
+	// runReg holds the runner's metric families: the simulation kernel's
+	// repro_* counters accumulated across a daemon's executions, or a
+	// coordinator's noisefleet_* families. /metrics renders it after the
+	// service families.
 	runReg  *obs.Registry
 	flights *flightLog
 
@@ -173,20 +242,34 @@ type Server struct {
 	testHookJobUpdate func(id string, state JobState)
 }
 
-// New builds a Server and starts its workers.
-func New(cfg Config) (*Server, error) {
+// New builds a daemon: a Server whose jobs run on the local engine.
+func New(cfg Config) (*Server, error) { return NewServer(cfg, nil, nil) }
+
+// NewServer builds a Server whose jobs run on runner, and starts its
+// workers. A nil runner executes jobs on the local engine and publishes
+// the kernel's counters into the run registry. reg is that registry, where
+// a runner of its own publishes its families (nil = a fresh one).
+func NewServer(cfg Config, runner Runner, reg *obs.Registry) (*Server, error) {
 	cfg = cfg.withDefaults()
 	cache, err := rescache.New(cfg.CacheDir, cfg.MemEntries)
 	if err != nil {
 		return nil, err
 	}
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg: cfg, cache: cache, met: newMetrics(nil),
-		runReg: obs.NewRegistry(), flights: &flightLog{},
+		cfg: cfg, runner: runner, cache: cache, met: newMetrics(nil),
+		runReg: reg, flights: &flightLog{},
 		baseCtx: ctx, baseCancel: cancel,
 		jobs:  make(map[string]*Job),
 		queue: make(chan *Job, cfg.QueueSize),
+	}
+	if s.runner == nil {
+		s.runner = &engineRunner{
+			parallelism: cfg.Parallelism, ring: cfg.FlightRing, reg: reg, flights: s.flights,
+		}
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
@@ -247,6 +330,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	}
 	s.nextID++
 	job := &Job{
+		srv:     s,
 		ID:      fmt.Sprintf("j%06d", s.nextID),
 		Spec:    spec,
 		Hash:    hash,
@@ -312,6 +396,7 @@ func (s *Server) Status(id string) (JobStatus, bool) {
 	return JobStatus{
 		ID: j.ID, State: j.State, SpecHash: j.Hash, Cached: j.Cached, Error: j.Err,
 		RepsDone: j.repsDone, RepsTotal: j.repsTotal,
+		SubJobs: append([]SubStatus(nil), j.subs...),
 	}, true
 }
 
@@ -411,7 +496,7 @@ func (s *Server) runJob(job *Job) {
 
 	data, hit, err := s.cache.GetOrCompute(ctx, job.Hash, func(ctx context.Context) ([]byte, error) {
 		s.met.executions.Inc()
-		return s.execute(ctx, job)
+		return s.runner.Run(ctx, job)
 	})
 
 	now := time.Now()
@@ -439,35 +524,45 @@ func (s *Server) runJob(job *Job) {
 	s.notifyUpdate(job.ID, state)
 }
 
-// execute runs the series on the engine and encodes the result payload.
-func (s *Server) execute(ctx context.Context, job *Job) ([]byte, error) {
+// engineRunner runs jobs on this process's engine: the daemon's runner.
+type engineRunner struct {
+	parallelism, ring int
+	reg               *obs.Registry
+	flights           *flightLog
+}
+
+// Run executes the job's series, cluster runs or analysis sweep and
+// encodes the result payload.
+func (r *engineRunner) Run(ctx context.Context, job *Job) ([]byte, error) {
 	// Observability is always armed: the recorder is passive (results stay
 	// byte-identical), the flight ring captures the last scheduling events of
 	// any failing rep, and the kernel counters accumulate on the server
 	// registry. The full timeline is recorded only when the spec asks.
 	var timeline bytes.Buffer
-	exec := experiment.Executor{Parallelism: s.cfg.Parallelism, Obs: &experiment.ObsOptions{
+	exec := experiment.Executor{Parallelism: r.parallelism, Obs: &experiment.ObsOptions{
 		Timeline: job.Spec.Timeline,
-		Ring:     s.cfg.FlightRing,
-		Reg:      s.runReg,
-		OnFlight: s.flights.add,
+		Ring:     r.ring,
+		Reg:      r.reg,
+		OnFlight: r.flights.add,
 		OnTimeline: func(rec *obs.Recorder) {
 			_ = rec.WriteChromeJSON(&timeline)
 		},
 	}}
 	// Rep completions feed the job's SSE stream and status fields. OnRep
 	// calls are serialized and monotone, so the stream inherits both.
-	exec.OnRep = func(done, total int) {
-		s.mu.Lock()
-		job.repsDone, job.repsTotal = done, total
-		s.mu.Unlock()
-		job.events.PublishProgress(done, total)
-	}
+	exec.OnRep = job.Progress
 	if job.Spec.Analyze != nil {
-		return s.executeAnalysis(ctx, job, exec)
+		return runAnalysis(ctx, job, exec)
 	}
 	if job.Spec.Cluster != nil {
-		return s.executeCluster(ctx, job, exec, &timeline)
+		results, err := exec.ClusterSeries(ctx, *job.Spec.Cluster, job.Spec.Seed, job.Spec.Reps)
+		if err != nil {
+			return nil, err
+		}
+		if err := storeTimeline(job, &timeline); err != nil {
+			return nil, err
+		}
+		return BuildClusterResult(job.Hash, job.Spec, results)
 	}
 	spec, err := job.Spec.Resolve()
 	if err != nil {
@@ -477,7 +572,7 @@ func (s *Server) execute(ctx context.Context, job *Job) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.storeTimeline(job, &timeline); err != nil {
+	if err := storeTimeline(job, &timeline); err != nil {
 		return nil, err
 	}
 	return BuildResult(job.Hash, job.Spec, times, traces)
@@ -525,26 +620,26 @@ func BuildClusterResult(hash string, spec JobSpec, results []*cluster.Result) ([
 	return json.Marshal(res)
 }
 
-// executeAnalysis runs a bottleneck-analysis job: the full differential
+// runAnalysis runs a bottleneck-analysis job: the full differential
 // sweep through analyze.Run, with the artifact bytes as the cached result
 // payload. Evidence timelines land as derived cache entries — one per
 // source under "tl-<source>", plus the bottleneck source's copy under the
 // plain "tl" key so GET .../timeline serves the headline evidence exactly
 // like a single-node job's. analyze.Run forces its own per-cell timeline
 // recording, so the executor's OnTimeline buffer stays untouched here.
-func (s *Server) executeAnalysis(ctx context.Context, job *Job, exec experiment.Executor) ([]byte, error) {
+func runAnalysis(ctx context.Context, job *Job, exec experiment.Executor) ([]byte, error) {
 	out, err := analyze.Run(ctx, exec, *job.Spec.Analyze)
 	if err != nil {
 		return nil, err
 	}
 	for src, tl := range out.Timelines {
-		if err := s.cache.Put(rescache.DerivedKey(job.Hash, "tl-"+src), tl); err != nil {
-			return nil, fmt.Errorf("service: storing %s timeline: %w", src, err)
+		if err := job.Store("tl-"+src, tl); err != nil {
+			return nil, err
 		}
 	}
 	if tl, ok := out.Timelines[out.Artifact.Bottleneck]; ok {
-		if err := s.cache.Put(rescache.DerivedKey(job.Hash, "tl"), tl); err != nil {
-			return nil, fmt.Errorf("service: storing timeline: %w", err)
+		if err := job.Store("tl", tl); err != nil {
+			return nil, err
 		}
 	}
 	return out.Artifact.Encode()
@@ -569,31 +664,13 @@ func (s *Server) AnalysisTimeline(id, source string) (data []byte, state JobStat
 	return data, state, true
 }
 
-// executeCluster runs a cluster job: Reps runs of the embedded scenario,
-// each a pure function of (spec, derived seed). TimesNs carries the per-rep
-// batch completion times so cluster results flow through the same summary
-// and cache machinery as single-node series.
-func (s *Server) executeCluster(ctx context.Context, job *Job, exec experiment.Executor, timeline *bytes.Buffer) ([]byte, error) {
-	results, err := exec.ClusterSeries(ctx, *job.Spec.Cluster, job.Spec.Seed, job.Spec.Reps)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.storeTimeline(job, timeline); err != nil {
-		return nil, err
-	}
-	return BuildClusterResult(job.Hash, job.Spec, results)
-}
-
 // storeTimeline persists a recorded timeline as a derived cache entry next
 // to the result: a later cache hit for this spec can still serve it.
-func (s *Server) storeTimeline(job *Job, timeline *bytes.Buffer) error {
+func storeTimeline(job *Job, timeline *bytes.Buffer) error {
 	if timeline.Len() == 0 {
 		return nil
 	}
-	if err := s.cache.Put(rescache.DerivedKey(job.Hash, "tl"), timeline.Bytes()); err != nil {
-		return fmt.Errorf("service: storing timeline: %w", err)
-	}
-	return nil
+	return job.Store("tl", timeline.Bytes())
 }
 
 // Drain stops accepting submissions and waits for queued and running jobs

@@ -2,7 +2,8 @@ package service
 
 // Tests for the observability surface of the daemon: the per-job timeline
 // endpoint, the flight-recorder debug endpoint, the JSON metrics rendering,
-// and the metrics regression fixes (inflight clamp, quantile ring copy).
+// the metrics regression fixes (inflight clamp, quantile ring copy), and the
+// HTTP listener's timeouts.
 
 import (
 	"context"
@@ -10,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rescache"
@@ -124,8 +126,8 @@ func TestFailedJobRetainsOneFlightDump(t *testing.T) {
 	// validation fails inside every rep.
 	spec := tinySpec(64, 8)
 	spec.Model = "tbb"
-	job := &Job{ID: "bad", Spec: spec, events: NewEventLog(0)}
-	if _, err := srv.execute(context.Background(), job); err == nil {
+	job := &Job{srv: srv, ID: "bad", Spec: spec, events: NewEventLog(0)}
+	if _, err := srv.runner.Run(context.Background(), job); err == nil {
 		t.Fatal("job with unknown model succeeded")
 	}
 	resp, err := http.Get(ts.URL + "/debug/flightrecorder")
@@ -227,5 +229,21 @@ func TestQuantilesDoNotMutateRing(t *testing.T) {
 	// A second snapshot sees the same quantiles (idempotent reads).
 	if again := m.snapshot(0, rescache.Stats{}); again.LatencyP50 != snap.LatencyP50 || again.LatencyP99 != snap.LatencyP99 {
 		t.Fatalf("snapshot not idempotent: %+v vs %+v", again, snap)
+	}
+}
+
+// TestHTTPServerTimeouts pins the listener both daemons serve on: header
+// reads and idle connections are bounded, whole requests and responses
+// are not (spec bodies up to 64 MB, SSE streams as long as a job runs).
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := NewHTTPServer(":0", http.NotFoundHandler())
+	if srv.Addr != ":0" || srv.Handler == nil {
+		t.Fatalf("addr %q, handler %v", srv.Addr, srv.Handler)
+	}
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 2*time.Minute {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v; want 10s, 2m", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Fatalf("ReadTimeout %v, WriteTimeout %v; want none", srv.ReadTimeout, srv.WriteTimeout)
 	}
 }

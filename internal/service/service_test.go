@@ -312,48 +312,6 @@ func TestCacheServesAcrossRestart(t *testing.T) {
 	}
 }
 
-func TestMalformedSpecs400(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{MaxReps: 100})
-	post := func(body string) int {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	cases := map[string]string{
-		"not json":         `{"platform":`,
-		"unknown field":    `{"platform":"tiny-test","workload":"nbody","model":"omp","strategy":"Rm","reps":1,"bogus":1}`,
-		"unknown platform": `{"platform":"cray-1","workload":"nbody","model":"omp","strategy":"Rm","reps":1}`,
-		"unknown workload": `{"platform":"tiny-test","workload":"linpack","model":"omp","strategy":"Rm","reps":1}`,
-		"unknown model":    `{"platform":"tiny-test","workload":"nbody","model":"cuda","strategy":"Rm","reps":1}`,
-		"unknown strategy": `{"platform":"tiny-test","workload":"nbody","model":"omp","strategy":"YOLO","reps":1}`,
-		"zero reps":        `{"platform":"tiny-test","workload":"nbody","model":"omp","strategy":"Rm","reps":0}`,
-		"excessive reps":   `{"platform":"tiny-test","workload":"nbody","model":"omp","strategy":"Rm","reps":101}`,
-		"negative scale":   `{"platform":"tiny-test","workload":"nbody","model":"omp","strategy":"Rm","reps":1,"noise_scale":-2}`,
-		"bad size":         `{"platform":"tiny-test","workload":"nbody","model":"omp","strategy":"Rm","reps":1,"size":"huge"}`,
-	}
-	for name, body := range cases {
-		if code := post(body); code != http.StatusBadRequest {
-			t.Errorf("%s: HTTP %d, want 400", name, code)
-		}
-	}
-	// And unknown jobs 404.
-	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/result", "/v1/jobs/nope/timeline"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s: HTTP %d, want 404", path, resp.StatusCode)
-		}
-	}
-}
-
 // TestCancelMidRun submits a long series, waits until it is running, and
 // cancels it over the API.
 func TestCancelMidRun(t *testing.T) {
