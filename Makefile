@@ -65,12 +65,16 @@ test-io:
 	$(GO) test -race -count=3 -run 'TestResultDeterminismIODeadline|TestValidateDeadlineFields' ./internal/service/
 	$(GO) test -race -count=3 -run 'TestFleetByteIdenticalIODeadline' ./internal/fleet/
 
-# Short deterministic-budget fuzz smoke of the fuzz targets (cache-key
-# canonicalization, the trace codec round trip, batched-vs-fresh reps, the
-# scheduler fork with pending BlockOn/IRQ timers, ring placement, the
-# analysis spec hash, and the analysis-artifact codec). `go test -fuzz` accepts one target per
-# package invocation, hence the separate runs. FUZZTIME is overridable;
-# 10s each keeps CI wall clock bounded.
+# Short deterministic-budget fuzz smoke of eight targets: the trace codec
+# round trip (FuzzTraceCodecRoundTrip), cache-key canonicalization
+# (FuzzSpecHashCanonical), batched-vs-fresh reps (FuzzBatchEqualsFresh),
+# the scheduler fork with pending BlockOn/IRQ timers
+# (FuzzBlockOnForkDeterminism), ring placement (FuzzRingPlacement), the
+# analysis spec hash (FuzzAnalysisSpecHash), the analysis-artifact codec
+# (FuzzArtifactRoundTrip), and Timer.Reset against Cancel+At
+# (FuzzEngineResetEquivalence). `go test -fuzz` accepts one target per
+# package invocation, hence the separate runs. FUZZTIME is overridable; 10s
+# each keeps CI wall clock bounded.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/trace -run xxx -fuzz 'FuzzTraceCodecRoundTrip$$' -fuzztime $(FUZZTIME)
@@ -80,6 +84,7 @@ fuzz-smoke:
 	$(GO) test ./internal/fleet -run xxx -fuzz 'FuzzRingPlacement$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analyze -run xxx -fuzz 'FuzzAnalysisSpecHash$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analyze -run xxx -fuzz 'FuzzArtifactRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run xxx -fuzz 'FuzzEngineResetEquivalence$$' -fuzztime $(FUZZTIME)
 
 # Run the daemon locally with a throwaway cache.
 serve:

@@ -83,3 +83,49 @@ func BenchmarkInjectIRQ(b *testing.B) {
 		eng.Run()
 	}
 }
+
+// toggleProgram alternates a short memory segment with a short compute
+// segment forever, starting and stopping one memory stream per round.
+type toggleProgram struct {
+	rounds int
+	step   int
+}
+
+func (p *toggleProgram) Next(*Task) (Request, bool) {
+	p.step++
+	if p.step%2 == 1 {
+		p.rounds++
+		return ReqMemory(10_000), true
+	}
+	return ReqCompute(10_000), true
+}
+
+// BenchmarkMemStreamChurn measures memory-stream churn on an A64FX-sized
+// machine: 47 pinned tasks stream memory for the whole run while one task
+// on CPU 0 starts and stops a stream. Each start or stop changes the
+// bandwidth share, so it re-rates every streaming task. Reported per round
+// (one start and one stop).
+func BenchmarkMemStreamChurn(b *testing.B) {
+	eng := sim.NewEngine()
+	topo := machine.MustPreset(machine.A64FXNoRsv)
+	s := New(eng, topo, noBalance())
+	n := topo.NumCPUs()
+	tasks := make([]*Task, 0, n)
+	for cpu := 1; cpu < n; cpu++ {
+		tasks = append(tasks, s.SpawnSeq(TaskSpec{Name: "stream", Kind: KindWorkload,
+			Affinity: machine.SetOf(cpu)}, ReqMemory(1e15)))
+	}
+	p := &toggleProgram{}
+	tasks = append(tasks, s.SpawnProgram(TaskSpec{Name: "toggle", Kind: KindWorkload,
+		Affinity: machine.SetOf(0)}, p))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := p.rounds
+		eng.RunWhile(func() bool { return p.rounds == start })
+	}
+	b.StopTimer()
+	for _, t := range tasks {
+		s.Kill(t)
+	}
+}

@@ -126,7 +126,12 @@ type Scheduler struct {
 	// disabled path costs one pointer compare and allocates nothing.
 	obs *obs.Recorder
 
+	// memStreams counts the tasks streaming memory; memCPUs holds the CPUs
+	// they are current on, and memRate caches topo.MemRate(memStreams), the
+	// per-stream bandwidth every one of them runs at.
 	memStreams int
+	memCPUs    machine.CPUSet
+	memRate    float64
 	nextID     int
 	seq        uint64
 	arrival    uint64
@@ -168,7 +173,7 @@ func New(eng *sim.Engine, topo *machine.Topology, opt Options) *Scheduler {
 	if err := topo.Validate(); err != nil {
 		panic(err)
 	}
-	s := &Scheduler{eng: eng, topo: topo, opt: opt}
+	s := &Scheduler{eng: eng, topo: topo, opt: opt, memRate: topo.MemRate(0)}
 	s.balanceFn = s.balanceTick
 	n := topo.NumCPUs()
 	s.cpus = make([]*cpuState, n)
@@ -441,7 +446,7 @@ func (s *Scheduler) currentRate(t *Task) float64 {
 		}
 		return r
 	case segMemory:
-		return s.topo.MemRate(s.memStreams)
+		return s.memRate
 	default:
 		return 0
 	}
@@ -473,19 +478,23 @@ func (s *Scheduler) account(t *Task) {
 }
 
 // refresh recomputes a running task's rate and (re)schedules its segment
-// completion, folding in any pending tracing overhead on its CPU.
+// completion, folding in any pending tracing overhead on its CPU. A pending
+// completion is re-keyed in place (Timer.Reset), not cancelled and armed
+// again: rate changes are the engine's most frequent insert, since every
+// memory-stream start or stop re-rates every streaming task.
 func (s *Scheduler) refresh(t *Task) {
 	if t.state != StateRunning {
 		return
 	}
 	s.account(t)
 	t.rate = s.currentRate(t)
-	if t.completion != nil {
-		t.completion.Cancel()
-		t.completion = nil
-	}
 	if t.seg.kind == segSpin || t.rate <= 0 {
-		return // unbounded or paused: completes via external event
+		// Unbounded or paused: completes via external event.
+		if t.completion != nil {
+			t.completion.Cancel()
+			t.completion = nil
+		}
+		return
 	}
 	if c := s.cpus[t.cpu]; c.pendingSteal > 0 {
 		t.remaining += float64(c.pendingSteal) * t.rate
@@ -495,7 +504,11 @@ func (s *Scheduler) refresh(t *Task) {
 	if t.remaining > 0 {
 		d = sim.Time(math.Ceil(t.remaining / t.rate))
 	}
-	t.completion = s.eng.After(d, t.segDoneFn)
+	if t.completion.Pending() {
+		t.completion.Reset(s.eng.Now() + d)
+	} else {
+		t.completion = s.eng.After(d, t.segDoneFn)
+	}
 }
 
 func (s *Scheduler) cancelTimers(t *Task) {
@@ -517,6 +530,8 @@ func (s *Scheduler) cancelTimers(t *Task) {
 	}
 }
 
+// setStreamActive starts or stops t's memory stream, which changes the
+// bandwidth share of every stream, and re-rates the tasks that hold one.
 func (s *Scheduler) setStreamActive(t *Task, active bool) {
 	if t.streamActive == active {
 		return
@@ -524,15 +539,25 @@ func (s *Scheduler) setStreamActive(t *Task, active bool) {
 	t.streamActive = active
 	if active {
 		s.memStreams++
+		s.memCPUs = s.memCPUs.Set(t.cpu)
 	} else {
 		s.memStreams--
 	}
+	s.memRate = s.topo.MemRate(s.memStreams)
 	s.recalcMemStreams()
+	if !active {
+		// Cleared only after the walk: a task whose segment just completed
+		// stops its stream while still current on the memory segment, and
+		// it is re-rated with the others.
+		s.memCPUs = s.memCPUs.Clear(t.cpu)
+	}
 }
 
+// recalcMemStreams refreshes, in ascending CPU order, every current task
+// on a memory segment. Only CPUs in memCPUs can hold one.
 func (s *Scheduler) recalcMemStreams() {
-	for _, c := range s.cpus {
-		if c.curr != nil && c.curr.seg.kind == segMemory {
+	for cpu := s.memCPUs.First(); cpu >= 0; cpu = s.memCPUs.NextFrom(cpu + 1) {
+		if c := s.cpus[cpu]; c.curr != nil && c.curr.seg.kind == segMemory {
 			s.refresh(c.curr)
 		}
 	}

@@ -1,6 +1,9 @@
 package cpusched
 
-import "repro/internal/sim"
+import (
+	"repro/internal/machine"
+	"repro/internal/sim"
+)
 
 // Snapshot marks a scheduler's construction point so later reps can Fork
 // back to it. The per-CPU structures, bound callbacks, and accounting
@@ -99,6 +102,8 @@ func (s *Scheduler) Fork(Snapshot) {
 		s.irqTime[i] = 0
 	}
 	s.memStreams = 0
+	s.memCPUs = machine.CPUSet{}
+	s.memRate = s.topo.MemRate(0)
 	s.nextID = 0
 	s.seq = 0
 	s.arrival = 0

@@ -136,3 +136,24 @@ func TestTaskPoolRecyclesProgramTasks(t *testing.T) {
 			s.TaskAllocs-allocs)
 	}
 }
+
+// TestForkResetsMemStreams forks a scheduler while tasks stream memory and
+// checks the stream bookkeeping returns to its post-New value.
+func TestForkResetsMemStreams(t *testing.T) {
+	eng := sim.NewEngine()
+	s := New(eng, machine.MustPreset(machine.TinySMTTest), noBalance())
+	snap := s.Snapshot()
+	for i := 0; i < 3; i++ {
+		s.SpawnSeq(TaskSpec{Name: "m"}, ReqMemory(1e12))
+	}
+	eng.RunUntil(sim.Millisecond)
+	if s.memStreams != 3 {
+		t.Fatalf("memStreams = %d before fork, want 3", s.memStreams)
+	}
+	checkMemStreams(t, s)
+	s.Fork(snap)
+	checkMemStreams(t, s)
+	if !s.memCPUs.Empty() || s.memStreams != 0 {
+		t.Fatalf("fork left streams: memCPUs=%v memStreams=%d", s.memCPUs, s.memStreams)
+	}
+}

@@ -9,7 +9,8 @@ import (
 
 // stressScenario runs a randomized mix of tasks (policies, affinities,
 // sleeps, barriers, irqs) and returns the scheduler for invariant checks.
-func stressScenario(seed uint64, topoName string) (*Scheduler, sim.Time) {
+// The memory-stream bookkeeping is checked after every engine step.
+func stressScenario(t testing.TB, seed uint64, topoName string) (*Scheduler, sim.Time) {
 	eng := sim.NewEngine()
 	topo := machine.MustPreset(topoName)
 	s := New(eng, topo, Defaults())
@@ -103,6 +104,7 @@ func stressScenario(seed uint64, topoName string) (*Scheduler, sim.Time) {
 	// instead of hanging it.
 	const deadline = 10 * sim.Second
 	eng.RunWhile(func() bool {
+		checkMemStreams(t, s)
 		if eng.Now() > deadline {
 			return false
 		}
@@ -116,6 +118,24 @@ func stressScenario(seed uint64, topoName string) (*Scheduler, sim.Time) {
 	return s, eng.Now()
 }
 
+// checkMemStreams checks the scheduler's memory-stream bookkeeping against
+// its CPUs: memCPUs is exactly the set of CPUs whose current task streams
+// memory, memStreams is its size, and memRate is the topology's rate for
+// that many streams.
+func checkMemStreams(t testing.TB, s *Scheduler) {
+	t.Helper()
+	var want machine.CPUSet
+	for _, c := range s.cpus {
+		if c.curr != nil && c.curr.streamActive {
+			want = want.Set(c.id)
+		}
+	}
+	if s.memCPUs != want || s.memStreams != want.Count() || s.memRate != s.topo.MemRate(s.memStreams) {
+		t.Fatalf("at %v: memCPUs=%v memStreams=%d memRate=%v, want CPUs %v, %d streams, rate %v",
+			s.eng.Now(), s.memCPUs, s.memStreams, s.memRate, want, want.Count(), s.topo.MemRate(want.Count()))
+	}
+}
+
 // TestStressInvariants runs many random scenarios and checks global
 // invariants: every task finishes (no lost wakeups or deadlocks), CPU time
 // is conserved (no CPU is over-committed), and nothing panics.
@@ -123,7 +143,7 @@ func TestStressInvariants(t *testing.T) {
 	for _, topoName := range []string{machine.TinyTest, machine.TinySMTTest} {
 		topo := machine.MustPreset(topoName)
 		for seed := uint64(0); seed < 40; seed++ {
-			s, end := stressScenario(seed, topoName)
+			s, end := stressScenario(t, seed, topoName)
 			total := sim.Time(0)
 			for _, tk := range s.Tasks() {
 				if !tk.Done() {
@@ -148,8 +168,8 @@ func TestStressInvariants(t *testing.T) {
 // outcomes.
 func TestStressDeterministic(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
-		s1, end1 := stressScenario(seed, machine.TinySMTTest)
-		s2, end2 := stressScenario(seed, machine.TinySMTTest)
+		s1, end1 := stressScenario(t, seed, machine.TinySMTTest)
+		s2, end2 := stressScenario(t, seed, machine.TinySMTTest)
 		if end1 != end2 {
 			t.Fatalf("seed %d: end times differ: %v vs %v", seed, end1, end2)
 		}
@@ -171,7 +191,7 @@ func TestStressDeterministic(t *testing.T) {
 // even under chaotic scenarios (no leak growth across many scenarios).
 func TestStressGoroutineHygiene(t *testing.T) {
 	for seed := uint64(100); seed < 130; seed++ {
-		s, _ := stressScenario(seed, machine.TinyTest)
+		s, _ := stressScenario(t, seed, machine.TinyTest)
 		s.Shutdown()
 		for _, tk := range s.Tasks() {
 			if !tk.Done() {

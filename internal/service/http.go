@@ -46,7 +46,8 @@ import (
 //	                           order on the hash ring (internal/fleet)
 //
 // Malformed specs get 400, unknown jobs 404, a full queue 503 with
-// Retry-After, and submissions during drain 503.
+// Retry-After, and submissions during drain 503. A finished job is unknown
+// once finishedKeep newer jobs have finished.
 
 // Timeouts of the listeners built by NewHTTPServer: how long a client may
 // take to send request headers, and how long an idle keep-alive connection

@@ -183,6 +183,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// finishedKeep bounds how many finished jobs a server remembers. Each one
+// holds its result bytes and its SSE event ring, so a long-running server
+// forgets the oldest finished job once more than finishedKeep have
+// finished; its ID then answers 404, while its result stays in the cache
+// under its spec hash. Queued and running jobs are never forgotten.
+const finishedKeep = 1024
+
 // flightKeep bounds how many flight dumps the server retains for
 // /debug/flightrecorder (newest win).
 const flightKeep = 16
@@ -228,8 +235,11 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// finished lists the IDs of the remembered finished jobs, oldest
+	// first (see finishedKeep).
+	finished []string
 	nextID   uint64
 	queue    chan *Job
 	draining bool
@@ -291,15 +301,20 @@ func (s *Server) Metrics() Snapshot {
 // notifyUpdate publishes a job state transition to the job's event stream
 // and the test hook. Call with the server mutex released; the stream is
 // published first so a hook-driven waiter observes the event on wake-up.
-func (s *Server) notifyUpdate(id string, state JobState) {
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j != nil && j.events != nil {
-		j.events.PublishState(state)
-	}
+func (s *Server) notifyUpdate(j *Job, state JobState) {
+	j.events.PublishState(state)
 	if s.testHookJobUpdate != nil {
-		s.testHookJobUpdate(id, state)
+		s.testHookJobUpdate(j.ID, state)
+	}
+}
+
+// retire records that j just reached a terminal state and forgets the
+// oldest finished job beyond finishedKeep. Call with the server mutex held.
+func (s *Server) retire(j *Job) {
+	s.finished = append(s.finished, j.ID)
+	if len(s.finished) > finishedKeep {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
 	}
 }
 
@@ -350,10 +365,11 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		job.Cached = true
 		job.result = data
 		job.Started, job.Finished = now, now
+		s.retire(job)
 		s.mu.Unlock()
 		s.met.jobStarted()
 		s.met.jobFinished(StateDone, true, 0)
-		s.notifyUpdate(job.ID, StateDone)
+		s.notifyUpdate(job, StateDone)
 		return job, nil
 	}
 
@@ -367,7 +383,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	select {
 	case s.queue <- job:
 		s.mu.Unlock()
-		s.notifyUpdate(job.ID, StateQueued)
+		s.notifyUpdate(job, StateQueued)
 		return job, nil
 	default:
 		delete(s.jobs, job.ID)
@@ -461,6 +477,7 @@ func (s *Server) Cancel(id string) (JobState, bool) {
 		j.State = StateCanceled
 		j.Finished = time.Now()
 		s.met.canceled.Inc()
+		s.retire(j)
 		canceledQueued = true
 	case StateRunning:
 		cancel = j.cancel
@@ -471,7 +488,7 @@ func (s *Server) Cancel(id string) (JobState, bool) {
 		cancel()
 	}
 	if canceledQueued {
-		s.notifyUpdate(id, StateCanceled)
+		s.notifyUpdate(j, StateCanceled)
 	}
 	return state, true
 }
@@ -492,7 +509,7 @@ func (s *Server) runJob(job *Job) {
 	job.repsTotal = job.Spec.TotalReps()
 	s.mu.Unlock()
 	s.met.jobStarted()
-	s.notifyUpdate(job.ID, StateRunning)
+	s.notifyUpdate(job, StateRunning)
 
 	data, hit, err := s.cache.GetOrCompute(ctx, job.Hash, func(ctx context.Context) ([]byte, error) {
 		s.met.executions.Inc()
@@ -519,9 +536,10 @@ func (s *Server) runJob(job *Job) {
 	}
 	state, cached := job.State, job.Cached
 	latency := job.Finished.Sub(job.Started).Seconds()
+	s.retire(job)
 	s.mu.Unlock()
 	s.met.jobFinished(state, cached, latency)
-	s.notifyUpdate(job.ID, state)
+	s.notifyUpdate(job, state)
 }
 
 // engineRunner runs jobs on this process's engine: the daemon's runner.

@@ -2,7 +2,8 @@ package sim
 
 import "fmt"
 
-// Timer is a scheduled callback. It can be cancelled before it fires.
+// Timer is a scheduled callback. It can be cancelled before it fires, or
+// moved to another instant with Reset.
 //
 // Timer structs are pooled: once a timer has fired or been cancelled the
 // engine may recycle it for a later At/After call. A handle is therefore
@@ -10,7 +11,8 @@ import "fmt"
 // *Timer must clear or reassign the reference when the callback runs
 // (every in-tree holder does so as the first statement of its callback)
 // and when they cancel it. Cancel and Pending on a dead handle remain safe
-// no-ops only until the struct is reused.
+// no-ops only until the struct is reused. Reset needs a pending handle: it
+// panics on a dead one.
 type Timer struct {
 	at  Time
 	fn  func()
@@ -34,6 +36,25 @@ func (t *Timer) Cancel() bool {
 	return true
 }
 
+// Reset moves a pending timer to fire at simulated time at, keeping its
+// callback. It is exactly Cancel followed by At(at, fn): the timer takes the
+// next scheduling sequence number, as At would, so it fires in the same
+// order. Instead of leaving the queue and entering it again, it re-keys its
+// heap slot in place and sifts up or down from there. Reset panics when the
+// timer has fired or been cancelled, or when at is before Now.
+func (t *Timer) Reset(at Time) {
+	if !t.Pending() {
+		panic("sim: Reset of a fired or cancelled timer")
+	}
+	e := t.eng
+	if at < e.now {
+		panic(fmt.Sprintf("sim: reset to %v before now %v", at, e.now))
+	}
+	e.seq++
+	t.at = at
+	e.fix(t.idx, heapEntry{at: at, seq: e.seq, tm: t})
+}
+
 // Pending reports whether the timer is scheduled and not cancelled.
 func (t *Timer) Pending() bool { return t != nil && t.idx >= 0 }
 
@@ -46,8 +67,10 @@ func (t *Timer) Pending() bool { return t != nil && t.idx >= 0 }
 // so Cancel removes it eagerly instead of leaving a cancelled entry behind;
 // the cancel-heavy refresh path (interrupt arrivals pausing a running
 // task's completion timer) would otherwise fill the queue with dead
-// entries. Heap entries carry their key inline, so sifts compare packed
-// (at, seq) pairs rather than chasing Timer pointers.
+// entries. The same index lets Reset re-key a timer where it sits, which
+// is how a running task's completion moves when its rate changes. Heap
+// entries carry their key inline, so sifts compare packed (at, seq) pairs
+// rather than chasing Timer pointers.
 type Engine struct {
 	now  Time
 	heap []heapEntry
@@ -276,9 +299,15 @@ func (e *Engine) removeAt(i int) {
 	if i == n {
 		return
 	}
-	if i > 0 && last.less(e.heap[(i-1)/4]) {
-		e.up(i, last)
+	e.fix(i, last)
+}
+
+// fix places x, whose key may be smaller or larger than the one that held
+// slot i, at slot i or wherever the heap order moves it.
+func (e *Engine) fix(i int, x heapEntry) {
+	if i > 0 && x.less(e.heap[(i-1)/4]) {
+		e.up(i, x)
 	} else {
-		e.down(i, last)
+		e.down(i, x)
 	}
 }
