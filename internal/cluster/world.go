@@ -223,7 +223,9 @@ func (w *World) collect() *Result {
 func (w *World) publishCounters() {
 	reg := w.rec.Registry()
 	reg.Counter("repro_runs_total", "Completed simulation runs.").Inc()
-	reg.Counter("repro_sim_steps_total", "Engine events processed.").Add(w.Eng.Stats().Steps)
+	st := w.Eng.Stats()
+	reg.Counter("repro_sim_steps_total", "Engine events processed.").Add(st.Steps)
+	reg.Counter("repro_sim_rekeys_total", "Pending engine timers re-keyed in place.").Add(st.Rekeys)
 	var switches, spawned uint64
 	for _, ns := range w.Nodes {
 		switches += ns.Sched.ContextSwitches

@@ -103,8 +103,9 @@ func (p *toggleProgram) Next(*Task) (Request, bool) {
 // BenchmarkMemStreamChurn measures memory-stream churn on an A64FX-sized
 // machine: 47 pinned tasks stream memory for the whole run while one task
 // on CPU 0 starts and stops a stream. Each start or stop changes the
-// bandwidth share, so it re-rates every streaming task. Reported per round
-// (one start and one stop).
+// bandwidth share, so it re-rates every streaming task; the stream group
+// moves their completions with one engine re-key. Reported per round (one
+// start and one stop), with the engine re-keys per round as rekeys/op.
 func BenchmarkMemStreamChurn(b *testing.B) {
 	eng := sim.NewEngine()
 	topo := machine.MustPreset(machine.A64FXNoRsv)
@@ -120,11 +121,13 @@ func BenchmarkMemStreamChurn(b *testing.B) {
 		Affinity: machine.SetOf(0)}, p))
 	b.ReportAllocs()
 	b.ResetTimer()
+	rekeys := eng.Rekeys
 	for i := 0; i < b.N; i++ {
 		start := p.rounds
 		eng.RunWhile(func() bool { return p.rounds == start })
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(eng.Rekeys-rekeys)/float64(b.N), "rekeys/op")
 	for _, t := range tasks {
 		s.Kill(t)
 	}

@@ -137,6 +137,17 @@ type Scheduler struct {
 	arrival    uint64
 	liveTasks  int
 
+	// memGroup is the stream group: the completion key of every running
+	// memory-segment task whose rate is above 0, each held at the slot its
+	// task's memIdx names. memTimer is the one engine timer behind them,
+	// keyed to the earliest member; memHold defers re-arming it while a
+	// batch of member changes is in flight, and memFireFn is its callback,
+	// bound once. See armMemGroup.
+	memGroup  []memMember
+	memTimer  *sim.Timer
+	memHold   int
+	memFireFn func()
+
 	balanceTimer *sim.Timer
 	// balanceFn is the balancer callback, bound once so re-arming the
 	// periodic timer does not allocate a method-value closure per tick.
@@ -175,6 +186,7 @@ func New(eng *sim.Engine, topo *machine.Topology, opt Options) *Scheduler {
 	}
 	s := &Scheduler{eng: eng, topo: topo, opt: opt, memRate: topo.MemRate(0)}
 	s.balanceFn = s.balanceTick
+	s.memFireFn = s.memFire
 	n := topo.NumCPUs()
 	s.cpus = make([]*cpuState, n)
 	for i := range s.cpus {
@@ -334,6 +346,7 @@ func (s *Scheduler) newTask(spec TaskSpec) *Task {
 	t.cpu = -1
 	t.lastRunCPU = -1
 	t.qIndex = -1
+	t.memIdx = -1
 	t.seg = segment{kind: segNone}
 	return t
 }
@@ -478,10 +491,11 @@ func (s *Scheduler) account(t *Task) {
 }
 
 // refresh recomputes a running task's rate and (re)schedules its segment
-// completion, folding in any pending tracing overhead on its CPU. A pending
-// completion is re-keyed in place (Timer.Reset), not cancelled and armed
-// again: rate changes are the engine's most frequent insert, since every
-// memory-stream start or stop re-rates every streaming task.
+// completion, folding in any pending tracing overhead on its CPU. A memory
+// segment's completion is a stream-group member (setMember); any other
+// segment's is the task's own timer, re-keyed in place (Timer.Reset) when
+// it is pending. Either way the new key takes the next sequence number, as
+// a fresh timer would.
 func (s *Scheduler) refresh(t *Task) {
 	if t.state != StateRunning {
 		return
@@ -490,10 +504,7 @@ func (s *Scheduler) refresh(t *Task) {
 	t.rate = s.currentRate(t)
 	if t.seg.kind == segSpin || t.rate <= 0 {
 		// Unbounded or paused: completes via external event.
-		if t.completion != nil {
-			t.completion.Cancel()
-			t.completion = nil
-		}
+		s.stopCompletion(t)
 		return
 	}
 	if c := s.cpus[t.cpu]; c.pendingSteal > 0 {
@@ -504,18 +515,35 @@ func (s *Scheduler) refresh(t *Task) {
 	if t.remaining > 0 {
 		d = sim.Time(math.Ceil(t.remaining / t.rate))
 	}
+	at := s.eng.Now() + d
+	if t.seg.kind == segMemory {
+		// A memory segment starts only after the previous segment's own
+		// timer fired or was cancelled, so t.completion is nil here.
+		s.setMember(t, at)
+		return
+	}
+	// The task may still be a member: a memory segment that just completed
+	// re-rates its own task before the next segment begins.
+	s.dropMember(t)
 	if t.completion.Pending() {
-		t.completion.Reset(s.eng.Now() + d)
+		t.completion.Reset(at)
 	} else {
-		t.completion = s.eng.After(d, t.segDoneFn)
+		t.completion = s.eng.At(at, t.segDoneFn)
 	}
 }
 
-func (s *Scheduler) cancelTimers(t *Task) {
+// stopCompletion withdraws t's pending segment completion, wherever it is
+// held.
+func (s *Scheduler) stopCompletion(t *Task) {
 	if t.completion != nil {
 		t.completion.Cancel()
 		t.completion = nil
 	}
+	s.dropMember(t)
+}
+
+func (s *Scheduler) cancelTimers(t *Task) {
+	s.stopCompletion(t)
 	if t.wakeTimer != nil {
 		t.wakeTimer.Cancel()
 		t.wakeTimer = nil
@@ -554,13 +582,115 @@ func (s *Scheduler) setStreamActive(t *Task, active bool) {
 }
 
 // recalcMemStreams refreshes, in ascending CPU order, every current task
-// on a memory segment. Only CPUs in memCPUs can hold one.
+// on a memory segment. Only CPUs in memCPUs can hold one. The walk re-keys
+// the stream group's timer once, after the last member moved.
 func (s *Scheduler) recalcMemStreams() {
+	s.memHold++
 	for cpu := s.memCPUs.First(); cpu >= 0; cpu = s.memCPUs.NextFrom(cpu + 1) {
 		if c := s.cpus[cpu]; c.curr != nil && c.curr.seg.kind == segMemory {
 			s.refresh(c.curr)
 		}
 	}
+	s.memHold--
+	s.armMemGroup()
+}
+
+// ---- stream group ----
+//
+// Every memory-stream start or stop changes the bandwidth share of every
+// stream, so it re-rates every streaming task. With one engine timer per
+// task that is one heap re-key per streaming task; the stream group keeps
+// those completions out of the heap and puts one timer there instead,
+// keyed to the earliest member. A member's key is exactly the (time,
+// sequence) its own timer would carry: it reserves the sequence number
+// with NextSeq at the point At or Reset would have taken one, and the
+// group timer takes the earliest key with AtKey/ResetKey, which reserve
+// nothing. So the global sequence counter, every other event's key, and
+// the order events pop in are what one timer per task gives, and a member
+// completion is still one engine step.
+
+// memMember is one stream-group member: a task's completion key.
+type memMember struct {
+	at  sim.Time
+	seq uint64
+	t   *Task
+}
+
+// setMember gives t's completion the key (at, next sequence number),
+// adding t to the stream group if it is not a member yet.
+func (s *Scheduler) setMember(t *Task, at sim.Time) {
+	m := memMember{at: at, seq: s.eng.NextSeq(), t: t}
+	if t.memIdx < 0 {
+		t.memIdx = len(s.memGroup)
+		s.memGroup = append(s.memGroup, m)
+	} else {
+		s.memGroup[t.memIdx] = m
+	}
+	s.armMemGroup()
+}
+
+// dropMember removes t from the stream group; the last member takes its
+// slot.
+func (s *Scheduler) dropMember(t *Task) {
+	i := t.memIdx
+	if i < 0 {
+		return
+	}
+	n := len(s.memGroup) - 1
+	last := s.memGroup[n]
+	s.memGroup[i] = last
+	last.t.memIdx = i
+	s.memGroup[n] = memMember{}
+	s.memGroup = s.memGroup[:n]
+	t.memIdx = -1
+	s.armMemGroup()
+}
+
+// earliestMember returns the slot of the member with the smallest key.
+// Sequence numbers are unique, so the earliest member is too.
+func (s *Scheduler) earliestMember() int {
+	best := 0
+	for i := 1; i < len(s.memGroup); i++ {
+		m, b := s.memGroup[i], s.memGroup[best]
+		if m.at < b.at || (m.at == b.at && m.seq < b.seq) {
+			best = i
+		}
+	}
+	return best
+}
+
+// armMemGroup keys the group timer to the earliest member, or cancels it
+// when the group is empty. Inside a memHold batch it does nothing: the
+// batch re-arms once when it ends.
+func (s *Scheduler) armMemGroup() {
+	if s.memHold > 0 {
+		return
+	}
+	if len(s.memGroup) == 0 {
+		if s.memTimer != nil {
+			s.memTimer.Cancel()
+			s.memTimer = nil
+		}
+		return
+	}
+	m := s.memGroup[s.earliestMember()]
+	if s.memTimer == nil {
+		s.memTimer = s.eng.AtKey(m.at, m.seq, s.memFireFn)
+	} else if at, seq := s.memTimer.Key(); at != m.at || seq != m.seq {
+		s.memTimer.ResetKey(m.at, m.seq)
+	}
+}
+
+// memFire completes the earliest member's segment. Whatever the
+// completion changes in the group is re-armed once, afterwards.
+func (s *Scheduler) memFire() {
+	s.memTimer = nil
+	s.memHold++
+	t := s.memGroup[s.earliestMember()].t
+	s.dropMember(t)
+	s.onSegmentDone(t)
+	s.memHold--
+	s.armMemGroup()
 }
 
 // ---- queue management ----

@@ -101,6 +101,8 @@ func (s *Scheduler) Fork(Snapshot) {
 	for i := range s.irqTime {
 		s.irqTime[i] = 0
 	}
+	// The kill cascade above emptied the stream group (memGroup) and
+	// cancelled its timer.
 	s.memStreams = 0
 	s.memCPUs = machine.CPUSet{}
 	s.memRate = s.topo.MemRate(0)

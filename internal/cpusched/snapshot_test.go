@@ -72,6 +72,41 @@ func TestForkAfterShutdownKeepsLiveEvent(t *testing.T) {
 	}
 }
 
+// TestForkEmptiesMemGroup forks while memory streams are mid-segment: the
+// kill cascade must leave the stream group empty and its timer dropped,
+// and the next rep must replay like a fresh scheduler.
+func TestForkEmptiesMemGroup(t *testing.T) {
+	topo := machine.MustPreset(machine.TinyTest)
+	rep := func(s *Scheduler) sim.Time {
+		a := s.SpawnSeq(TaskSpec{Name: "a", Affinity: machine.SetOf(0)}, ReqMemory(4e6), ReqCompute(1e6))
+		b := s.SpawnSeq(TaskSpec{Name: "b", Affinity: machine.SetOf(1)}, ReqMemory(2e6))
+		s.eng.RunWhile(func() bool { return !a.Done() || !b.Done() })
+		return s.eng.Now()
+	}
+	fresh := New(sim.NewEngine(), topo, noBalance())
+	want := rep(fresh)
+
+	batch := sim.NewBatch()
+	s := New(batch.Engine(), topo, noBalance())
+	snap := s.Snapshot()
+	for i := 0; i < topo.NumCPUs(); i++ {
+		s.SpawnSeq(TaskSpec{Name: "stream", Affinity: machine.SetOf(i)}, ReqMemory(1e12))
+	}
+	batch.Engine().RunUntil(sim.Millisecond)
+	if len(s.memGroup) != topo.NumCPUs() || s.memTimer == nil {
+		t.Fatalf("before fork: %d members, timer %v; want %d members and a timer",
+			len(s.memGroup), s.memTimer, topo.NumCPUs())
+	}
+	s.Fork(snap)
+	if len(s.memGroup) != 0 || s.memTimer != nil {
+		t.Fatalf("after fork: %d members, timer %v; want none", len(s.memGroup), s.memTimer)
+	}
+	batch.Fork()
+	if got := rep(s); got != want {
+		t.Fatalf("rep after fork ended at %v, fresh at %v", got, want)
+	}
+}
+
 // TestSchedulerForkMidRun kills an unfinished workload via Fork and checks
 // the next rep still matches a fresh scheduler — the erroring-rep teardown
 // path of the batch executor.

@@ -9,7 +9,8 @@ import (
 
 // stressScenario runs a randomized mix of tasks (policies, affinities,
 // sleeps, barriers, irqs) and returns the scheduler for invariant checks.
-// The memory-stream bookkeeping is checked after every engine step.
+// The memory-stream bookkeeping and the stream group are checked after
+// every engine step.
 func stressScenario(t testing.TB, seed uint64, topoName string) (*Scheduler, sim.Time) {
 	eng := sim.NewEngine()
 	topo := machine.MustPreset(topoName)
@@ -105,6 +106,7 @@ func stressScenario(t testing.TB, seed uint64, topoName string) (*Scheduler, sim
 	const deadline = 10 * sim.Second
 	eng.RunWhile(func() bool {
 		checkMemStreams(t, s)
+		checkMemGroup(t, s)
 		if eng.Now() > deadline {
 			return false
 		}
@@ -133,6 +135,57 @@ func checkMemStreams(t testing.TB, s *Scheduler) {
 	if s.memCPUs != want || s.memStreams != want.Count() || s.memRate != s.topo.MemRate(s.memStreams) {
 		t.Fatalf("at %v: memCPUs=%v memStreams=%d memRate=%v, want CPUs %v, %d streams, rate %v",
 			s.eng.Now(), s.memCPUs, s.memStreams, s.memRate, want, want.Count(), s.topo.MemRate(want.Count()))
+	}
+}
+
+// checkMemGroup checks the stream group against the tasks: its members are
+// exactly the running memory-segment tasks whose rate is above 0 (so never
+// a spin), each sits at the slot its memIdx names and holds no timer of its
+// own, and the group timer carries the smallest member key, or is nil when
+// the group is empty.
+func checkMemGroup(t testing.TB, s *Scheduler) {
+	t.Helper()
+	now := s.eng.Now()
+	for i, m := range s.memGroup {
+		if m.t.memIdx != i {
+			t.Fatalf("at %v: slot %d holds %q with memIdx %d", now, i, m.t.Name, m.t.memIdx)
+		}
+		if m.at < now || m.t.completion != nil {
+			t.Fatalf("at %v: member %q keyed at %v, own timer %v", now, m.t.Name, m.at, m.t.completion)
+		}
+	}
+	members := 0
+	for _, tk := range s.tasks {
+		want := tk.state == StateRunning && tk.seg.kind == segMemory && tk.rate > 0
+		if got := tk.memIdx >= 0; got != want {
+			t.Fatalf("at %v: task %q (state %d, seg %d, rate %v) member=%v, want %v",
+				now, tk.Name, tk.state, tk.seg.kind, tk.rate, got, want)
+		}
+		if want {
+			members++
+		}
+	}
+	if members != len(s.memGroup) {
+		t.Fatalf("at %v: group holds %d members, %d tasks qualify", now, len(s.memGroup), members)
+	}
+	if len(s.memGroup) == 0 {
+		if s.memTimer != nil {
+			t.Fatalf("at %v: empty group keeps a timer", now)
+		}
+		return
+	}
+	first := s.memGroup[0]
+	for _, m := range s.memGroup[1:] {
+		if m.at < first.at || (m.at == first.at && m.seq < first.seq) {
+			first = m
+		}
+	}
+	if !s.memTimer.Pending() {
+		t.Fatalf("at %v: group of %d has no pending timer", now, len(s.memGroup))
+	}
+	if at, seq := s.memTimer.Key(); at != first.at || seq != first.seq {
+		t.Fatalf("at %v: group timer keyed (%v, %d), earliest member (%v, %d)",
+			now, at, seq, first.at, first.seq)
 	}
 }
 

@@ -233,7 +233,11 @@ type Task struct {
 	qIndex     int
 	arrivalSeq uint64
 
+	// completion is the segment-completion timer of a compute segment. A
+	// memory segment's completion lives in the scheduler's stream group
+	// instead, at slot memIdx (-1 when not a member).
 	completion *sim.Timer
+	memIdx     int
 	wakeTimer  *sim.Timer
 	// segDoneFn and wakeFn are the completion/wake timer callbacks, bound
 	// once at spawn so re-arming a timer does not allocate a new closure
@@ -295,6 +299,7 @@ func (t *Task) recycle() {
 		cpu:        -1,
 		lastRunCPU: -1,
 		qIndex:     -1,
+		memIdx:     -1,
 	}
 }
 

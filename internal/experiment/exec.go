@@ -78,6 +78,11 @@ type Executor struct {
 	// across calls. Nil uses a transient pool per series (reps still share
 	// worlds within the series).
 	Worlds *WorldPool
+
+	// claimed, when non-nil, runs after a worker claims rep index i and
+	// before it acts on its decision to run or skip it. Tests use it to
+	// hold a worker in that window.
+	claimed func(i int)
 }
 
 // ObsOptions configures per-rep observability for an Executor.
@@ -154,12 +159,13 @@ func (e Executor) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// run executes rep(i) for every i in [0, n) over the worker pool. The first
-// error cancels the remaining (not yet started) reps; when several reps
-// fail, the lowest rep index deterministically wins, and only the winner's
-// flight ring (the recorder its rep returned with the error) is dumped,
-// once the pool has drained. A parent-context cancellation surfaces as
-// ctx.Err() once in-flight reps have drained.
+// run executes rep(i) for every i in [0, n) over the worker pool. A failed
+// rep skips every rep above it that has not started yet; reps below it
+// still run, so when several reps fail, the lowest rep index
+// deterministically wins, and only the winner's flight ring (the recorder
+// its rep returned with the error) is dumped, once the pool has drained. A
+// parent-context cancellation surfaces as ctx.Err() once in-flight reps
+// have drained.
 func (e Executor) run(ctx context.Context, n int, rep func(i int) (*obs.Recorder, error)) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -168,9 +174,6 @@ func (e Executor) run(ctx context.Context, n int, rep func(i int) (*obs.Recorder
 	if workers > n {
 		workers = n
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	var (
 		mu       sync.Mutex
 		next     int
@@ -210,8 +213,15 @@ func (e Executor) run(ctx context.Context, n int, rep func(i int) (*obs.Recorder
 				mu.Lock()
 				i := next
 				next++
+				// Once a rep has failed, the reps above it cannot change
+				// the outcome and are skipped; a claimed rep below it still
+				// runs, since its own error would win.
+				run := i < n && (firstIdx < 0 || i < firstIdx)
 				mu.Unlock()
-				if i >= n || ctx.Err() != nil {
+				if e.claimed != nil {
+					e.claimed(i)
+				}
+				if !run || ctx.Err() != nil {
 					return
 				}
 				rec, err := rep(i)
@@ -221,7 +231,6 @@ func (e Executor) run(ctx context.Context, n int, rep func(i int) (*obs.Recorder
 						firstIdx, firstErr, firstRec = i, err, rec
 					}
 					mu.Unlock()
-					cancel()
 					continue
 				}
 				done++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -236,6 +237,43 @@ func TestSeriesLowestIndexErrorWins(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "rep 0:") {
 		t.Fatalf("lowest-index error should win, got: %v", err)
+	}
+}
+
+// TestRunClaimedLowerRepStillRuns: a worker that claimed rep 0 must run
+// it even when rep 1 fails before the worker gets there, because rep 0's
+// error would win. The claimed hook holds rep 0's worker between its claim
+// and its decision until rep 1's worker has recorded the failure and moved
+// on to claim rep 2, which it must skip.
+func TestRunClaimedLowerRepStillRuns(t *testing.T) {
+	rep1Failed := make(chan struct{})
+	e := Executor{Parallelism: 2, claimed: func(i int) {
+		switch i {
+		case 0:
+			<-rep1Failed
+		case 2:
+			close(rep1Failed)
+		}
+	}}
+	ran := make([]bool, 3)
+	done := make(chan error, 1)
+	go func() {
+		done <- e.run(context.Background(), 3, func(i int) (*obs.Recorder, error) {
+			ran[i] = true
+			return nil, fmt.Errorf("boom %d", i)
+		})
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not return")
+	}
+	if err == nil || !strings.Contains(err.Error(), "rep 0:") {
+		t.Fatalf("series error %v, want rep 0's", err)
+	}
+	if !ran[0] || !ran[1] || ran[2] {
+		t.Fatalf("ran = %v, want reps 0 and 1 only", ran)
 	}
 }
 

@@ -147,7 +147,9 @@ func runOnceWithPlan(spec Spec, plan *mitigate.Plan) (Result, error) {
 func publishRunCounters(reg *obs.Registry, eng *sim.Engine, sched *cpusched.Scheduler,
 	gen *noise.Generator, rec *obs.Recorder, snapshots, cowCopies, batchedReps uint64) {
 	reg.Counter("repro_runs_total", "Completed simulation runs.").Inc()
-	reg.Counter("repro_sim_steps_total", "Engine events processed.").Add(eng.Stats().Steps)
+	st := eng.Stats()
+	reg.Counter("repro_sim_steps_total", "Engine events processed.").Add(st.Steps)
+	reg.Counter("repro_sim_rekeys_total", "Pending engine timers re-keyed in place.").Add(st.Rekeys)
 	reg.Counter("repro_sched_context_switches_total", "Task dispatches.").Add(sched.ContextSwitches)
 	reg.Counter("repro_sched_inline_dispatches_total",
 		"Requests served by task programs on the engine thread.").Add(sched.InlineDispatches)

@@ -3,7 +3,7 @@ package sim
 import "fmt"
 
 // Timer is a scheduled callback. It can be cancelled before it fires, or
-// moved to another instant with Reset.
+// moved to another instant with Reset or ResetKey.
 //
 // Timer structs are pooled: once a timer has fired or been cancelled the
 // engine may recycle it for a later At/After call. A handle is therefore
@@ -11,8 +11,8 @@ import "fmt"
 // *Timer must clear or reassign the reference when the callback runs
 // (every in-tree holder does so as the first statement of its callback)
 // and when they cancel it. Cancel and Pending on a dead handle remain safe
-// no-ops only until the struct is reused. Reset needs a pending handle: it
-// panics on a dead one.
+// no-ops only until the struct is reused. Reset, ResetKey and Key need a
+// pending handle; the resets panic on a dead one.
 type Timer struct {
 	at  Time
 	fn  func()
@@ -46,14 +46,28 @@ func (t *Timer) Reset(at Time) {
 	if !t.Pending() {
 		panic("sim: Reset of a fired or cancelled timer")
 	}
-	e := t.eng
-	if at < e.now {
-		panic(fmt.Sprintf("sim: reset to %v before now %v", at, e.now))
-	}
-	e.seq++
-	t.at = at
-	e.fix(t.idx, heapEntry{at: at, seq: e.seq, tm: t})
+	t.ResetKey(at, t.eng.NextSeq())
 }
+
+// ResetKey re-keys a pending timer to (at, seq) in place, like Reset but
+// with a sequence number the caller reserved earlier with NextSeq instead
+// of a fresh one. A holder that multiplexes several logical timers onto one
+// engine timer uses it to give the timer the exact key the earliest of them
+// would carry. ResetKey panics when the timer has fired or been cancelled,
+// when at is before Now, or when seq was never handed out.
+func (t *Timer) ResetKey(at Time, seq uint64) {
+	if !t.Pending() {
+		panic("sim: ResetKey of a fired or cancelled timer")
+	}
+	e := t.eng
+	e.checkKey(at, seq)
+	e.Rekeys++
+	t.at = at
+	e.fix(t.idx, heapEntry{at: at, seq: seq, tm: t})
+}
+
+// Key returns the (time, sequence) key a pending timer fires under.
+func (t *Timer) Key() (Time, uint64) { return t.at, t.eng.heap[t.idx].seq }
 
 // Pending reports whether the timer is scheduled and not cancelled.
 func (t *Timer) Pending() bool { return t != nil && t.idx >= 0 }
@@ -68,7 +82,9 @@ func (t *Timer) Pending() bool { return t != nil && t.idx >= 0 }
 // the cancel-heavy refresh path (interrupt arrivals pausing a running
 // task's completion timer) would otherwise fill the queue with dead
 // entries. The same index lets Reset re-key a timer where it sits, which
-// is how a running task's completion moves when its rate changes. Heap
+// is how a running task's completion moves when its rate changes; ResetKey
+// and AtKey take a key whose sequence number was reserved earlier with
+// NextSeq, so one timer can stand in for several logical ones. Heap
 // entries carry their key inline, so sifts compare packed (at, seq) pairs
 // rather than chasing Timer pointers.
 type Engine struct {
@@ -79,6 +95,9 @@ type Engine struct {
 	// Steps counts processed events, for diagnostics and runaway detection
 	// in tests.
 	Steps uint64
+	// Rekeys counts in-place re-keys of pending timers (Reset and
+	// ResetKey), the queue work that moves an event without firing it.
+	Rekeys uint64
 	// TimerAllocs counts Timer structs allocated because the free pool was
 	// empty — the engine-side "copy on first write" count of a forked rep.
 	// A warm engine runs a rep without growing it.
@@ -91,13 +110,24 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
+// NextSeq reserves the next scheduling sequence number, the one At or
+// Reset would take at this point. Reserved numbers are handed to AtKey or
+// ResetKey, possibly much later; numbers never repeat, so keys stay unique.
+func (e *Engine) NextSeq() uint64 {
+	e.seq++
+	return e.seq
+}
+
 // At schedules fn to run at simulated time t. Scheduling in the past panics:
 // it would silently corrupt causality.
-func (e *Engine) At(t Time, fn func()) *Timer {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
-	}
-	e.seq++
+func (e *Engine) At(t Time, fn func()) *Timer { return e.AtKey(t, e.NextSeq(), fn) }
+
+// AtKey schedules fn under the key (t, seq), where seq was reserved with
+// NextSeq. Events order by (time, sequence), so the event fires exactly
+// where one scheduled with At at the moment of the reservation would.
+// AtKey panics when t is before Now or seq was never handed out.
+func (e *Engine) AtKey(t Time, seq uint64, fn func()) *Timer {
+	e.checkKey(t, seq)
 	var tm *Timer
 	if n := len(e.free); n > 0 {
 		tm = e.free[n-1]
@@ -109,8 +139,18 @@ func (e *Engine) At(t Time, fn func()) *Timer {
 	}
 	tm.at, tm.fn = t, fn
 	e.heap = append(e.heap, heapEntry{})
-	e.up(len(e.heap)-1, heapEntry{at: t, seq: e.seq, tm: tm})
+	e.up(len(e.heap)-1, heapEntry{at: t, seq: seq, tm: tm})
 	return tm
+}
+
+// checkKey rejects keys in the past and sequence numbers not yet reserved.
+func (e *Engine) checkKey(t Time, seq uint64) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
+	}
+	if seq == 0 || seq > e.seq {
+		panic(fmt.Sprintf("sim: sequence %d was never reserved (last %d)", seq, e.seq))
+	}
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -129,6 +169,8 @@ func (e *Engine) Pending() int { return len(e.heap) }
 type Stats struct {
 	// Steps is the number of events processed so far.
 	Steps uint64
+	// Rekeys is the number of in-place timer re-keys so far.
+	Rekeys uint64
 	// Pending is the live event-queue depth.
 	Pending int
 	// FreeTimers is the recycled-Timer pool size — how deep the event flow
@@ -141,32 +183,33 @@ type Stats struct {
 
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
-	return Stats{Steps: e.Steps, Pending: e.Pending(), FreeTimers: len(e.free),
-		TimerAllocs: e.TimerAllocs}
+	return Stats{Steps: e.Steps, Rekeys: e.Rekeys, Pending: e.Pending(),
+		FreeTimers: len(e.free), TimerAllocs: e.TimerAllocs}
 }
 
-// Snapshot captures the engine's position — clock, scheduling sequence, and
-// step count — so a later Fork can rewind to it. Only quiescent positions
-// (no pending events) are forkable: a pending callback closes over
-// simulation state the snapshot cannot reproduce, so Fork from a
-// non-quiescent snapshot panics.
+// Snapshot captures the engine's position — clock, scheduling sequence,
+// and step and re-key counts — so a later Fork can rewind to it. Only
+// quiescent positions (no pending events) are forkable: a pending callback
+// closes over simulation state the snapshot cannot reproduce, so Fork from
+// a non-quiescent snapshot panics.
 type Snapshot struct {
 	now     Time
 	seq     uint64
 	steps   uint64
+	rekeys  uint64
 	pending int
 }
 
 // Snapshot records the engine's current position.
 func (e *Engine) Snapshot() Snapshot {
-	return Snapshot{now: e.now, seq: e.seq, steps: e.Steps, pending: e.Pending()}
+	return Snapshot{now: e.now, seq: e.seq, steps: e.Steps, rekeys: e.Rekeys, pending: e.Pending()}
 }
 
 // Fork rewinds the engine to a quiescent snapshot: every pending timer is
 // cancelled wholesale (the structs return to the free pool, so the next
 // rep's event flow starts warm and allocation-free), and the clock,
-// sequence counter, and step counter are restored. Holders of *Timer
-// handles must drop them — the structs are recycled.
+// sequence counter, and step and re-key counters are restored. Holders of
+// *Timer handles must drop them — the structs are recycled.
 func (e *Engine) Fork(s Snapshot) {
 	if s.pending != 0 {
 		panic("sim: Fork from a snapshot with pending events")
@@ -176,7 +219,7 @@ func (e *Engine) Fork(s Snapshot) {
 	}
 	clear(e.heap)
 	e.heap = e.heap[:0]
-	e.now, e.seq, e.Steps = s.now, s.seq, s.steps
+	e.now, e.seq, e.Steps, e.Rekeys = s.now, s.seq, s.steps, s.rekeys
 }
 
 // release returns a fired or cancelled timer to the free list.

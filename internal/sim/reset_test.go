@@ -12,11 +12,18 @@ type resetFire struct {
 }
 
 // resetPlayer interprets a byte script as At/Cancel/Reset operations on one
-// engine. The top level runs a few operations at time zero; every callback
-// records its firing and then runs more operations from inside the event,
-// so resets happen both outside and inside callbacks. With useReset false a
-// reset is spelled Cancel followed by At with the same callback, the
-// sequence Reset claims to equal.
+// engine, mixed with AtKey/ResetKey under sequence numbers reserved earlier
+// with NextSeq. The top level runs a few operations at time zero; every
+// callback records its firing and then runs more operations from inside
+// the event, so resets happen both outside and inside callbacks. With
+// useReset false a reset is spelled Cancel followed by At (or AtKey, for a
+// ResetKey) with the same callback, the sequence Reset and ResetKey claim
+// to equal.
+//
+// The player also models the queue: it tracks the (time, seq) key every
+// live timer should carry, numbering sequence numbers the way the engine
+// promises to. Each firing must be the live timer with the smallest key —
+// the order a plain sort of the keys gives.
 type resetPlayer struct {
 	e        *Engine
 	script   []byte
@@ -24,13 +31,18 @@ type resetPlayer struct {
 	useReset bool
 	live     []resetHandle
 	nextID   int
+	seq      uint64   // the model's sequence counter
+	reserved []uint64 // sequence numbers reserved and not used yet
 	fired    []resetFire
+	bad      string // the first departure from the model, if any
 }
 
 type resetHandle struct {
-	tm *Timer
-	id int
-	fn func()
+	tm  *Timer
+	id  int
+	fn  func()
+	at  Time
+	seq uint64
 }
 
 func (p *resetPlayer) next() (byte, bool) {
@@ -42,6 +54,21 @@ func (p *resetPlayer) next() (byte, bool) {
 	return b, true
 }
 
+// takeSeq is the model of NextSeq: the sequence number At, Reset or a
+// reservation takes.
+func (p *resetPlayer) takeSeq() uint64 {
+	p.seq++
+	return p.seq
+}
+
+// takeReserved removes and returns one reserved sequence number.
+func (p *resetPlayer) takeReserved(arg byte) uint64 {
+	i := int(arg) % len(p.reserved)
+	seq := p.reserved[i]
+	p.reserved = append(p.reserved[:i], p.reserved[i+1:]...)
+	return seq
+}
+
 // ops runs up to n operations, stopping early when the script is spent.
 func (p *resetPlayer) ops(n int) {
 	for k := 0; k < n; k++ {
@@ -50,22 +77,45 @@ func (p *resetPlayer) ops(n int) {
 			return
 		}
 		arg, _ := p.next()
-		switch op % 4 {
-		case 0, 1:
-			p.schedule(p.e.Now() + Time(arg%8))
-		case 2:
+		switch op % 8 {
+		case 0, 1, 2:
+			p.schedule(p.e.Now()+Time(arg%8), p.takeSeq(), false)
+		case 3:
 			if len(p.live) > 0 {
 				i := int(arg) % len(p.live)
 				p.live[i].tm.Cancel()
 				p.live = append(p.live[:i], p.live[i+1:]...)
 			}
-		case 3:
+		case 4:
 			if len(p.live) > 0 {
 				mode, _ := p.next()
 				h := &p.live[int(arg)%len(p.live)]
-				p.reset(h, p.resetTarget(h.tm.At(), mode))
+				p.reset(h, p.resetTarget(h.tm.At(), mode), p.takeSeq(), false)
+			}
+		case 5:
+			seq := p.e.NextSeq()
+			if want := p.takeSeq(); seq != want {
+				p.fail(fmt.Sprintf("NextSeq returned %d, want %d", seq, want))
+			}
+			p.reserved = append(p.reserved, seq)
+		case 6:
+			if len(p.reserved) > 0 {
+				mode, _ := p.next()
+				p.schedule(p.e.Now()+Time(mode%8), p.takeReserved(arg), true)
+			}
+		case 7:
+			if len(p.reserved) > 0 && len(p.live) > 0 {
+				mode, _ := p.next()
+				h := &p.live[int(arg)%len(p.live)]
+				p.reset(h, p.resetTarget(h.tm.At(), mode), p.takeReserved(mode/32), true)
 			}
 		}
+	}
+}
+
+func (p *resetPlayer) fail(msg string) {
+	if p.bad == "" {
+		p.bad = msg
 	}
 }
 
@@ -86,10 +136,22 @@ func (p *resetPlayer) resetTarget(at Time, mode byte) Time {
 	}
 }
 
-func (p *resetPlayer) schedule(at Time) {
+// schedule arms a new timer under (at, seq): with At when seq is the one
+// At takes now, with AtKey when it was reserved earlier.
+func (p *resetPlayer) schedule(at Time, seq uint64, reserved bool) {
 	id := p.nextID
 	p.nextID++
 	fn := func() {
+		min := 0
+		for i, h := range p.live {
+			if h.at < p.live[min].at || (h.at == p.live[min].at && h.seq < p.live[min].seq) {
+				min = i
+			}
+		}
+		if h := p.live[min]; h.id != id || h.at != p.e.Now() {
+			p.fail(fmt.Sprintf("timer %d fired at %v; the smallest live key is timer %d at (%v, %d)",
+				id, p.e.Now(), h.id, h.at, h.seq))
+		}
 		for i, h := range p.live {
 			if h.id == id {
 				p.live = append(p.live[:i], p.live[i+1:]...)
@@ -98,34 +160,58 @@ func (p *resetPlayer) schedule(at Time) {
 		}
 		p.fired = append(p.fired, resetFire{at: p.e.Now(), id: id})
 		n, _ := p.next()
-		p.ops(int(n % 4))
+		p.ops(2 + int(n%3))
 	}
-	p.live = append(p.live, resetHandle{tm: p.e.At(at, fn), id: id, fn: fn})
+	var tm *Timer
+	if reserved {
+		tm = p.e.AtKey(at, seq, fn)
+	} else {
+		tm = p.e.At(at, fn)
+	}
+	p.live = append(p.live, resetHandle{tm: tm, id: id, fn: fn, at: at, seq: seq})
 }
 
-func (p *resetPlayer) reset(h *resetHandle, at Time) {
-	if p.useReset {
+// reset moves h to (at, seq): with Reset or ResetKey, or with Cancel then
+// At or AtKey.
+func (p *resetPlayer) reset(h *resetHandle, at Time, seq uint64, reserved bool) {
+	h.at, h.seq = at, seq
+	switch {
+	case p.useReset && reserved:
+		h.tm.ResetKey(at, seq)
+	case p.useReset:
 		h.tm.Reset(at)
-		return
+	case reserved:
+		h.tm.Cancel()
+		h.tm = p.e.AtKey(at, seq, h.fn)
+	default:
+		h.tm.Cancel()
+		h.tm = p.e.At(at, h.fn)
 	}
-	h.tm.Cancel()
-	h.tm = p.e.At(at, h.fn)
 }
 
 // playResetScript runs the script on a fresh engine.
 func playResetScript(script []byte, useReset bool) *resetPlayer {
 	p := &resetPlayer{e: NewEngine(), script: script, useReset: useReset}
-	p.ops(4)
+	p.ops(6)
 	p.e.Run()
 	return p
 }
 
 // checkResetEquivalence runs the script both ways and compares what fired,
-// in what order and when, plus the engine counters.
+// in what order and when, plus the engine counters; each run must also pop
+// in the order of its sorted keys.
 func checkResetEquivalence(t *testing.T, script []byte) {
 	t.Helper()
 	a := playResetScript(script, true)
 	b := playResetScript(script, false)
+	for _, p := range []*resetPlayer{a, b} {
+		if p.bad != "" {
+			t.Fatalf("useReset=%v: %s", p.useReset, p.bad)
+		}
+		if p.e.seq != p.seq {
+			t.Fatalf("useReset=%v: engine sequence %d, model %d", p.useReset, p.e.seq, p.seq)
+		}
+	}
 	if len(a.fired) != len(b.fired) {
 		t.Fatalf("Reset fired %d events, Cancel+At fired %d", len(a.fired), len(b.fired))
 	}
@@ -138,11 +224,15 @@ func checkResetEquivalence(t *testing.T, script []byte) {
 		t.Fatalf("counters differ: Reset steps=%d seq=%d allocs=%d, Cancel+At steps=%d seq=%d allocs=%d",
 			a.e.Steps, a.e.seq, a.e.TimerAllocs, b.e.Steps, b.e.seq, b.e.TimerAllocs)
 	}
+	if b.e.Rekeys != 0 {
+		t.Fatalf("Cancel+At counted %d re-keys", b.e.Rekeys)
+	}
 }
 
-// TestTimerResetEquivalence is the property behind Reset: on random
-// At/Cancel/Reset scripts it fires exactly the (time, callback) sequence
-// that Cancel followed by At fires.
+// TestTimerResetEquivalence is the property behind Reset and ResetKey: on
+// random scripts of At/Cancel/Reset and reserved-key AtKey/ResetKey they
+// fire exactly the (time, callback) sequence that Cancel followed by
+// At/AtKey fires, and that sequence is the sorted order of the keys.
 func TestTimerResetEquivalence(t *testing.T) {
 	for seed := uint64(0); seed < 500; seed++ {
 		rng := NewRNG(seed)
@@ -160,6 +250,7 @@ func TestTimerResetEquivalence(t *testing.T) {
 func FuzzEngineResetEquivalence(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 5, 3, 0, 1, 3, 1, 2, 2, 0})
 	f.Add([]byte{1, 0, 1, 0, 1, 7, 3, 2, 6, 3, 0, 3, 3, 1, 1, 3, 2, 9})
+	f.Add([]byte{4, 0, 0, 5, 4, 0, 5, 1, 3, 6, 0, 2, 1, 5, 0, 7, 6, 0, 1, 4, 0, 5, 0, 0})
 	f.Fuzz(func(t *testing.T, script []byte) { checkResetEquivalence(t, script) })
 }
 
@@ -215,4 +306,62 @@ func TestTimerResetDeadOrPastPanics(t *testing.T) {
 	}
 	var nilTimer *Timer
 	mustPanic("nil", func() { nilTimer.Reset(10) })
+}
+
+// TestAtKeyTakesReservedPlace checks the direct case: an event scheduled
+// with a sequence number reserved before a same-time event fires before
+// it, and ResetKey moves a timer to a reserved key without taking a new
+// sequence number.
+func TestAtKeyTakesReservedPlace(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	early := e.NextSeq()
+	late := e.NextSeq()
+	e.At(10, func() { order = append(order, "b") })
+	e.AtKey(10, early, func() { order = append(order, "a") })
+	c := e.At(10, func() { order = append(order, "c") })
+	seq := e.seq
+	c.ResetKey(10, late) // between a and b
+	if at, got := c.Key(); at != 10 || got != late || e.seq != seq || e.Rekeys != 1 {
+		t.Fatalf("ResetKey: key (%v, %d), seq %d -> %d, rekeys %d; want (10, %d), seq unchanged, 1 rekey",
+			at, got, seq, e.seq, e.Rekeys, late)
+	}
+	e.Run()
+	if got := fmt.Sprint(order); got != "[a c b]" {
+		t.Fatalf("fire order %s, want [a c b]", got)
+	}
+}
+
+// TestTimerKeyPanics pins the preconditions of the reserved-key calls:
+// ResetKey needs a pending timer, neither call may schedule in the past,
+// and the sequence number must have been reserved.
+func TestTimerKeyPanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: did not panic", name)
+			}
+		}()
+		f()
+	}
+	e := NewEngine()
+	fired := e.At(1, func() {})
+	e.Run()
+	mustPanic("ResetKey fired", func() { fired.ResetKey(5, e.NextSeq()) })
+
+	cancelled := e.At(5, func() {})
+	cancelled.Cancel()
+	mustPanic("ResetKey cancelled", func() { cancelled.ResetKey(6, e.NextSeq()) })
+
+	e.RunUntil(10)
+	mustPanic("AtKey before now", func() { e.AtKey(9, e.NextSeq(), func() {}) })
+	mustPanic("AtKey unreserved", func() { e.AtKey(20, e.seq+1, func() {}) })
+	mustPanic("AtKey zero", func() { e.AtKey(20, 0, func() {}) })
+	live := e.At(20, func() {})
+	mustPanic("ResetKey before now", func() { live.ResetKey(9, e.NextSeq()) })
+	mustPanic("ResetKey unreserved", func() { live.ResetKey(30, e.seq+1) })
+	if at, _ := live.Key(); !live.Pending() || at != 20 || e.Pending() != 1 {
+		t.Fatalf("rejected calls changed the queue: pending=%v at=%v queue=%d", live.Pending(), at, e.Pending())
+	}
 }
