@@ -226,11 +226,14 @@ func (w *World) publishCounters() {
 	st := w.Eng.Stats()
 	reg.Counter("repro_sim_steps_total", "Engine events processed.").Add(st.Steps)
 	reg.Counter("repro_sim_rekeys_total", "Pending engine timers re-keyed in place.").Add(st.Rekeys)
-	var switches, spawned uint64
+	var switches, rerates, spawned uint64
 	for _, ns := range w.Nodes {
 		switches += ns.Sched.ContextSwitches
+		rerates += ns.Sched.MemRerates
 		spawned += uint64(ns.Gen.Spawned)
 	}
+	reg.Counter("repro_sched_mem_rerates_total",
+		"Memory-stream completions re-rated (walk refreshes plus flush re-keys).").Add(rerates)
 	reg.Counter("repro_sched_context_switches_total", "Task dispatches.").Add(switches)
 	reg.Counter("repro_noise_tasks_spawned_total", "Noise tasks spawned.").Add(spawned)
 	reg.Counter("repro_obs_events_total", "Observability events recorded.").Add(w.rec.Total())

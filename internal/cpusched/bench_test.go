@@ -132,3 +132,54 @@ func BenchmarkMemStreamChurn(b *testing.B) {
 		s.Kill(t)
 	}
 }
+
+// memStormProgram streams bytes of memory and then waits at a blocking
+// barrier, round after round: each release starts every worker's stream
+// at one instant.
+type memStormProgram struct {
+	bar    *Barrier
+	bytes  float64
+	rounds int
+	step   int
+}
+
+func (p *memStormProgram) Next(*Task) (Request, bool) {
+	p.step++
+	if p.step%2 == 1 {
+		return ReqMemory(p.bytes), true
+	}
+	p.rounds++
+	return ReqBarrier(p.bar, false), true
+}
+
+// BenchmarkMemStreamStorm measures barrier releases of streaming workers on
+// an A64FX-sized machine: 48 pinned workers stream memory, finish one
+// after another, wait at one barrier, and restart their streams together
+// when it releases. Every stream start or stop re-rates the streams
+// running; the restarts at a release instant are deferred into one flush.
+// Reported per barrier round, with member re-rates per round as
+// rerates/op.
+func BenchmarkMemStreamStorm(b *testing.B) {
+	eng := sim.NewEngine()
+	topo := machine.MustPreset(machine.A64FXNoRsv)
+	s := New(eng, topo, noBalance())
+	n := topo.NumCPUs()
+	bar := NewBarrier(n)
+	tasks := make([]*Task, n)
+	for i := range tasks {
+		tasks[i] = s.SpawnProgram(TaskSpec{Name: "w", Kind: KindWorkload, Affinity: machine.SetOf(i)},
+			&memStormProgram{bar: bar, bytes: float64(200_000 + 4_000*i)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	rerates := s.MemRerates
+	for i := 0; i < b.N; i++ {
+		start := bar.Generation()
+		eng.RunWhile(func() bool { return bar.Generation() == start })
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(s.MemRerates-rerates)/float64(b.N), "rerates/op")
+	for _, t := range tasks {
+		s.Kill(t)
+	}
+}

@@ -35,6 +35,7 @@ func (s *Scheduler) startIRQ(c *cpuState, class NoiseClass, source string, dur s
 		dur += s.opt.TraceOverhead
 	}
 	c.inIRQ = true
+	s.irqCPUs = s.irqCPUs.Set(c.id)
 	c.irqStart = s.eng.Now()
 	c.irqClass = class
 	c.irqSource = source
@@ -52,6 +53,7 @@ func (s *Scheduler) endIRQ(c *cpuState) {
 	start := c.irqStart
 	class, source := c.irqClass, c.irqSource
 	c.inIRQ = false
+	s.irqCPUs = s.irqCPUs.Clear(c.id)
 	s.irqTime[c.id] += s.eng.Now() - start
 	if s.obs != nil {
 		s.obs.Span(c.id, source, class.String(), "irq", start, s.eng.Now())

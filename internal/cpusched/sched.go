@@ -132,6 +132,30 @@ type Scheduler struct {
 	memStreams int
 	memCPUs    machine.CPUSet
 	memRate    float64
+	// irqCPUs mirrors the CPUs in interrupt context (inIRQ) and stealCPUs
+	// those with tracing overhead not yet charged (pendingSteal > 0).
+	// dueCPUs holds the CPUs whose current task is a stream-group member
+	// keyed to complete at the instant it was keyed, that is, due now;
+	// staleDue those of them a pending flush has yet to re-key. With them
+	// a walk is deferred without visiting CPUs.
+	irqCPUs   machine.CPUSet
+	stealCPUs machine.CPUSet
+	dueCPUs   machine.CPUSet
+	staleDue  machine.CPUSet
+	// walkAt is the instant of the last full stream walk (-1 before the
+	// first). memEpoch advances at every deferred walk; a member whose
+	// memEpoch is older than the scheduler's has not been re-keyed since
+	// the last deferred walk. flush is that walk's pending re-key, run by
+	// flushFn before the clock moves; flushHooked is set while flushFn is
+	// registered with the engine.
+	walkAt      sim.Time
+	memEpoch    uint64
+	flush       memFlush
+	flushFn     func()
+	flushHooked bool
+	// MemRerates counts stream-group member re-rates: the tasks a full
+	// stream walk refreshes plus the members a flush re-keys.
+	MemRerates uint64
 	nextID     int
 	seq        uint64
 	arrival    uint64
@@ -184,9 +208,10 @@ func New(eng *sim.Engine, topo *machine.Topology, opt Options) *Scheduler {
 	if err := topo.Validate(); err != nil {
 		panic(err)
 	}
-	s := &Scheduler{eng: eng, topo: topo, opt: opt, memRate: topo.MemRate(0)}
+	s := &Scheduler{eng: eng, topo: topo, opt: opt, memRate: topo.MemRate(0), walkAt: -1}
 	s.balanceFn = s.balanceTick
 	s.memFireFn = s.memFire
+	s.flushFn = s.flushMemStreams
 	n := topo.NumCPUs()
 	s.cpus = make([]*cpuState, n)
 	for i := range s.cpus {
@@ -510,12 +535,9 @@ func (s *Scheduler) refresh(t *Task) {
 	if c := s.cpus[t.cpu]; c.pendingSteal > 0 {
 		t.remaining += float64(c.pendingSteal) * t.rate
 		c.pendingSteal = 0
+		s.stealCPUs = s.stealCPUs.Clear(c.id)
 	}
-	var d sim.Time
-	if t.remaining > 0 {
-		d = sim.Time(math.Ceil(t.remaining / t.rate))
-	}
-	at := s.eng.Now() + d
+	at := s.completionAt(t)
 	if t.seg.kind == segMemory {
 		// A memory segment starts only after the previous segment's own
 		// timer fired or was cancelled, so t.completion is nil here.
@@ -530,6 +552,16 @@ func (s *Scheduler) refresh(t *Task) {
 	} else {
 		t.completion = s.eng.At(at, t.segDoneFn)
 	}
+}
+
+// completionAt is the instant a running task's segment completes at its
+// current rate: the remaining demand rounded up to whole nanoseconds.
+func (s *Scheduler) completionAt(t *Task) sim.Time {
+	var d sim.Time
+	if t.remaining > 0 {
+		d = sim.Time(math.Ceil(t.remaining / t.rate))
+	}
+	return s.eng.Now() + d
 }
 
 // stopCompletion withdraws t's pending segment completion, wherever it is
@@ -572,7 +604,7 @@ func (s *Scheduler) setStreamActive(t *Task, active bool) {
 		s.memStreams--
 	}
 	s.memRate = s.topo.MemRate(s.memStreams)
-	s.recalcMemStreams()
+	s.recalcMemStreams(t, active)
 	if !active {
 		// Cleared only after the walk: a task whose segment just completed
 		// stops its stream while still current on the memory segment, and
@@ -581,17 +613,90 @@ func (s *Scheduler) setStreamActive(t *Task, active bool) {
 	}
 }
 
-// recalcMemStreams refreshes, in ascending CPU order, every current task
-// on a memory segment. Only CPUs in memCPUs can hold one. The walk re-keys
+// recalcMemStreams re-rates every current task on a memory segment after
+// t started (active) or stopped its stream. The full walk refreshes them
+// in ascending CPU order; only CPUs in memCPUs can hold one. It re-keys
 // the stream group's timer once, after the last member moved.
-func (s *Scheduler) recalcMemStreams() {
+//
+// A walk at an instant that already had a full walk is deferred to one
+// flush before the clock moves on (flushMemStreams). After that first
+// walk every task the walk would refresh was accounted at this instant,
+// so a later walk only gives each CPU in memCPUs outside interrupt
+// context the rate memRate and the key (now + remaining/memRate, next
+// sequence number), in CPU order. The deferred walk reserves those
+// sequence numbers now and writes the keys later. Until then only the
+// members due now can fire, and their keys follow from the reservation
+// alone (see earliestMember). Tracing overhead owed on a streaming CPU
+// forces the full walk, which folds it in at its place in the float sums.
+// A full walk supersedes a pending flush.
+func (s *Scheduler) recalcMemStreams(t *Task, active bool) {
+	now := s.eng.Now()
+	if s.walkAt == now && s.memCPUs.And(s.stealCPUs).Empty() {
+		walk := s.memCPUs.Minus(s.irqCPUs)
+		if !active && s.cpus[t.cpu].curr != t {
+			// Undispatched: the CPU no longer holds the task, so the walk
+			// skips it.
+			walk = walk.Clear(t.cpu)
+		}
+		s.memEpoch++
+		s.flush = memFlush{pending: true, cpus: walk, base: s.eng.ReserveSeqs(walk.Count())}
+		if !s.flushHooked {
+			s.flushHooked = true
+			s.eng.BeforeAdvance(s.flushFn)
+		}
+		if s.staleDue = s.dueCPUs.And(walk); !s.staleDue.Empty() {
+			// The group timer may hold a stale due member's old key.
+			s.armMemGroup()
+		}
+		return
+	}
+	s.walkAt = now
+	s.flush.pending = false
+	s.staleDue = machine.CPUSet{}
 	s.memHold++
 	for cpu := s.memCPUs.First(); cpu >= 0; cpu = s.memCPUs.NextFrom(cpu + 1) {
 		if c := s.cpus[cpu]; c.curr != nil && c.curr.seg.kind == segMemory {
 			s.refresh(c.curr)
+			s.MemRerates++
 		}
 	}
 	s.memHold--
+	s.armMemGroup()
+}
+
+// memFlush is a deferred stream walk: the CPUs it covers, in walk order,
+// and the first of the sequence numbers it reserved, one per CPU.
+type memFlush struct {
+	pending bool
+	cpus    machine.CPUSet
+	base    uint64
+}
+
+// flushMemStreams completes the last deferred walk. Each member not
+// re-keyed since gets what the walk would have given it, with the
+// sequence number of its CPU's rank in the walk; then the group timer is
+// re-armed once. It runs as the engine's BeforeAdvance hook, so the clock
+// still reads the deferred walk's instant.
+func (s *Scheduler) flushMemStreams() {
+	s.flushHooked = false
+	if !s.flush.pending {
+		return
+	}
+	f := s.flush
+	s.flush.pending = false
+	s.staleDue = machine.CPUSet{}
+	seq := f.base
+	for cpu := f.cpus.First(); cpu >= 0; cpu = f.cpus.NextFrom(cpu + 1) {
+		// Its task was accounted at this instant, so the walk's refresh
+		// would do no more than this.
+		if t := s.cpus[cpu].curr; t != nil && t.memIdx >= 0 && t.memEpoch < s.memEpoch {
+			t.rate = s.memRate
+			t.memEpoch = s.memEpoch
+			s.memGroup[t.memIdx] = memMember{at: s.completionAt(t), seq: seq, t: t}
+			s.MemRerates++
+		}
+		seq++
+	}
 	s.armMemGroup()
 }
 
@@ -620,6 +725,13 @@ type memMember struct {
 // adding t to the stream group if it is not a member yet.
 func (s *Scheduler) setMember(t *Task, at sim.Time) {
 	m := memMember{at: at, seq: s.eng.NextSeq(), t: t}
+	t.memEpoch = s.memEpoch
+	s.staleDue = s.staleDue.Clear(t.cpu)
+	if at == s.eng.Now() {
+		s.dueCPUs = s.dueCPUs.Set(t.cpu)
+	} else {
+		s.dueCPUs = s.dueCPUs.Clear(t.cpu)
+	}
 	if t.memIdx < 0 {
 		t.memIdx = len(s.memGroup)
 		s.memGroup = append(s.memGroup, m)
@@ -636,6 +748,8 @@ func (s *Scheduler) dropMember(t *Task) {
 	if i < 0 {
 		return
 	}
+	s.dueCPUs = s.dueCPUs.Clear(t.cpu)
+	s.staleDue = s.staleDue.Clear(t.cpu)
 	n := len(s.memGroup) - 1
 	last := s.memGroup[n]
 	s.memGroup[i] = last
@@ -646,9 +760,22 @@ func (s *Scheduler) dropMember(t *Task) {
 	s.armMemGroup()
 }
 
-// earliestMember returns the slot of the member with the smallest key.
-// Sequence numbers are unique, so the earliest member is too.
-func (s *Scheduler) earliestMember() int {
+// earliestMember returns the slot and key of the member with the smallest
+// key. Sequence numbers are unique, so the earliest member is too.
+//
+// While a flush is pending, the members it will re-key hold stale keys.
+// Those due now (staleDue) complete now under any rate, so their keys are
+// (now, first reserved sequence number + the CPU's rank in the deferred
+// walk); every member keyed since took a later sequence number, and every
+// other stale member completes after now. So the first stale due member
+// in CPU order is the earliest. Without one, the smallest stored key is
+// exact whenever a member is due now, and otherwise any key after now
+// will do: the flush re-arms the group timer before the clock moves.
+func (s *Scheduler) earliestMember() (int, sim.Time, uint64) {
+	if cpu := s.staleDue.First(); cpu >= 0 {
+		rank := s.flush.cpus.And(machine.AllCPUs(cpu)).Count()
+		return s.cpus[cpu].curr.memIdx, s.eng.Now(), s.flush.base + uint64(rank)
+	}
 	best := 0
 	for i := 1; i < len(s.memGroup); i++ {
 		m, b := s.memGroup[i], s.memGroup[best]
@@ -656,7 +783,8 @@ func (s *Scheduler) earliestMember() int {
 			best = i
 		}
 	}
-	return best
+	m := s.memGroup[best]
+	return best, m.at, m.seq
 }
 
 // armMemGroup keys the group timer to the earliest member, or cancels it
@@ -673,11 +801,11 @@ func (s *Scheduler) armMemGroup() {
 		}
 		return
 	}
-	m := s.memGroup[s.earliestMember()]
+	_, at, seq := s.earliestMember()
 	if s.memTimer == nil {
-		s.memTimer = s.eng.AtKey(m.at, m.seq, s.memFireFn)
-	} else if at, seq := s.memTimer.Key(); at != m.at || seq != m.seq {
-		s.memTimer.ResetKey(m.at, m.seq)
+		s.memTimer = s.eng.AtKey(at, seq, s.memFireFn)
+	} else if tat, tseq := s.memTimer.Key(); tat != at || tseq != seq {
+		s.memTimer.ResetKey(at, seq)
 	}
 }
 
@@ -686,7 +814,8 @@ func (s *Scheduler) armMemGroup() {
 func (s *Scheduler) memFire() {
 	s.memTimer = nil
 	s.memHold++
-	t := s.memGroup[s.earliestMember()].t
+	i, _, _ := s.earliestMember()
+	t := s.memGroup[i].t
 	s.dropMember(t)
 	s.onSegmentDone(t)
 	s.memHold--
@@ -1165,6 +1294,7 @@ func (s *Scheduler) traceSteal(c *cpuState) {
 		return
 	}
 	c.pendingSteal += s.opt.TraceOverhead
+	s.stealCPUs = s.stealCPUs.Set(c.id)
 	if t := c.curr; t != nil && t.state == StateRunning &&
 		(t.seg.kind == segCompute || t.seg.kind == segMemory) {
 		s.refresh(t)

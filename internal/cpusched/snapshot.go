@@ -102,14 +102,24 @@ func (s *Scheduler) Fork(Snapshot) {
 		s.irqTime[i] = 0
 	}
 	// The kill cascade above emptied the stream group (memGroup) and
-	// cancelled its timer.
+	// cancelled its timer; a flush it deferred is dropped with the engine's
+	// BeforeAdvance hook by the engine fork that follows.
 	s.memStreams = 0
 	s.memCPUs = machine.CPUSet{}
 	s.memRate = s.topo.MemRate(0)
+	s.irqCPUs = machine.CPUSet{}
+	s.stealCPUs = machine.CPUSet{}
+	s.dueCPUs = machine.CPUSet{}
+	s.staleDue = machine.CPUSet{}
+	s.walkAt = -1
+	s.memEpoch = 0
+	s.flush = memFlush{}
+	s.flushHooked = false
 	s.nextID = 0
 	s.seq = 0
 	s.arrival = 0
 	s.liveTasks = 0
 	s.ContextSwitches = 0
 	s.InlineDispatches = 0
+	s.MemRerates = 0
 }

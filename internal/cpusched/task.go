@@ -238,7 +238,10 @@ type Task struct {
 	// instead, at slot memIdx (-1 when not a member).
 	completion *sim.Timer
 	memIdx     int
-	wakeTimer  *sim.Timer
+	// memEpoch is the scheduler's memEpoch when the task's member key was
+	// last set (see flushMemStreams).
+	memEpoch  uint64
+	wakeTimer *sim.Timer
 	// segDoneFn and wakeFn are the completion/wake timer callbacks, bound
 	// once at spawn so re-arming a timer does not allocate a new closure
 	// per segment or sleep.

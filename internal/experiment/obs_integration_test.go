@@ -134,7 +134,8 @@ func TestRunOnceObsRegistryCounters(t *testing.T) {
 		t.Fatalf("registry missed a run:\n%s", out)
 	}
 	for _, name := range []string{
-		"repro_sim_steps_total", "repro_sim_rekeys_total", "repro_sched_context_switches_total",
+		"repro_sim_steps_total", "repro_sim_rekeys_total", "repro_sched_mem_rerates_total",
+		"repro_sched_context_switches_total",
 		"repro_noise_tasks_spawned_total", "repro_obs_events_total",
 	} {
 		if !strings.Contains(out, name+" ") {

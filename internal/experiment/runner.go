@@ -150,6 +150,8 @@ func publishRunCounters(reg *obs.Registry, eng *sim.Engine, sched *cpusched.Sche
 	st := eng.Stats()
 	reg.Counter("repro_sim_steps_total", "Engine events processed.").Add(st.Steps)
 	reg.Counter("repro_sim_rekeys_total", "Pending engine timers re-keyed in place.").Add(st.Rekeys)
+	reg.Counter("repro_sched_mem_rerates_total",
+		"Memory-stream completions re-rated (walk refreshes plus flush re-keys).").Add(sched.MemRerates)
 	reg.Counter("repro_sched_context_switches_total", "Task dispatches.").Add(sched.ContextSwitches)
 	reg.Counter("repro_sched_inline_dispatches_total",
 		"Requests served by task programs on the engine thread.").Add(sched.InlineDispatches)

@@ -111,7 +111,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding spec: "+err.Error())
 		return
 	}
-	job, err := s.Submit(spec)
+	s.submitHTTP(w, spec)
+}
+
+// submitHTTP submits spec and answers with the job's status: 200 when the
+// job was served from cache at submit time, 202 otherwise, even when a
+// worker has finished the job by the time its status is read.
+func (s *Server) submitHTTP(w http.ResponseWriter, spec JobSpec) {
+	job, cached, err := s.submit(spec)
 	switch {
 	case err == nil:
 	case errors.Is(err, errQueueFull), errors.Is(err, errDraining):
@@ -124,7 +131,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	st, _ := s.Status(job.ID)
 	code := http.StatusAccepted
-	if st.State.Terminal() {
+	if cached {
 		code = http.StatusOK
 	}
 	writeJSON(w, code, st)
@@ -142,23 +149,7 @@ func (s *Server) handleSubmitAnalysis(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding analysis spec: "+err.Error())
 		return
 	}
-	job, err := s.Submit(JobSpec{Analyze: &spec})
-	switch {
-	case err == nil:
-	case errors.Is(err, errQueueFull), errors.Is(err, errDraining):
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	default:
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	st, _ := s.Status(job.ID)
-	code := http.StatusAccepted
-	if st.State.Terminal() {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, st)
+	s.submitHTTP(w, JobSpec{Analyze: &spec})
 }
 
 // handleAnalysisTimeline serves one noise source's evidence timeline of a

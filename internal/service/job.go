@@ -328,20 +328,29 @@ var errQueueFull = errors.New("service: job queue full")
 // already cached the returned job is terminal immediately — the stored
 // bytes are attached without re-execution.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
+	job, _, err := s.submit(spec)
+	return job, err
+}
+
+// submit is Submit, also reporting whether the job was served from the
+// cache at submit time. Only that answer decides a submission's HTTP
+// status: a job the workers finish before the handler reads its status
+// was still accepted, not served from cache.
+func (s *Server) submit(spec JobSpec) (*Job, bool, error) {
 	spec.Normalize()
 	if err := spec.Validate(s.cfg.MaxReps); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	hash, err := SpecHash(&spec)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		s.met.rejected.Inc()
-		return nil, errDraining
+		return nil, false, errDraining
 	}
 	s.nextID++
 	job := &Job{
@@ -370,7 +379,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		s.met.jobStarted()
 		s.met.jobFinished(StateDone, true, 0)
 		s.notifyUpdate(job, StateDone)
-		return job, nil
+		return job, true, nil
 	}
 
 	s.mu.Lock()
@@ -378,18 +387,18 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		delete(s.jobs, job.ID)
 		s.mu.Unlock()
 		s.met.rejected.Inc()
-		return nil, errDraining
+		return nil, false, errDraining
 	}
 	select {
 	case s.queue <- job:
 		s.mu.Unlock()
 		s.notifyUpdate(job, StateQueued)
-		return job, nil
+		return job, false, nil
 	default:
 		delete(s.jobs, job.ID)
 		s.mu.Unlock()
 		s.met.rejected.Inc()
-		return nil, errQueueFull
+		return nil, false, errQueueFull
 	}
 }
 

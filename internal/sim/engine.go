@@ -102,6 +102,8 @@ type Engine struct {
 	// empty — the engine-side "copy on first write" count of a forked rep.
 	// A warm engine runs a rep without growing it.
 	TimerAllocs uint64
+	// hooks are the pending BeforeAdvance hooks, in registration order.
+	hooks []func()
 }
 
 // NewEngine returns an engine at time zero.
@@ -116,6 +118,36 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) NextSeq() uint64 {
 	e.seq++
 	return e.seq
+}
+
+// ReserveSeqs reserves n consecutive sequence numbers, exactly as n calls
+// of NextSeq would, and returns the first of them. With n = 0 it reserves
+// nothing and returns the number the next reservation will take.
+func (e *Engine) ReserveSeqs(n int) uint64 {
+	first := e.seq + 1
+	e.seq += uint64(n)
+	return first
+}
+
+// BeforeAdvance registers fn to run once, after the events at the current
+// instant and before the clock moves on: Step and RunUntil call it before
+// they fire an event later than Now, before RunUntil moves the clock, and
+// when the queue runs dry. A holder that defers work until an instant ends
+// flushes it there. The call is not an event: it counts no step and takes
+// no sequence number. Pending hooks run in the order they were registered
+// (several schedulers can share one engine); Fork drops them.
+func (e *Engine) BeforeAdvance(fn func()) { e.hooks = append(e.hooks, fn) }
+
+// settle runs the pending BeforeAdvance hooks once no event remains at the
+// current instant.
+func (e *Engine) settle() {
+	for len(e.hooks) > 0 && (len(e.heap) == 0 || e.heap[0].at > e.now) {
+		fn := e.hooks[0]
+		n := copy(e.hooks, e.hooks[1:])
+		e.hooks[n] = nil
+		e.hooks = e.hooks[:n]
+		fn()
+	}
 }
 
 // At schedules fn to run at simulated time t. Scheduling in the past panics:
@@ -207,9 +239,10 @@ func (e *Engine) Snapshot() Snapshot {
 
 // Fork rewinds the engine to a quiescent snapshot: every pending timer is
 // cancelled wholesale (the structs return to the free pool, so the next
-// rep's event flow starts warm and allocation-free), and the clock,
-// sequence counter, and step and re-key counters are restored. Holders of
-// *Timer handles must drop them — the structs are recycled.
+// rep's event flow starts warm and allocation-free), pending
+// BeforeAdvance hooks are dropped, and the clock, sequence counter, and
+// step and re-key counters are restored. Holders of *Timer handles must drop
+// them — the structs are recycled.
 func (e *Engine) Fork(s Snapshot) {
 	if s.pending != 0 {
 		panic("sim: Fork from a snapshot with pending events")
@@ -219,6 +252,8 @@ func (e *Engine) Fork(s Snapshot) {
 	}
 	clear(e.heap)
 	e.heap = e.heap[:0]
+	clear(e.hooks)
+	e.hooks = e.hooks[:0]
 	e.now, e.seq, e.Steps, e.Rekeys = s.now, s.seq, s.steps, s.rekeys
 }
 
@@ -241,6 +276,9 @@ func (e *Engine) fire() {
 
 // Step processes the next event. It reports false when the queue is empty.
 func (e *Engine) Step() bool {
+	if len(e.hooks) > 0 {
+		e.settle()
+	}
 	if len(e.heap) == 0 {
 		return false
 	}
@@ -255,9 +293,14 @@ func (e *Engine) Run() {
 }
 
 // RunUntil processes events with timestamps <= t, then advances the clock to
-// t (even if no event fired exactly at t).
+// t (even if no event fired exactly at t). Pending BeforeAdvance hooks run
+// before each move of the clock, including the last one.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.heap) > 0 && e.heap[0].at <= t {
+	for {
+		e.settle()
+		if len(e.heap) == 0 || e.heap[0].at > t {
+			break
+		}
 		e.fire()
 	}
 	if e.now < t {

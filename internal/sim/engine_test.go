@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -179,5 +180,126 @@ func TestEngineOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBeforeAdvanceRunsOnceBeforeClockMoves checks the hook's timing: it
+// runs after every event at the registering instant, including one those
+// events schedule at that instant, and before the first later event; it
+// runs once, counts no step and takes no sequence number.
+func TestBeforeAdvanceRunsOnceBeforeClockMoves(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	hooks := 0
+	hook := func() {
+		hooks++
+		order = append(order, "hook")
+	}
+	e.At(10, func() {
+		order = append(order, "a")
+		e.BeforeAdvance(hook)
+		e.At(10, func() { order = append(order, "b") })
+	})
+	e.At(10, func() { order = append(order, "c") })
+	e.At(20, func() { order = append(order, "d") })
+	seq := e.seq
+	e.Run()
+	if got := fmt.Sprint(order); got != "[a c b hook d]" {
+		t.Fatalf("order %s, want [a c b hook d]", got)
+	}
+	if hooks != 1 || e.Steps != 4 || e.seq != seq+1 {
+		t.Fatalf("hooks=%d steps=%d seq %d -> %d; want 1 hook, 4 steps, one new sequence number",
+			hooks, e.Steps, seq, e.seq)
+	}
+}
+
+// TestBeforeAdvanceOnDrain checks that a hook registered by the last event
+// runs when the queue empties, and that what it schedules still runs.
+func TestBeforeAdvanceOnDrain(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	e.At(5, func() {
+		order = append(order, "a")
+		e.BeforeAdvance(func() {
+			order = append(order, "hook")
+			e.At(e.Now()+1, func() { order = append(order, "b") })
+		})
+	})
+	e.Run()
+	if got := fmt.Sprint(order); got != "[a hook b]" || e.Now() != 6 || e.Steps != 2 {
+		t.Fatalf("order %s at %v after %d steps, want [a hook b] at 6 after 2", got, e.Now(), e.Steps)
+	}
+}
+
+// TestBeforeAdvanceRunUntil checks that RunUntil runs the hook before the
+// clock moves: before a later event within the bound, and before jumping
+// to the bound when no event is left there.
+func TestBeforeAdvanceRunUntil(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	e.At(10, func() {
+		order = append(order, "a")
+		e.BeforeAdvance(func() { order = append(order, fmt.Sprint("hook@", int64(e.Now()))) })
+	})
+	e.At(15, func() {
+		order = append(order, "b")
+		e.BeforeAdvance(func() { order = append(order, fmt.Sprint("hook@", int64(e.Now()))) })
+	})
+	e.At(30, func() { order = append(order, "c") })
+	e.RunUntil(20)
+	if got := fmt.Sprint(order); got != "[a hook@10 b hook@15]" || e.Now() != 20 {
+		t.Fatalf("order %s at %v, want [a hook@10 b hook@15] at 20", got, e.Now())
+	}
+}
+
+// TestBeforeAdvanceRunsEveryHook checks that hooks registered by several
+// holders at one instant all run, once each, in registration order.
+func TestBeforeAdvanceRunsEveryHook(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	e.At(10, func() {
+		e.BeforeAdvance(func() { order = append(order, "first") })
+		e.BeforeAdvance(func() { order = append(order, "second") })
+	})
+	e.At(10, func() { e.BeforeAdvance(func() { order = append(order, "third") }) })
+	e.At(11, func() { order = append(order, "later") })
+	e.Run()
+	if got := fmt.Sprint(order); got != "[first second third later]" {
+		t.Fatalf("order %s, want [first second third later]", got)
+	}
+}
+
+// TestBeforeAdvanceForkDrops checks that Fork drops a pending hook.
+func TestBeforeAdvanceForkDrops(t *testing.T) {
+	e := NewEngine()
+	snap := e.Snapshot()
+	ran := false
+	e.At(1, func() { e.BeforeAdvance(func() { ran = true }) })
+	e.At(2, func() {})
+	e.Step()
+	e.Fork(snap)
+	e.At(3, func() {})
+	e.Run()
+	if ran {
+		t.Fatal("hook survived Fork")
+	}
+}
+
+// TestReserveSeqsEqualsNextSeq checks that ReserveSeqs(n) reserves exactly
+// the numbers n calls of NextSeq would, including none for n = 0.
+func TestReserveSeqsEqualsNextSeq(t *testing.T) {
+	a, b := NewEngine(), NewEngine()
+	for _, n := range []int{0, 1, 3, 0, 7, 2} {
+		first := a.ReserveSeqs(n)
+		want := b.seq + 1
+		for k := 0; k < n; k++ {
+			if got := b.NextSeq(); got != want+uint64(k) {
+				t.Fatalf("NextSeq %d, want %d", got, want+uint64(k))
+			}
+		}
+		if first != want || a.seq != b.seq {
+			t.Fatalf("ReserveSeqs(%d) = %d with counter %d; NextSeq x%d starts at %d with counter %d",
+				n, first, a.seq, n, want, b.seq)
+		}
 	}
 }

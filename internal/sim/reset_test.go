@@ -13,7 +13,7 @@ type resetFire struct {
 
 // resetPlayer interprets a byte script as At/Cancel/Reset operations on one
 // engine, mixed with AtKey/ResetKey under sequence numbers reserved earlier
-// with NextSeq. The top level runs a few operations at time zero; every
+// with NextSeq or ReserveSeqs, and BeforeAdvance hooks. The top level runs a few operations at time zero; every
 // callback records its firing and then runs more operations from inside
 // the event, so resets happen both outside and inside callbacks. With
 // useReset false a reset is spelled Cancel followed by At (or AtKey, for a
@@ -23,7 +23,9 @@ type resetFire struct {
 // The player also models the queue: it tracks the (time, seq) key every
 // live timer should carry, numbering sequence numbers the way the engine
 // promises to. Each firing must be the live timer with the smallest key —
-// the order a plain sort of the keys gives.
+// the order a plain sort of the keys gives. Each hook must run once, in
+// registration order, at the instant it was registered, after the last
+// event there and before any later one.
 type resetPlayer struct {
 	e        *Engine
 	script   []byte
@@ -35,6 +37,17 @@ type resetPlayer struct {
 	reserved []uint64 // sequence numbers reserved and not used yet
 	fired    []resetFire
 	bad      string // the first departure from the model, if any
+
+	pendingHooks []resetHook // registered BeforeAdvance hooks not yet run
+	nextHook     int
+	hooks        int // hooks run
+}
+
+// resetHook is a registered BeforeAdvance hook: its identity and the
+// instant it was registered at.
+type resetHook struct {
+	id int
+	at Time
 }
 
 type resetHandle struct {
@@ -77,7 +90,7 @@ func (p *resetPlayer) ops(n int) {
 			return
 		}
 		arg, _ := p.next()
-		switch op % 8 {
+		switch op % 10 {
 		case 0, 1, 2:
 			p.schedule(p.e.Now()+Time(arg%8), p.takeSeq(), false)
 		case 3:
@@ -109,8 +122,44 @@ func (p *resetPlayer) ops(n int) {
 				h := &p.live[int(arg)%len(p.live)]
 				p.reset(h, p.resetTarget(h.tm.At(), mode), p.takeReserved(mode/32), true)
 			}
+		case 8:
+			n := int(arg % 4)
+			first := p.e.ReserveSeqs(n)
+			if want := p.seq + 1; first != want {
+				p.fail(fmt.Sprintf("ReserveSeqs(%d) returned %d, want %d", n, first, want))
+			}
+			for ; n > 0; n-- {
+				p.reserved = append(p.reserved, p.takeSeq())
+			}
+		case 9:
+			h := resetHook{id: p.nextHook, at: p.e.Now()}
+			p.nextHook++
+			p.pendingHooks = append(p.pendingHooks, h)
+			p.e.BeforeAdvance(func() { p.hook(h) })
 		}
 	}
+}
+
+// hook is the BeforeAdvance callback: it checks that h is the oldest
+// pending hook and runs at the instant it was registered, with no live
+// timer left there, and then runs more operations.
+func (p *resetPlayer) hook(h resetHook) {
+	if len(p.pendingHooks) == 0 || p.pendingHooks[0] != h {
+		p.fail(fmt.Sprintf("hook %d ran out of order (pending %v)", h.id, p.pendingHooks))
+	} else {
+		p.pendingHooks = p.pendingHooks[1:]
+	}
+	if now := p.e.Now(); now != h.at {
+		p.fail(fmt.Sprintf("hook %d registered at %v ran at %v", h.id, h.at, now))
+	}
+	for _, l := range p.live {
+		if l.at <= p.e.Now() {
+			p.fail(fmt.Sprintf("hook %d ran at %v with timer %d still due at %v", h.id, p.e.Now(), l.id, l.at))
+		}
+	}
+	p.hooks++
+	n, _ := p.next()
+	p.ops(1 + int(n%2))
 }
 
 func (p *resetPlayer) fail(msg string) {
@@ -142,6 +191,10 @@ func (p *resetPlayer) schedule(at Time, seq uint64, reserved bool) {
 	id := p.nextID
 	p.nextID++
 	fn := func() {
+		if len(p.pendingHooks) > 0 && p.e.Now() > p.pendingHooks[0].at {
+			p.fail(fmt.Sprintf("timer %d fired at %v before hook %d registered at %v",
+				id, p.e.Now(), p.pendingHooks[0].id, p.pendingHooks[0].at))
+		}
 		min := 0
 		for i, h := range p.live {
 			if h.at < p.live[min].at || (h.at == p.live[min].at && h.seq < p.live[min].seq) {
@@ -194,6 +247,9 @@ func playResetScript(script []byte, useReset bool) *resetPlayer {
 	p := &resetPlayer{e: NewEngine(), script: script, useReset: useReset}
 	p.ops(6)
 	p.e.Run()
+	if len(p.pendingHooks) > 0 {
+		p.fail(fmt.Sprintf("BeforeAdvance hooks %v never ran", p.pendingHooks))
+	}
 	return p
 }
 
@@ -220,6 +276,10 @@ func checkResetEquivalence(t *testing.T, script []byte) {
 			t.Fatalf("event %d: Reset fired %+v, Cancel+At fired %+v", i, a.fired[i], b.fired[i])
 		}
 	}
+	if a.e.Steps != uint64(len(a.fired)) || a.hooks != b.hooks {
+		t.Fatalf("Reset run: %d steps for %d firings; hooks ran %d and %d times",
+			a.e.Steps, len(a.fired), a.hooks, b.hooks)
+	}
 	if a.e.Steps != b.e.Steps || a.e.seq != b.e.seq || a.e.TimerAllocs != b.e.TimerAllocs {
 		t.Fatalf("counters differ: Reset steps=%d seq=%d allocs=%d, Cancel+At steps=%d seq=%d allocs=%d",
 			a.e.Steps, a.e.seq, a.e.TimerAllocs, b.e.Steps, b.e.seq, b.e.TimerAllocs)
@@ -232,7 +292,9 @@ func checkResetEquivalence(t *testing.T, script []byte) {
 // TestTimerResetEquivalence is the property behind Reset and ResetKey: on
 // random scripts of At/Cancel/Reset and reserved-key AtKey/ResetKey they
 // fire exactly the (time, callback) sequence that Cancel followed by
-// At/AtKey fires, and that sequence is the sorted order of the keys.
+// At/AtKey fires, and that sequence is the sorted order of the keys. The
+// scripts also reserve sequence blocks and register BeforeAdvance hooks,
+// whose timing the player checks.
 func TestTimerResetEquivalence(t *testing.T) {
 	for seed := uint64(0); seed < 500; seed++ {
 		rng := NewRNG(seed)
