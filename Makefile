@@ -44,8 +44,8 @@ test-fleet:
 # Differential bottleneck analysis (internal/analyze, the advisor it feeds,
 # and the slope-fitting helper), under the race detector: the sweep fans
 # every (source, rung, rep) cell over the executor's worker pool, so the
-# determinism suite (golden fixture at parallelism 1 vs 8, batch on/off,
-# obs attached vs not) plus the service/fleet analysis e2e must hold under
+# determinism suite (golden fixture at parallelism 1 vs 8, pooled/fresh
+# worlds, obs attached vs not) plus the service/fleet analysis e2e must hold under
 # -race. 3x because the e2e exercises queue/cache/SSE timing windows.
 test-analyze:
 	$(GO) test -race -count=3 ./internal/analyze/ ./internal/advisor/ ./internal/stats/
@@ -56,9 +56,9 @@ test-analyze:
 # cpusched block/wake + EDF/CBS unit suite, the I/O workload shapes, the
 # experiment-layer golden fixture (the six I/O+deadline cases ride the
 # ordinary golden kernel tests), and the fleet/service byte-identity e2e
-# for an I/O+deadline job. 3x under -race: the batch executor forks
-# scheduler snapshots across a worker pool, so any nondeterminism in
-# device-queue or CBS-timer replay only surfaces across repeats.
+# for an I/O+deadline job. 3x under -race: pooled worlds fork scheduler
+# snapshots across a worker pool, so any nondeterminism in device-queue or
+# CBS-timer replay only surfaces across repeats.
 test-io:
 	$(GO) test -race -count=3 ./internal/cpusched/ ./internal/workloads/
 	$(GO) test -race -count=3 -run 'TestGolden' ./internal/experiment/
@@ -67,7 +67,7 @@ test-io:
 
 # Short deterministic-budget fuzz smoke of eight targets: the trace codec
 # round trip (FuzzTraceCodecRoundTrip), cache-key canonicalization
-# (FuzzSpecHashCanonical), batched-vs-fresh reps (FuzzBatchEqualsFresh),
+# (FuzzSpecHashCanonical), pooled-vs-fresh reps (FuzzBatchEqualsFresh),
 # the scheduler fork with pending BlockOn/IRQ timers
 # (FuzzBlockOnForkDeterminism), ring placement (FuzzRingPlacement), the
 # analysis spec hash (FuzzAnalysisSpecHash), the analysis-artifact codec

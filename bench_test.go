@@ -508,13 +508,12 @@ func BenchmarkSimulatedRun(b *testing.B) {
 	b.ReportMetric(float64(last.InlineDispatches), "inline/run")
 }
 
-// BenchmarkSimulatedRunBatch is BenchmarkSimulatedRun through the batched
-// executor path: one warm world whose engine and scheduler are forked back
-// to their construction snapshots between reps, instead of a fresh pair
-// per run. The ns/op gap to BenchmarkSimulatedRun is the per-rep
-// construction cost the snapshot path saves; outputs are byte-identical
-// (the setup re-verifies one seed against RunOnce, the golden fixtures pin
-// the full matrix).
+// BenchmarkSimulatedRunBatch is BenchmarkSimulatedRun through a pooled
+// world: one warm world whose engine and scheduler are reset to their
+// construction snapshots between reps, instead of a fresh pair per run.
+// The ns/op gap to BenchmarkSimulatedRun is the per-rep construction cost
+// pooling saves; outputs are byte-identical (the setup re-verifies one seed
+// against RunOnce, the golden fixtures pin the full matrix).
 func BenchmarkSimulatedRunBatch(b *testing.B) {
 	p, err := platform.New(Intel9700KF)
 	if err != nil {
@@ -528,10 +527,10 @@ func BenchmarkSimulatedRunBatch(b *testing.B) {
 		return Spec{Platform: p, Workload: w, Model: "omp", Strategy: Rm,
 			Seed: seed, Tracing: true}
 	}
-	exec := Executor{Parallelism: 1, Batch: BatchOn, Worlds: NewWorldPool()}
+	exec := Executor{Parallelism: 1, Worlds: NewWorldPool()}
 	// Warm the pool outside the timer so the measured steady state is the
-	// forked-world rep, not the one-time world construction, and spot-check
-	// byte-identity of a warm rep against the legacy path.
+	// reused-world rep, not the one-time world construction, and spot-check
+	// byte-identity of a warm rep against a fresh world.
 	warm, _, err := RunSeriesExec(context.Background(), exec, spec(benchSeed), 1)
 	if err != nil {
 		b.Fatal(err)
@@ -541,7 +540,7 @@ func BenchmarkSimulatedRunBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	if warm[0] != fresh.ExecTime {
-		b.Fatalf("batched rep %v != fresh rep %v", warm[0], fresh.ExecTime)
+		b.Fatalf("pooled rep %v != fresh rep %v", warm[0], fresh.ExecTime)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -552,19 +551,20 @@ func BenchmarkSimulatedRunBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotSweep prices the batch path on a realistic multi-series
+// BenchmarkSnapshotSweep prices world pooling on a realistic multi-series
 // flow: a small intensity sweep whose config hunt, per-strategy baselines,
 // and injected points all share one warm-world pool — exactly the many
 // short series the pool amortizes across. The setup runs the same sweep
-// with batching off, verifies the points are identical, and reports the
-// wall-clock ratio as speedup-x; the timed loop then measures the batched
+// through fresh worlds (experiment.FreshWorlds, the determinism
+// reference), verifies the points are identical, and reports the
+// wall-clock ratio as speedup-x; the timed loop then measures the pooled
 // sweep.
 func BenchmarkSnapshotSweep(b *testing.B) {
 	p, err := platform.New(Intel9700KF)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sweep := func(batch BatchPolicy) ([]IntensityPoint, error) {
+	sweep := func(worlds *WorldPool) ([]IntensityPoint, error) {
 		return IntensitySweep{
 			Platform:   p,
 			Workload:   "nbody",
@@ -573,28 +573,28 @@ func BenchmarkSnapshotSweep(b *testing.B) {
 			Factors:    []float64{1, 2},
 			Reps:       RepCounts{Collect: 20, Baseline: 4, Inject: 4},
 			Seed:       benchSeed,
-			Exec:       Executor{Parallelism: 1, Batch: batch},
+			Exec:       Executor{Parallelism: 1, Worlds: worlds},
 		}.Run()
 	}
 	t0 := time.Now()
-	off, err := sweep(BatchOff)
+	fresh, err := sweep(experiment.FreshWorlds())
 	if err != nil {
 		b.Fatal(err)
 	}
-	offDur := time.Since(t0)
+	freshDur := time.Since(t0)
 	t0 = time.Now()
-	on, err := sweep(BatchOn)
+	pooled, err := sweep(NewWorldPool())
 	if err != nil {
 		b.Fatal(err)
 	}
-	onDur := time.Since(t0)
-	if fmt.Sprint(off) != fmt.Sprint(on) {
-		b.Fatalf("batched sweep diverged from unbatched:\noff: %v\non:  %v", off, on)
+	pooledDur := time.Since(t0)
+	if fmt.Sprint(fresh) != fmt.Sprint(pooled) {
+		b.Fatalf("pooled sweep diverged from fresh worlds:\nfresh:  %v\npooled: %v", fresh, pooled)
 	}
-	b.ReportMetric(float64(offDur)/float64(onDur), "speedup-x")
+	b.ReportMetric(float64(freshDur)/float64(pooledDur), "speedup-x")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sweep(BatchOn); err != nil {
+		if _, err := sweep(NewWorldPool()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -64,11 +64,9 @@ func worldPool() *repro.WorldPool {
 }
 
 // newExec builds the executor every study-running subcommand shares,
-// honoring the global -parallel, -batch, -v, -obs and -timeline-out flags.
+// honoring the global -parallel, -v, -obs and -timeline-out flags.
 func newExec() repro.Executor {
-	// gBatch was validated at startup; the zero policy on error is BatchAuto.
-	batch, _ := repro.ParseBatchPolicy(gBatch)
-	e := repro.Executor{Parallelism: gParallel, Batch: batch, Worlds: worldPool()}
+	e := repro.Executor{Parallelism: gParallel, Worlds: worldPool()}
 	if gVerbose {
 		e.OnCell = func(done, total int, label string) {
 			fmt.Fprintf(os.Stderr, "cell %d/%d %s\n", done, total, label)

@@ -42,8 +42,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-
-	"repro"
 )
 
 // Global flags (before the subcommand): worker-pool size, progress,
@@ -52,7 +50,6 @@ var (
 	gParallel    int
 	gVerbose     bool
 	gObs         bool
-	gBatch       string
 	gTimelineOut string
 	gCPUProfile  string
 	gMemProfile  string
@@ -72,17 +69,11 @@ func run() int {
 	global.BoolVar(&gVerbose, "v", false, "report study progress (cell k/N) to stderr")
 	global.BoolVar(&gObs, "obs", false,
 		"attach the passive observability recorder and print its counter registry to stderr on exit")
-	global.StringVar(&gBatch, "batch", "auto",
-		"batched-rep snapshot/fork fast path: auto (batch series of >=4 reps), on, or off (rebuild every rep); results are byte-identical either way")
 	global.StringVar(&gTimelineOut, "timeline-out", "",
 		"record the first run's scheduling timeline and write it as Chrome trace-event JSON (open in Perfetto)")
 	global.StringVar(&gCPUProfile, "cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 	global.StringVar(&gMemProfile, "memprofile", "", "write a heap profile (after GC) to this file on exit")
 	if err := global.Parse(os.Args[1:]); err != nil {
-		return 2
-	}
-	if _, err := repro.ParseBatchPolicy(gBatch); err != nil {
-		fmt.Fprintf(os.Stderr, "noiselab: -batch: %v\n", err)
 		return 2
 	}
 	if global.NArg() < 1 {
@@ -202,7 +193,7 @@ func run() int {
 func usage() {
 	fmt.Fprint(os.Stderr, `noiselab — reproducible performance evaluation under noise injection
 
-  noiselab [-parallel N] [-batch auto|on|off] [-v] <subcommand> [flags]
+  noiselab [-parallel N] [-v] <subcommand> [flags]
 
   noiselab platforms | workloads
   noiselab run        -platform P -workload W -model M -strategy S [-seed N] [-trace out.txt]
@@ -231,11 +222,6 @@ Global flags (before the subcommand):
   -parallel N   worker-pool size for repetitions; every study fans its reps
                 over the pool with bit-identical results (0 = REPRO_PARALLEL
                 env or GOMAXPROCS, 1 = sequential)
-  -batch P      batched-rep fast path: build each world once and fork it
-                back to its construction snapshot between reps. P is auto
-                (default: batch series of >=4 reps), on, or off (rebuild
-                every rep, the escape hatch). Results are byte-identical
-                under every policy.
   -v            report study progress (cell k/N) to stderr; 'run' also
                 prints the scheduler kernel counters (context switches,
                 inline dispatches) and the batch counters (snapshots/run,

@@ -2,9 +2,9 @@ package analyze
 
 // The analysis golden test: pins the exact artifact bytes of a bottleneck
 // analysis and proves them invariant across executor parallelism (1 vs 8),
-// the batched-world policy (on vs off), and caller observability (attached
-// vs not) — the same invariance matrix TestGoldenKernel pins for the
-// kernel, lifted to the analysis artifact.
+// the world lifecycle (pooled vs fresh worlds), and caller observability
+// (attached vs not) — the same invariance matrix TestGoldenKernel pins for
+// the kernel, lifted to the analysis artifact.
 //
 // Regenerate with REPRO_UPDATE_GOLDEN=1 go test ./internal/analyze
 // -run TestGoldenAnalyze — but only when a deliberate, reviewed behaviour
@@ -51,8 +51,11 @@ func encode(t *testing.T, out *Outcome) []byte {
 	return enc
 }
 
+// TestGoldenAnalyze generates (and checks) the fixture through fresh worlds
+// at parallelism 1 — the determinism reference — then demands the same
+// bytes from every other point of the matrix.
 func TestGoldenAnalyze(t *testing.T) {
-	base := encode(t, runGolden(t, experiment.Executor{Parallelism: 1}))
+	base := encode(t, runGolden(t, experiment.Executor{Parallelism: 1, Worlds: experiment.FreshWorlds()}))
 
 	if os.Getenv("REPRO_UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
@@ -74,27 +77,34 @@ func TestGoldenAnalyze(t *testing.T) {
 			len(base), base, len(want), want)
 	}
 
-	variants := map[string]experiment.Executor{
-		"parallel-8": {Parallelism: 8},
-		"batch-on":   {Parallelism: 8, Batch: experiment.BatchOn},
-		"batch-off":  {Parallelism: 8, Batch: experiment.BatchOff},
-		"obs-attached": {Parallelism: 8, Obs: &experiment.ObsOptions{
-			Timeline: true, Ring: 128, Reg: obs.NewRegistry(),
-		}},
-	}
-	for name, exec := range variants {
-		got := encode(t, runGolden(t, exec))
-		if !bytes.Equal(got, base) {
-			t.Fatalf("%s: artifact bytes differ from parallelism-1 run", name)
+	for _, pooled := range []bool{false, true} {
+		for _, parallelism := range []int{1, 8} {
+			for _, withObs := range []bool{false, true} {
+				if !pooled && parallelism == 1 && !withObs {
+					continue // the base run
+				}
+				exec := experiment.Executor{Parallelism: parallelism, Worlds: experiment.FreshWorlds()}
+				if pooled {
+					exec.Worlds = experiment.NewWorldPool()
+				}
+				if withObs {
+					exec.Obs = &experiment.ObsOptions{Timeline: true, Ring: 128, Reg: obs.NewRegistry()}
+				}
+				got := encode(t, runGolden(t, exec))
+				if !bytes.Equal(got, base) {
+					t.Fatalf("pooled=%v p=%d obs=%v: artifact bytes differ from the fresh parallelism-1 run",
+						pooled, parallelism, withObs)
+				}
+			}
 		}
 	}
 }
 
 // TestGoldenAnalyzeTimelines: the exported evidence must be byte-identical
 // across the same matrix (the timelines come from rep 0's recorder, which
-// the executor pins regardless of parallelism or batching).
+// the executor pins regardless of parallelism or world reuse).
 func TestGoldenAnalyzeTimelines(t *testing.T) {
-	base := runGolden(t, experiment.Executor{Parallelism: 1})
+	base := runGolden(t, experiment.Executor{Parallelism: 1, Worlds: experiment.FreshWorlds()})
 	if len(base.Timelines) != 3 {
 		t.Fatalf("expected 3 evidence timelines, got %d", len(base.Timelines))
 	}
@@ -107,10 +117,10 @@ func TestGoldenAnalyzeTimelines(t *testing.T) {
 			t.Fatalf("timeline ref %s has no events", ref.Source)
 		}
 	}
-	other := runGolden(t, experiment.Executor{Parallelism: 8, Batch: experiment.BatchOn})
+	other := runGolden(t, experiment.Executor{Parallelism: 8, Worlds: experiment.NewWorldPool()})
 	for src, tl := range base.Timelines {
 		if !bytes.Equal(tl, other.Timelines[src]) {
-			t.Fatalf("timeline %s differs between parallelism 1 and 8", src)
+			t.Fatalf("timeline %s differs between fresh parallelism 1 and pooled parallelism 8", src)
 		}
 	}
 }

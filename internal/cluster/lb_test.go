@@ -10,14 +10,14 @@ import (
 // straggler) without running it.
 func threeNodeWorld(t *testing.T) *World {
 	t.Helper()
-	w, err := NewWorld(Spec{
+	sh, err := NewShell(Spec{
 		Nodes: 3, Straggler: 1, StragglerScale: 4,
 		Policy: PolicyRoundRobin, Tenants: 1, JobsPerTenant: 1,
-	}, 1, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w
+	return sh.build(1, nil)
 }
 
 func TestRoundRobinCycles(t *testing.T) {

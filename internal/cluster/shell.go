@@ -15,27 +15,21 @@ import (
 // cluster topology, the node platform, one shared engine, and one scheduler
 // per node, all built once and forked back to their construction snapshots
 // after every rep. Everything seed-dependent — per-node noise generators,
-// the placement policy, the tenants — is rebuilt per rep in the exact order
-// NewWorld builds it, so a rep run in a warm shell is byte-identical to one
-// in a fresh world (scheduler construction touches no engine state, which is
-// why pre-building the schedulers cannot shift an event sequence number).
+// the placement policy, the tenants — is built per rep by build, so a rep
+// run in a warm shell is byte-identical to one in a fresh shell (scheduler
+// construction touches no engine state, which is why pre-building the
+// schedulers cannot shift an event sequence number).
 //
 // A shell is single-threaded like the engine it wraps: one rep at a time.
 // Parallel cluster series use one shell per in-flight rep.
 type Shell struct {
-	spec   Spec // validated, defaults applied
-	mc     *machine.Cluster
-	p      *platform.Platform
-	batch  *sim.Batch
-	scheds []*cpusched.Scheduler
-	snaps  []cpusched.Snapshot
-
-	// Per-run batch counters, reported by the last Run.
-	Snapshots   uint64
-	CowCopies   uint64
-	BatchedReps uint64
-
-	warm bool
+	spec    Spec // validated, defaults applied
+	mc      *machine.Cluster
+	p       *platform.Platform
+	eng     *sim.Engine
+	engSnap sim.Snapshot
+	scheds  []*cpusched.Scheduler
+	snaps   []cpusched.Snapshot
 }
 
 // NewShell builds the shared prefix for a cluster spec.
@@ -52,41 +46,26 @@ func NewShell(spec Spec) (*Shell, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := &Shell{spec: spec, mc: mc, p: p, batch: sim.NewBatch()}
+	eng := sim.NewEngine()
+	sh := &Shell{spec: spec, mc: mc, p: p, eng: eng, engSnap: eng.Snapshot()}
 	for _, n := range mc.Nodes {
-		sched := cpusched.New(sh.batch.Engine(), n.Topo, p.SchedOpt)
+		sched := cpusched.New(eng, n.Topo, p.SchedOpt)
 		sh.scheds = append(sh.scheds, sched)
 		sh.snaps = append(sh.snaps, sched.Snapshot())
 	}
 	return sh, nil
 }
 
-// reset forks every scheduler and the shared engine back to their
-// construction snapshots, leaving the shell pristine for the next rep. It
-// runs on every exit path of Run — including errors — so an erroring rep
-// can never leak state into the next one.
-func (sh *Shell) reset() {
-	for i, s := range sh.scheds {
-		s.Fork(sh.snaps[i])
-	}
-	sh.batch.Fork()
-	sh.warm = true
-}
-
-// Run executes one rep in the shell: the exact NewWorld construction
-// sequence minus what the shell already holds, then the world's run loop,
-// then a fork back to the construction snapshots. rec may be nil.
-func (sh *Shell) Run(seed uint64, rec *obs.Recorder) (*Result, error) {
-	eng := sh.batch.Engine()
-	timerAllocs0 := eng.TimerAllocs
-	var taskAllocs0 uint64
-	for _, s := range sh.scheds {
-		taskAllocs0 += s.TaskAllocs
-	}
-
+// build assembles one rep's world on the shell: per-node noise, the
+// placement policy, and the tenants, all drawn from seed. rec, when
+// non-nil, is a passive observability recorder: each node's scheduler
+// records through a lane at the node's global CPU base, and the recorder is
+// tagged with the node lanes so Chrome-trace export groups by node.
+// Attaching it never changes simulation output.
+func (sh *Shell) build(seed uint64, rec *obs.Recorder) *World {
 	spec := sh.spec
 	rng := sim.NewRNG(seed)
-	w := &World{Eng: eng, Cluster: sh.mc, rec: rec, spec: spec}
+	w := &World{Eng: sh.eng, Cluster: sh.mc, rec: rec, spec: spec}
 	var lanes []obs.NodeLane
 	for i, n := range sh.mc.Nodes {
 		sched := sh.scheds[i]
@@ -114,8 +93,8 @@ func (sh *Shell) Run(seed uint64, rec *obs.Recorder) (*Result, error) {
 
 	pol, err := NewPolicy(spec.Policy, rng.Stream("gs/policy"))
 	if err != nil {
-		sh.reset()
-		return nil, err
+		// NewShell validated the spec, so its policy name is known.
+		panic(err)
 	}
 	w.gs = newGlobalSched(w, pol)
 
@@ -130,25 +109,24 @@ func (sh *Shell) Run(seed uint64, rec *obs.Recorder) (*Result, error) {
 			rng.Stream(fmt.Sprintf("tenant%d", t)))
 		w.tenants = append(w.tenants, tn)
 	}
+	return w
+}
 
-	sh.Snapshots, sh.BatchedReps = 1, 0
-	if sh.warm {
-		sh.Snapshots, sh.BatchedReps = 0, 1
+// Run executes one rep in the shell: build the rep's world, run it, then
+// fork every scheduler and the shared engine back to their construction
+// snapshots — on every exit path, so an erroring rep can never leak state
+// into the next one. rec may be nil.
+func (sh *Shell) Run(seed uint64, rec *obs.Recorder) (*Result, error) {
+	res, err := sh.build(seed, rec).Run()
+	for i, s := range sh.scheds {
+		s.Fork(sh.snaps[i])
 	}
-	res, err := w.Run()
-	var taskAllocs uint64
-	for _, s := range sh.scheds {
-		taskAllocs += s.TaskAllocs
-	}
-	sh.CowCopies = (eng.TimerAllocs - timerAllocs0) + (taskAllocs - taskAllocs0)
-	sh.reset()
+	sh.eng.Fork(sh.engSnap)
 	return res, err
 }
 
-// Run builds a world from spec and runs it to completion: the one-call
-// form callers outside the package use. rec may be nil. It runs through a
-// cold shell, which is the legacy build-every-rep path — callers that want
-// warm-shell batching hold a Shell and call its Run per rep.
+// Run builds a shell for spec and runs one rep in it: the one-call form
+// callers outside the package use. rec may be nil.
 func Run(spec Spec, seed uint64, rec *obs.Recorder) (*Result, error) {
 	sh, err := NewShell(spec)
 	if err != nil {

@@ -49,74 +49,6 @@ type World struct {
 	spec    Spec
 }
 
-// NewWorld builds a world from a validated spec. rec, when non-nil, is a
-// passive observability recorder: each node's scheduler records through a
-// lane at the node's global CPU base, and the recorder is tagged with the
-// node lanes so Chrome-trace export groups by node. Attaching it never
-// changes simulation output.
-func NewWorld(spec Spec, seed uint64, rec *obs.Recorder) (*World, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	spec = spec.withDefaults()
-	mc, err := spec.buildCluster()
-	if err != nil {
-		return nil, err
-	}
-	p, err := spec.nodePlatform()
-	if err != nil {
-		return nil, err
-	}
-
-	eng := sim.NewEngine()
-	rng := sim.NewRNG(seed)
-	w := &World{Eng: eng, Cluster: mc, rec: rec, spec: spec}
-
-	var lanes []obs.NodeLane
-	for i, n := range mc.Nodes {
-		sched := cpusched.New(eng, n.Topo, p.SchedOpt)
-		base := mc.CPUBase(i)
-		if rec != nil {
-			sched.SetObserver(rec.Lane(base))
-			name := n.Name
-			if spec.stragglerActive() && i == spec.Straggler {
-				name = fmt.Sprintf("%s (straggler x%g)", n.Name, spec.StragglerScale)
-			}
-			lanes = append(lanes, obs.NodeLane{Name: name, CPUBase: base, NumCPUs: n.Topo.NumCPUs()})
-		}
-		prof := p.Noise
-		if f := n.EffectiveNoise(); f != 1 {
-			prof = prof.Scale(f)
-		}
-		gen := noise.Attach(sched, prof, rng.Stream(fmt.Sprintf("node%d/noise", i)), noiseHorizon)
-		w.Nodes = append(w.Nodes, &NodeState{
-			Node: n, Sched: sched, Gen: gen, CPUBase: base,
-		})
-	}
-	if rec != nil {
-		rec.SetNodeLanes(lanes)
-	}
-
-	pol, err := NewPolicy(spec.Policy, rng.Stream("gs/policy"))
-	if err != nil {
-		return nil, err
-	}
-	w.gs = newGlobalSched(w, pol)
-
-	width := spec.Width
-	if width == 0 {
-		width = mc.Nodes[0].Topo.Cores
-	}
-	meanCycles := spec.WorkerMs * 1e6 * mc.Nodes[0].Topo.CyclesPerNs()
-	gapNs := spec.ArrivalMs * 1e6
-	for t := 0; t < spec.Tenants; t++ {
-		tn := newTenant(t, w, spec.JobsPerTenant, width, meanCycles, gapNs,
-			rng.Stream(fmt.Sprintf("tenant%d", t)))
-		w.tenants = append(w.tenants, tn)
-	}
-	return w, nil
-}
-
 // stragglerActive reports whether the spec marks an actual straggler.
 func (s Spec) stragglerActive() bool {
 	return s.StragglerScale != 0 && s.StragglerScale != 1

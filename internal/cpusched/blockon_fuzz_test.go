@@ -11,7 +11,7 @@ import (
 
 // FuzzBlockOnForkDeterminism drives the block/wake machinery with arbitrary
 // opcode sequences and checks the tentpole invariant the golden fixtures pin
-// for real workloads: a batch-forked scheduler replays any program — however
+// for real workloads: a forked scheduler replays any program — however
 // hostile its interleaving of BlockOn, compute, memory, and sleep across
 // policies — with byte-identical outcomes to a fresh engine. The fuzz bytes
 // decode into up to four tasks (fair, FIFO, or deadline, optionally pinned)
@@ -172,8 +172,9 @@ func FuzzBlockOnForkDeterminism(f *testing.F) {
 		want := runBlockOnProgs(fresh, progs)
 		fresh.Shutdown()
 
-		batch := sim.NewBatch()
-		s := New(batch.Engine(), topo, noBalance())
+		eng := sim.NewEngine()
+		engSnap := eng.Snapshot()
+		s := New(eng, topo, noBalance())
 		snap := s.Snapshot()
 		for round := 0; round < 2; round++ {
 			got := runBlockOnProgs(s, progs)
@@ -183,7 +184,7 @@ func FuzzBlockOnForkDeterminism(f *testing.F) {
 			}
 			s.Shutdown()
 			s.Fork(snap)
-			batch.Fork()
+			eng.Fork(engSnap)
 		}
 	})
 }

@@ -21,7 +21,7 @@ func forkScenario(s *Scheduler) (sim.Time, uint64) {
 // TestSchedulerForkByteIdentical proves a forked scheduler replays a
 // workload with exactly the outcome of a fresh one: same finish time, same
 // dispatch counts, same task IDs — the unit-level form of the golden
-// batch-vs-legacy guarantee.
+// pooled-vs-fresh guarantee.
 func TestSchedulerForkByteIdentical(t *testing.T) {
 	topo := machine.MustPreset(machine.TinyTest)
 
@@ -29,8 +29,9 @@ func TestSchedulerForkByteIdentical(t *testing.T) {
 	ft, fc := forkScenario(fresh)
 	fresh.Shutdown()
 
-	batch := sim.NewBatch()
-	s := New(batch.Engine(), topo, noBalance())
+	eng := sim.NewEngine()
+	engSnap := eng.Snapshot()
+	s := New(eng, topo, noBalance())
 	snap := s.Snapshot()
 	for round := 0; round < 3; round++ {
 		gt, gc := forkScenario(s)
@@ -40,14 +41,14 @@ func TestSchedulerForkByteIdentical(t *testing.T) {
 		}
 		s.Shutdown()
 		s.Fork(snap)
-		batch.Fork()
+		eng.Fork(engSnap)
 		if s.nextID != 0 || len(s.tasks) != 0 || s.liveTasks != 0 {
 			t.Fatalf("round %d: fork left state: nextID=%d tasks=%d live=%d",
 				round, s.nextID, len(s.tasks), s.liveTasks)
 		}
-		if batch.Engine().Now() != 0 || batch.Engine().Pending() != 0 {
+		if eng.Now() != 0 || eng.Pending() != 0 {
 			t.Fatalf("round %d: engine not rewound: now=%v pending=%d",
-				round, batch.Engine().Now(), batch.Engine().Pending())
+				round, eng.Now(), eng.Pending())
 		}
 	}
 }
@@ -86,13 +87,14 @@ func TestForkEmptiesMemGroup(t *testing.T) {
 	fresh := New(sim.NewEngine(), topo, noBalance())
 	want := rep(fresh)
 
-	batch := sim.NewBatch()
-	s := New(batch.Engine(), topo, noBalance())
+	eng := sim.NewEngine()
+	engSnap := eng.Snapshot()
+	s := New(eng, topo, noBalance())
 	snap := s.Snapshot()
 	for i := 0; i < topo.NumCPUs(); i++ {
 		s.SpawnSeq(TaskSpec{Name: "stream", Affinity: machine.SetOf(i)}, ReqMemory(1e12))
 	}
-	batch.Engine().RunUntil(sim.Millisecond)
+	eng.RunUntil(sim.Millisecond)
 	if len(s.memGroup) != topo.NumCPUs() || s.memTimer == nil {
 		t.Fatalf("before fork: %d members, timer %v; want %d members and a timer",
 			len(s.memGroup), s.memTimer, topo.NumCPUs())
@@ -101,7 +103,7 @@ func TestForkEmptiesMemGroup(t *testing.T) {
 	if len(s.memGroup) != 0 || s.memTimer != nil {
 		t.Fatalf("after fork: %d members, timer %v; want none", len(s.memGroup), s.memTimer)
 	}
-	batch.Fork()
+	eng.Fork(engSnap)
 	if got := rep(s); got != want {
 		t.Fatalf("rep after fork ended at %v, fresh at %v", got, want)
 	}
@@ -109,7 +111,7 @@ func TestForkEmptiesMemGroup(t *testing.T) {
 
 // TestSchedulerForkMidRun kills an unfinished workload via Fork and checks
 // the next rep still matches a fresh scheduler — the erroring-rep teardown
-// path of the batch executor.
+// path of a pooled world.
 func TestSchedulerForkMidRun(t *testing.T) {
 	topo := machine.MustPreset(machine.TinyTest)
 
@@ -117,16 +119,17 @@ func TestSchedulerForkMidRun(t *testing.T) {
 	ft, fc := forkScenario(fresh)
 	fresh.Shutdown()
 
-	batch := sim.NewBatch()
-	s := New(batch.Engine(), topo, noBalance())
+	eng := sim.NewEngine()
+	engSnap := eng.Snapshot()
+	s := New(eng, topo, noBalance())
 	snap := s.Snapshot()
 	// Abort a run mid-flight: tasks are still queued or running.
 	s.SpawnSeq(TaskSpec{Name: "doomed"}, ReqCompute(9e9))
 	s.SpawnSeq(TaskSpec{Name: "doomed2", Affinity: machine.SetOf(1)}, ReqCompute(9e9))
-	batch.Engine().RunUntil(sim.Millisecond)
+	eng.RunUntil(sim.Millisecond)
 	s.Shutdown()
 	s.Fork(snap)
-	batch.Fork()
+	eng.Fork(engSnap)
 
 	gt, gc := forkScenario(s)
 	if gt != ft || gc != fc {
@@ -152,8 +155,9 @@ func TestSchedulerSnapshotAfterSpawnPanics(t *testing.T) {
 // recycled across forks: the second rep materializes no fresh tasks.
 func TestTaskPoolRecyclesProgramTasks(t *testing.T) {
 	topo := machine.MustPreset(machine.TinyTest)
-	batch := sim.NewBatch()
-	s := New(batch.Engine(), topo, noBalance())
+	eng := sim.NewEngine()
+	engSnap := eng.Snapshot()
+	s := New(eng, topo, noBalance())
 	snap := s.Snapshot()
 
 	runProg := func() {
@@ -161,7 +165,7 @@ func TestTaskPoolRecyclesProgramTasks(t *testing.T) {
 		s.eng.RunWhile(func() bool { return !tk.Done() })
 		s.Shutdown()
 		s.Fork(snap)
-		batch.Fork()
+		eng.Fork(engSnap)
 	}
 	runProg()
 	allocs := s.TaskAllocs

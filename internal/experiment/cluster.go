@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -13,62 +12,34 @@ import (
 // ClusterSeries executes reps cluster runs of spec with index-derived seeds
 // and returns the results in rep order. Like Series, reps fan out over the
 // worker pool and output is bit-identical for every parallelism level: each
-// rep is a pure function of (spec, seedAt(seed, i)). Under the batch policy
-// (see Executor.Batch) reps share warm cluster shells — the multi-node
-// topology and per-node schedulers built once per in-flight rep instead of
-// once per rep — with outputs unchanged.
+// rep is a pure function of (spec, seedAt(seed, i)). Reps share warm cluster
+// shells — the multi-node topology and per-node schedulers built once per
+// in-flight rep instead of once per rep — with outputs unchanged.
 func (e Executor) ClusterSeries(ctx context.Context, spec cluster.Spec, seed uint64, reps int) ([]*cluster.Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	// Shells are spec-specific, so the pool is per series: a mutex-guarded
-	// stack holding at most one shell per in-flight rep.
-	var (
-		batch  = e.batchReps(reps)
-		shMu   sync.Mutex
-		shells []*cluster.Shell
-	)
-	getShell := func() (*cluster.Shell, error) {
-		shMu.Lock()
-		var sh *cluster.Shell
-		if n := len(shells); n > 0 {
-			sh = shells[n-1]
-			shells[n-1] = nil
-			shells = shells[:n-1]
-		}
-		shMu.Unlock()
-		if sh != nil {
-			return sh, nil
-		}
-		return cluster.NewShell(spec)
-	}
-	putShell := func(sh *cluster.Shell) {
-		shMu.Lock()
-		shells = append(shells, sh)
-		shMu.Unlock()
-	}
+	// Shells are spec-specific, so the pool is per series; under
+	// FreshWorlds no shell is reused.
+	var shells freeList[cluster.Spec, *cluster.Shell]
+	recycle := e.Worlds == nil || !e.Worlds.fresh
 	results := make([]*cluster.Result, reps)
 	var rec0 *obs.Recorder
 	err := e.run(ctx, reps, func(i int) (*obs.Recorder, error) {
 		var rec *obs.Recorder
-		if e.Obs != nil {
-			rec = obs.NewRecorder(obs.Options{
-				Timeline: e.Obs.Timeline && i == 0,
-				Ring:     e.Obs.Ring,
-				Reg:      e.Obs.Reg,
-			})
+		if o := e.repObs(i); o != nil {
+			rec = obs.NewRecorder(*o)
 		}
-		var res *cluster.Result
-		var err error
-		if batch {
-			var sh *cluster.Shell
-			sh, err = getShell()
-			if err == nil {
-				res, err = sh.Run(seedAt(seed, i), rec)
-				putShell(sh)
+		sh, ok := shells.get(spec)
+		if !ok {
+			var err error
+			if sh, err = cluster.NewShell(spec); err != nil {
+				return rec, err
 			}
-		} else {
-			res, err = cluster.Run(spec, seedAt(seed, i), rec)
+		}
+		res, err := sh.Run(seedAt(seed, i), rec)
+		if recycle {
+			shells.put(spec, sh)
 		}
 		if err != nil {
 			return rec, err

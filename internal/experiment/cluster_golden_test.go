@@ -55,16 +55,13 @@ func fingerprintClusterResults(results []*cluster.Result) string {
 }
 
 // runClusterGolden executes one policy's series at the given parallelism.
-// With withObs the passive recorder (timeline, lanes) is attached; with
-// batch the series runs through warm cluster shells (reps fork the
-// multi-node world instead of rebuilding it). The fixture must match
-// exactly either way.
-func runClusterGolden(t *testing.T, policy string, parallelism int, withObs, batch bool) clusterGoldenRecord {
+// With withObs the passive recorder (timeline, lanes) is attached. worlds
+// picks the lifecycle: FreshWorlds builds a new shell per rep, a recycling
+// pool (or nil) runs reps through warm shells reset between reps. The
+// fixture must match exactly either way.
+func runClusterGolden(t *testing.T, policy string, parallelism int, withObs bool, worlds *WorldPool) clusterGoldenRecord {
 	t.Helper()
-	exec := Executor{Parallelism: parallelism}
-	if batch {
-		exec.Batch = BatchOn
-	}
+	exec := Executor{Parallelism: parallelism, Worlds: worlds}
 	if withObs {
 		exec.Obs = &ObsOptions{Timeline: true, Reg: obs.NewRegistry()}
 	}
@@ -81,7 +78,9 @@ func runClusterGolden(t *testing.T, policy string, parallelism int, withObs, bat
 }
 
 // TestGoldenCluster verifies cluster runs reproduce the pinned outputs
-// exactly, at executor parallelism 1 and 8 and with observability attached.
+// exactly, at executor parallelism 1 and 8, with and without observability,
+// with every rep in a fresh shell (FreshWorlds, the reference the fixture is
+// generated from).
 func TestGoldenCluster(t *testing.T) {
 	update := os.Getenv("REPRO_UPDATE_GOLDEN") != ""
 	var golden map[string]clusterGoldenRecord
@@ -98,16 +97,20 @@ func TestGoldenCluster(t *testing.T) {
 	for _, policy := range cluster.PolicyNames() {
 		policy := policy
 		t.Run(policy, func(t *testing.T) {
-			seq := runClusterGolden(t, policy, 1, false, false)
-			par := runClusterGolden(t, policy, 8, false, false)
-			if fmt.Sprint(seq) != fmt.Sprint(par) {
-				t.Fatalf("parallelism changed outputs:\n  p=1: %+v\n  p=8: %+v", seq, par)
-			}
-			// Observability is a passive observer: attaching the recorder
-			// (with per-node lanes) must not move a single event.
-			withObs := runClusterGolden(t, policy, 8, true, false)
-			if fmt.Sprint(seq) != fmt.Sprint(withObs) {
-				t.Fatalf("obs-enabled run diverged:\n  plain: %+v\n  obs:   %+v", seq, withObs)
+			seq := runClusterGolden(t, policy, 1, false, FreshWorlds())
+			for _, withObs := range []bool{false, true} {
+				for _, parallelism := range []int{1, 8} {
+					if !withObs && parallelism == 1 {
+						continue
+					}
+					// Neither parallelism nor the passive recorder (with
+					// per-node lanes) may move a single event.
+					other := runClusterGolden(t, policy, parallelism, withObs, FreshWorlds())
+					if fmt.Sprint(seq) != fmt.Sprint(other) {
+						t.Fatalf("p=%d obs=%v diverged:\n  p=1:   %+v\n  other: %+v",
+							parallelism, withObs, seq, other)
+					}
+				}
 			}
 			got[policy] = seq
 			if update {
@@ -134,14 +137,14 @@ func TestGoldenCluster(t *testing.T) {
 	}
 }
 
-// TestGoldenClusterBatch re-runs the cluster golden matrix through warm
-// shells — every rep after a shell's first forks the multi-node world back
-// to its construction snapshot instead of rebuilding it — at parallelism 1
+// TestGoldenClusterBatch re-runs the cluster golden matrix through pooled
+// shells — every rep after a shell's first runs in the multi-node world
+// reset to its construction snapshot instead of rebuilt — at parallelism 1
 // and 8, with and without the observability recorder, and demands the
 // fixture still matches byte for byte.
 func TestGoldenClusterBatch(t *testing.T) {
 	if os.Getenv("REPRO_UPDATE_GOLDEN") != "" {
-		t.Skip("fixture is regenerated by TestGoldenCluster (the batch path must not define the baseline)")
+		t.Skip("fixture is regenerated by TestGoldenCluster (pooled shells must not define the baseline)")
 	}
 	raw, err := os.ReadFile(clusterGoldenPath)
 	if err != nil {
@@ -160,9 +163,9 @@ func TestGoldenClusterBatch(t *testing.T) {
 			}
 			for _, withObs := range []bool{false, true} {
 				for _, parallelism := range []int{1, 8} {
-					got := runClusterGolden(t, policy, parallelism, withObs, true)
+					got := runClusterGolden(t, policy, parallelism, withObs, NewWorldPool())
 					if fmt.Sprint(want) != fmt.Sprint(got) {
-						t.Errorf("batched run diverged from fixture (p=%d obs=%v):\n  want %+v\n  got  %+v",
+						t.Errorf("pooled run diverged from fixture (p=%d obs=%v):\n  want %+v\n  got  %+v",
 							parallelism, withObs, want, got)
 					}
 				}

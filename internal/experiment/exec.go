@@ -24,7 +24,7 @@ const seedStride = 1000003
 func seedAt(base uint64, i int) uint64 { return base + uint64(i)*seedStride }
 
 // SeedAt is the exported form of the per-rep seed derivation. Because every
-// execution path (plain, batched, cluster) derives rep i's seed as
+// series (kernel or cluster) derives rep i's seed as
 // base + i*stride, a series starting at SeedAt(base, off) runs exactly reps
 // [off, off+n) of the series starting at base — the property the fleet's
 // rep splitter uses to fan one job's repetitions across backends and merge
@@ -46,9 +46,10 @@ type ProgressFunc func(done, total int, label string)
 // Executor is the execution layer every study fans its repetitions through.
 // Reps of a series are pure functions of (spec, seed), so the executor runs
 // them on a bounded worker pool while guaranteeing results bit-identical to
-// sequential execution: per-rep seeds are derived by index (seedAt), every
-// rep gets its own simulation engine and scheduler, and results land in
-// index-addressed slots so ordering never depends on goroutine completion.
+// sequential execution: per-rep seeds are derived by index (seedAt), each
+// in-flight rep gets its own world (engine and scheduler, reset between
+// reps), and results land in index-addressed slots so ordering never
+// depends on goroutine completion.
 //
 // The zero value is ready to use and runs with Workers() parallelism.
 type Executor struct {
@@ -66,17 +67,10 @@ type Executor struct {
 	// Obs, when non-nil, attaches observability to every rep the executor
 	// runs (flight ring always; timeline for rep 0 when requested).
 	Obs *ObsOptions
-	// Batch selects the batched-rep execution path for Series,
-	// seriesWithPlan, and ClusterSeries: engine + scheduler worlds built
-	// once and forked back to their construction snapshots between reps.
-	// Output is byte-identical to the unbatched path at every parallelism
-	// level; the zero value (BatchAuto) batches at BatchThreshold+ reps,
-	// BatchOff is the escape hatch.
-	Batch BatchPolicy
-	// Worlds, when non-nil, is the pool batched series draw their warm
-	// worlds from, letting sweeps and repeated series share construction
-	// across calls. Nil uses a transient pool per series (reps still share
-	// worlds within the series).
+	// Worlds, when non-nil, is the pool series draw their warm worlds
+	// from, letting sweeps and repeated series share construction across
+	// calls. Nil uses a transient pool per series (reps still share worlds
+	// within the series).
 	Worlds *WorldPool
 
 	// claimed, when non-nil, runs after a worker claims rep index i and
@@ -253,15 +247,15 @@ func (e Executor) run(ctx context.Context, n int, rep func(i int) (*obs.Recorder
 	return nil
 }
 
-// applyObs attaches the executor's per-rep observability options to a rep
-// spec. The recorder is passive, so enabling it cannot change the series'
-// times — only rep 0 keeps a full timeline (reps differ only by seed;
-// recording every rep would multiply memory for no analysis gain).
-func (e Executor) applyObs(s *Spec, i int) {
+// repObs returns rep i's observability options (nil when the executor
+// observes nothing). The recorder is passive, so enabling it cannot change
+// the series' times — only rep 0 keeps a full timeline (reps differ only by
+// seed; recording every rep would multiply memory for no analysis gain).
+func (e Executor) repObs(i int) *obs.Options {
 	if e.Obs == nil {
-		return
+		return nil
 	}
-	s.Obs = &obs.Options{
+	return &obs.Options{
 		Timeline: e.Obs.Timeline && i == 0,
 		Ring:     e.Obs.Ring,
 		Reg:      e.Obs.Reg,
@@ -300,21 +294,47 @@ func (e Executor) deliverTimeline(rec *obs.Recorder) {
 // the execution times in rep order (and the traces, when spec.Tracing).
 // Output is bit-identical for every parallelism level.
 func (e Executor) Series(ctx context.Context, spec Spec, reps int) ([]sim.Time, []*trace.Trace, error) {
-	if e.batchEligible(spec, reps) {
-		plan, err := mitigate.Apply(spec.Strategy, spec.Platform.Topo)
-		if err != nil {
-			return nil, nil, err
-		}
-		return e.batchedSeries(ctx, spec, plan, reps, true)
+	if err := spec.validate(); err != nil {
+		return nil, nil, err
 	}
+	plan, err := mitigate.Apply(spec.Strategy, spec.Platform.Topo)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.series(ctx, spec, plan, reps)
+}
+
+// seriesWithPlan is Series with an explicit execution plan, bypassing
+// strategy derivation (the thread-count sweeps). Traces are not returned.
+func (e Executor) seriesWithPlan(ctx context.Context, spec Spec, plan *mitigate.Plan, reps int) ([]sim.Time, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	times, _, err := e.series(ctx, spec, plan, reps)
+	return times, err
+}
+
+// series is the one rep loop behind Series and seriesWithPlan: each rep
+// draws a pristine world from the executor's pool (building one on a miss),
+// runs in it, and returns it to the pool for the next rep. Rep-to-world
+// assignment is arbitrary under parallelism — which is only sound because a
+// warm world is indistinguishable from a fresh one.
+func (e Executor) series(ctx context.Context, spec Spec, plan *mitigate.Plan,
+	reps int) ([]sim.Time, []*trace.Trace, error) {
 	times := make([]sim.Time, reps)
 	traces := make([]*trace.Trace, reps)
+	pool := e.withWorlds().Worlds
+	key := worldKeyFor(spec)
 	var rec0 *obs.Recorder
 	err := e.run(ctx, reps, func(i int) (*obs.Recorder, error) {
 		s := spec
 		s.Seed = seedAt(spec.Seed, i)
-		e.applyObs(&s, i)
-		res, err := RunOnce(s)
+		if o := e.repObs(i); o != nil {
+			s.Obs = o
+		}
+		w := pool.get(key)
+		res, err := w.run(s, plan)
+		pool.put(w)
 		if err != nil {
 			return res.Obs, err
 		}
@@ -329,37 +349,7 @@ func (e Executor) Series(ctx context.Context, spec Spec, reps int) ([]sim.Time, 
 		return nil, nil, err
 	}
 	e.deliverTimeline(rec0)
-	return times[:reps:reps], compactTraces(traces), nil
-}
-
-// seriesWithPlan is Series with an explicit execution plan, bypassing
-// strategy derivation (the thread-count sweeps). Traces are not collected.
-func (e Executor) seriesWithPlan(ctx context.Context, spec Spec, plan *mitigate.Plan, reps int) ([]sim.Time, error) {
-	if e.batchEligible(spec, reps) {
-		times, _, err := e.batchedSeries(ctx, spec, plan, reps, false)
-		return times, err
-	}
-	times := make([]sim.Time, reps)
-	var rec0 *obs.Recorder
-	err := e.run(ctx, reps, func(i int) (*obs.Recorder, error) {
-		s := spec
-		s.Seed = seedAt(spec.Seed, i)
-		e.applyObs(&s, i)
-		res, err := runOnceWithPlan(s, plan)
-		if err != nil {
-			return res.Obs, err
-		}
-		if i == 0 {
-			rec0 = res.Obs
-		}
-		times[i] = res.ExecTime
-		return nil, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.deliverTimeline(rec0)
-	return times, nil
+	return times, compactTraces(traces), nil
 }
 
 // compactTraces drops nil entries (untraced runs) preserving rep order,

@@ -58,7 +58,7 @@ func FuzzSeedAt(f *testing.F) {
 // small spec, a rep executed in a world warmed by a different-seed rep must
 // produce exactly the result of a fresh world — execution time, scheduler
 // counters, and the full trace. Any divergence means forked state leaked
-// into a scheduling decision, which would silently poison every batched
+// into a scheduling decision, which would silently poison every pooled
 // series (and the rescache content keys built on their determinism).
 func FuzzBatchEqualsFresh(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint64(1), true, 0.0, false)
@@ -96,17 +96,18 @@ func FuzzBatchEqualsFresh(f *testing.F) {
 		}
 		key := worldKeyFor(spec)
 
-		fresh, err := newWorld(key, true).run(spec, plan)
+		fresh, err := newWorld(key).run(spec, plan)
 		if err != nil {
 			t.Skip() // invalid spec fails identically either way
 		}
 
-		warm := newWorld(key, true)
+		warm := newWorld(key)
 		warmup := spec
 		warmup.Seed = seed + 1
 		if _, err := warm.run(warmup, plan); err != nil {
 			t.Fatal(err)
 		}
+		warm.reset()
 		got, err := warm.run(spec, plan)
 		if err != nil {
 			t.Fatalf("warm rep failed where fresh succeeded: %v", err)

@@ -146,46 +146,37 @@ func (c goldenCase) spec(t *testing.T) Spec {
 		DLRuntime: sim.Time(c.DLRuntimeNs), DLPeriod: sim.Time(c.DLPeriodNs)}
 }
 
-// batchRunner returns a RunOnce equivalent that executes every run in a
-// pooled batch world: fresh on a pool miss, forked back from a previous run
-// otherwise. Golden tests drive it to prove a warm world is byte-identical
-// to a cold one.
-func batchRunner(pool *WorldPool) func(Spec) (Result, error) {
+// poolRunner returns a RunOnce equivalent that executes every run in a
+// world drawn from pool: under FreshWorlds a new world per run, under a
+// recycling pool a warm world reset after a previous run whenever one is
+// idle. Golden tests drive both to prove a warm world is byte-identical to
+// a fresh one.
+func poolRunner(pool *WorldPool) func(Spec) (Result, error) {
 	return func(s Spec) (Result, error) {
 		plan, err := mitigate.Apply(s.Strategy, s.Platform.Topo)
 		if err != nil {
 			return Result{}, err
 		}
-		k := worldKeyFor(s)
-		w := pool.get(k)
-		if w == nil {
-			w = newWorld(k, true)
-		}
+		w := pool.get(worldKeyFor(s))
 		res, err := w.run(s, plan)
 		pool.put(w)
 		return res, err
 	}
 }
 
-// runGoldenCase executes one case at the given parallelism. With withObs the
-// passive observability recorder is attached to every run — the fixture must
-// still match exactly, proving observability cannot perturb the kernel. With
-// a non-nil pool every run executes in a pooled batch world (and the
-// executor batches unconditionally), pinning the fork path to the same
-// fixture as the build-from-scratch path.
-func runGoldenCase(t *testing.T, c goldenCase, parallelism int, withObs bool, pool *WorldPool) goldenRecord {
+// runGoldenCase executes one case at the given parallelism, every run —
+// the pipeline's too, for injection cases — drawing its world from pool.
+// With a non-nil reg the passive observability recorder is attached to
+// every run, counting into reg — the fixture must still match exactly,
+// proving observability cannot perturb the kernel.
+func runGoldenCase(t *testing.T, c goldenCase, parallelism int, reg *obs.Registry, pool *WorldPool) goldenRecord {
 	t.Helper()
 	spec := c.spec(t)
-	if withObs {
-		spec.Obs = &obs.Options{Timeline: true}
+	if reg != nil {
+		spec.Obs = &obs.Options{Timeline: true, Reg: reg}
 	}
-	exec := Executor{Parallelism: parallelism}
-	runOne := RunOnce
-	if pool != nil {
-		exec.Batch = BatchOn
-		exec.Worlds = pool
-		runOne = batchRunner(pool)
-	}
+	exec := Executor{Parallelism: parallelism, Worlds: pool}
+	runOne := poolRunner(pool)
 	if c.Inject {
 		pr, err := Pipeline{Spec: spec, CollectRuns: 6, Improved: true, Exec: exec}.Run()
 		if err != nil {
@@ -234,8 +225,14 @@ func runGoldenCase(t *testing.T, c goldenCase, parallelism int, withObs bool, po
 	return rec
 }
 
+// batchedReps reads the count of reps that ran in a reused world.
+func batchedReps(reg *obs.Registry) uint64 {
+	return reg.Counter("repro_sim_batched_reps_total", "").Value()
+}
+
 // TestGoldenKernel verifies the simulation kernel reproduces the pinned
-// outputs exactly, at executor parallelism 1 and 8.
+// outputs exactly, at executor parallelism 1 and 8, with every run in a
+// fresh world (FreshWorlds, the reference the fixture is generated from).
 func TestGoldenKernel(t *testing.T) {
 	update := os.Getenv("REPRO_UPDATE_GOLDEN") != ""
 	var golden map[string]goldenRecord
@@ -252,8 +249,8 @@ func TestGoldenKernel(t *testing.T) {
 	for _, c := range goldenCases() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			seq := runGoldenCase(t, c, 1, false, nil)
-			par := runGoldenCase(t, c, 8, false, nil)
+			seq := runGoldenCase(t, c, 1, nil, FreshWorlds())
+			par := runGoldenCase(t, c, 8, nil, FreshWorlds())
 			if fmt.Sprint(seq) != fmt.Sprint(par) {
 				t.Fatalf("parallelism changed outputs:\n  p=1: %+v\n  p=8: %+v", seq, par)
 			}
@@ -286,10 +283,11 @@ func TestGoldenKernel(t *testing.T) {
 }
 
 // TestGoldenKernelObs re-runs the golden matrix with the observability
-// recorder attached (full timeline on every rep), at parallelism 1 and 8,
-// and demands the outputs still match the fixture byte for byte. The
-// recorder is a passive observer — unlike the tracer, which models its own
-// overhead — so it must be invisible to the simulation.
+// recorder attached (full timeline on every rep), at parallelism 1 and 8 in
+// fresh worlds, and demands the outputs still match the fixture byte for
+// byte. The recorder is a passive observer — unlike the tracer, which
+// models its own overhead — so it must be invisible to the simulation. Its
+// registry also proves the axis is fresh: no rep may count as batched.
 func TestGoldenKernelObs(t *testing.T) {
 	if os.Getenv("REPRO_UPDATE_GOLDEN") != "" {
 		t.Skip("fixture is regenerated by TestGoldenKernel (obs must not define the baseline)")
@@ -310,27 +308,32 @@ func TestGoldenKernelObs(t *testing.T) {
 				t.Fatalf("case %q missing from golden fixture", c.Name)
 			}
 			for _, parallelism := range []int{1, 8} {
-				got := runGoldenCase(t, c, parallelism, true, nil)
+				reg := obs.NewRegistry()
+				got := runGoldenCase(t, c, parallelism, reg, FreshWorlds())
 				if fmt.Sprint(want) != fmt.Sprint(got) {
 					t.Errorf("obs-enabled run diverged from fixture at parallelism %d:\n  want %+v\n  got  %+v",
 						parallelism, want, got)
+				}
+				if n := batchedReps(reg); n != 0 {
+					t.Errorf("fresh worlds at parallelism %d counted %d batched reps, want 0", parallelism, n)
 				}
 			}
 		})
 	}
 }
 
-// TestGoldenKernelBatch re-runs the golden matrix through pooled batch
-// worlds — every rep forked from a warm world when the pool has one — at
-// parallelism 1 and 8, with and without the observability recorder, and
-// demands the fixture still matches byte for byte. One pool is shared across
-// all cases of a sub-test, so worlds cross spec boundaries (different
-// workloads, models, seeds, injection configs reuse the same forked world
-// whenever topology and scheduler options agree) — the strongest practical
-// exercise of the fork path.
+// TestGoldenKernelBatch re-runs the golden matrix through pooled worlds —
+// every rep in a warm, reset world when the pool has one — at parallelism 1
+// and 8, with and without the observability recorder, and demands the
+// fixture still matches byte for byte. One pool is shared across all cases
+// of a sub-test, so worlds cross spec boundaries (different workloads,
+// models, seeds, injection configs reuse the same reset world whenever
+// topology and scheduler options agree) — the strongest practical exercise
+// of the fork path. Sequentially, every case with more than one rep must
+// count batched reps, so this axis provably differs from the fresh one.
 func TestGoldenKernelBatch(t *testing.T) {
 	if os.Getenv("REPRO_UPDATE_GOLDEN") != "" {
-		t.Skip("fixture is regenerated by TestGoldenKernel (the batch path must not define the baseline)")
+		t.Skip("fixture is regenerated by TestGoldenKernel (pooled worlds must not define the baseline)")
 	}
 	raw, err := os.ReadFile(goldenPath)
 	if err != nil {
@@ -354,10 +357,17 @@ func TestGoldenKernelBatch(t *testing.T) {
 					if !ok {
 						t.Fatalf("case %q missing from golden fixture", c.Name)
 					}
-					got := runGoldenCase(t, c, parallelism, withObs, pool)
+					var reg *obs.Registry
+					if withObs {
+						reg = obs.NewRegistry()
+					}
+					got := runGoldenCase(t, c, parallelism, reg, pool)
 					if fmt.Sprint(want) != fmt.Sprint(got) {
-						t.Errorf("%s: batched run diverged from fixture:\n  want %+v\n  got  %+v",
+						t.Errorf("%s: pooled run diverged from fixture:\n  want %+v\n  got  %+v",
 							c.Name, want, got)
+					}
+					if reg != nil && parallelism == 1 && c.Reps > 1 && batchedReps(reg) == 0 {
+						t.Errorf("%s: pooled worlds counted no batched reps", c.Name)
 					}
 				}
 			})

@@ -121,24 +121,25 @@ func (r Result) AbsorbedFraction() float64 {
 	return float64(r.InjectorCPUTime-r.InjectorOnWorkload) / float64(r.InjectorCPUTime)
 }
 
-// RunOnce executes one simulated run.
+// validate rejects specs no world can run.
+func (s Spec) validate() error {
+	if s.Platform == nil || s.Workload == nil {
+		return fmt.Errorf("experiment: spec needs platform and workload")
+	}
+	return nil
+}
+
+// RunOnce executes one simulated run in a world built for it and dropped
+// afterwards (no reset: nothing reuses it).
 func RunOnce(spec Spec) (Result, error) {
-	if spec.Platform == nil || spec.Workload == nil {
-		return Result{}, fmt.Errorf("experiment: spec needs platform and workload")
+	if err := spec.validate(); err != nil {
+		return Result{}, err
 	}
 	plan, err := mitigate.Apply(spec.Strategy, spec.Platform.Topo)
 	if err != nil {
 		return Result{}, err
 	}
-	return runOnceWithPlan(spec, plan)
-}
-
-// runOnceWithPlan executes one run with an explicit execution plan,
-// bypassing strategy derivation (used by the thread-count sweeps). It
-// builds a one-shot world — the same code path batched series reuse, minus
-// the end-of-run fork a pooled world performs.
-func runOnceWithPlan(spec Spec, plan *mitigate.Plan) (Result, error) {
-	return newWorld(worldKeyFor(spec), false).run(spec, plan)
+	return newWorld(worldKeyFor(spec)).run(spec, plan)
 }
 
 // publishRunCounters publishes the run's kernel counters to the shared obs

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/mitigate"
 	"repro/internal/obs"
 	"repro/internal/platform"
@@ -11,43 +12,7 @@ import (
 	"repro/internal/workloads"
 )
 
-func TestParseBatchPolicy(t *testing.T) {
-	cases := []struct {
-		in   string
-		want BatchPolicy
-		err  bool
-	}{
-		{"", BatchAuto, false},
-		{"auto", BatchAuto, false},
-		{"on", BatchOn, false},
-		{"off", BatchOff, false},
-		{"ON", BatchAuto, true},
-		{"never", BatchAuto, true},
-	}
-	for _, c := range cases {
-		got, err := ParseBatchPolicy(c.in)
-		if (err != nil) != c.err || got != c.want {
-			t.Errorf("ParseBatchPolicy(%q) = %v, %v; want %v, err=%v", c.in, got, err, c.want, c.err)
-		}
-	}
-}
-
-func TestBatchRepsPolicy(t *testing.T) {
-	if (Executor{}).batchReps(BatchThreshold - 1) {
-		t.Error("auto batched below threshold")
-	}
-	if !(Executor{}).batchReps(BatchThreshold) {
-		t.Error("auto did not batch at threshold")
-	}
-	if !(Executor{Batch: BatchOn}).batchReps(1) {
-		t.Error("BatchOn did not batch a single rep")
-	}
-	if (Executor{Batch: BatchOff}).batchReps(100) {
-		t.Error("BatchOff batched")
-	}
-}
-
-// batchTestSpec is a small traced spec for batched-vs-legacy comparisons.
+// batchTestSpec is a small traced spec for pooled-vs-fresh comparisons.
 func batchTestSpec(t *testing.T) Spec {
 	t.Helper()
 	p, err := platform.New("tiny-test")
@@ -62,38 +27,39 @@ func batchTestSpec(t *testing.T) Spec {
 		Seed: 4242, Tracing: true}
 }
 
-// TestBatchedSeriesMatchesLegacy runs the same series with batching forced
-// off and forced on (at parallelism 1 and 8) and demands identical times
-// and identical traces, event for event. This is the end-to-end form of the
-// snapshot-safety guarantee: every seedAt-derived per-rep RNG stream drawn
-// in a forked world reproduces the from-scratch sequence.
+// TestBatchedSeriesMatchesLegacy runs the same series through fresh worlds
+// (FreshWorlds, every rep builds its own) and through pooled worlds (at
+// parallelism 1 and 8) and demands identical times and identical traces,
+// event for event. This is the end-to-end form of the snapshot-safety
+// guarantee: every seedAt-derived per-rep RNG stream drawn in a reset world
+// reproduces the from-scratch sequence.
 func TestBatchedSeriesMatchesLegacy(t *testing.T) {
 	spec := batchTestSpec(t)
 	const reps = 6
-	legacyTimes, legacyTraces, err := Executor{Parallelism: 1, Batch: BatchOff}.
+	freshTimes, freshTraces, err := Executor{Parallelism: 1, Worlds: FreshWorlds()}.
 		Series(context.Background(), spec, reps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyHash, legacyEvents := fingerprintTraces(legacyTraces)
+	freshHash, freshEvents := fingerprintTraces(freshTraces)
 	for _, parallelism := range []int{1, 8} {
-		times, traces, err := Executor{Parallelism: parallelism, Batch: BatchOn}.
+		times, traces, err := Executor{Parallelism: parallelism}.
 			Series(context.Background(), spec, reps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(times) != len(legacyTimes) {
-			t.Fatalf("p=%d: %d times, legacy %d", parallelism, len(times), len(legacyTimes))
+		if len(times) != len(freshTimes) {
+			t.Fatalf("p=%d: %d times, fresh %d", parallelism, len(times), len(freshTimes))
 		}
 		for i := range times {
-			if times[i] != legacyTimes[i] {
-				t.Errorf("p=%d rep %d: batched %v, legacy %v", parallelism, i, times[i], legacyTimes[i])
+			if times[i] != freshTimes[i] {
+				t.Errorf("p=%d rep %d: pooled %v, fresh %v", parallelism, i, times[i], freshTimes[i])
 			}
 		}
 		hash, events := fingerprintTraces(traces)
-		if hash != legacyHash || events != legacyEvents {
-			t.Errorf("p=%d: batched traces %s (%d events), legacy %s (%d events)",
-				parallelism, hash, events, legacyHash, legacyEvents)
+		if hash != freshHash || events != freshEvents {
+			t.Errorf("p=%d: pooled traces %s (%d events), fresh %s (%d events)",
+				parallelism, hash, events, freshHash, freshEvents)
 		}
 	}
 }
@@ -112,13 +78,14 @@ func TestForkedRepMatchesFreshWorld(t *testing.T) {
 	key := worldKeyFor(spec)
 
 	// Warm a world with three different-seed reps.
-	warm := newWorld(key, true)
+	warm := newWorld(key)
 	for i := 1; i <= 3; i++ {
 		s := spec
 		s.Seed = seedAt(spec.Seed, i)
 		if _, err := warm.run(s, plan); err != nil {
 			t.Fatal(err)
 		}
+		warm.reset()
 	}
 
 	s := spec
@@ -127,7 +94,7 @@ func TestForkedRepMatchesFreshWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := newWorld(key, true).run(s, plan)
+	fresh, err := newWorld(key).run(s, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +116,13 @@ func TestForkedRepMatchesFreshWorld(t *testing.T) {
 	}
 }
 
-// TestBatchCountersReachRegistry checks the obs registry exposes the new
-// batch counters and that warm reps drive cow-copies toward zero.
+// TestBatchCountersReachRegistry checks the obs registry exposes the world
+// reuse counters and that warm reps drive cow-copies toward zero.
 func TestBatchCountersReachRegistry(t *testing.T) {
 	spec := batchTestSpec(t)
 	spec.Tracing = false
 	reg := obs.NewRegistry()
-	exec := Executor{Parallelism: 1, Batch: BatchOn,
-		Obs: &ObsOptions{Reg: reg}}
+	exec := Executor{Parallelism: 1, Obs: &ObsOptions{Reg: reg}}
 	const reps = 6
 	if _, _, err := exec.Series(context.Background(), spec, reps); err != nil {
 		t.Fatal(err)
@@ -192,7 +158,7 @@ func cowForSingleRep(t *testing.T, spec Spec) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := newWorld(worldKeyFor(spec), true).run(spec, plan)
+	res, err := newWorld(worldKeyFor(spec)).run(spec, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,12 +179,48 @@ func TestWorldPoolKeying(t *testing.T) {
 		t.Fatal("different scheduler options produced the same world key")
 	}
 	pool := NewWorldPool()
-	w := newWorld(k1, true)
+	w := newWorld(k1)
 	pool.put(w)
-	if got := pool.get(k2); got != nil {
+	if got := pool.get(k2); got == w {
 		t.Fatal("pool returned a world for a different key")
 	}
 	if got := pool.get(k1); got != w {
 		t.Fatal("pool lost the world for its own key")
+	}
+}
+
+// TestSeriesRejectsInvalidSpecs checks that every series entry point
+// validates its spec once, before any world or shell is built: a spec
+// missing its platform or workload (or an invalid cluster spec) returns the
+// validation error, at any rep count, instead of panicking.
+func TestSeriesRejectsInvalidSpecs(t *testing.T) {
+	valid := batchTestSpec(t)
+	plan, err := mitigate.Apply(valid.Strategy, valid.Platform.Topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noPlatform, noWorkload := valid, valid
+	noPlatform.Platform = nil
+	noWorkload.Workload = nil
+	const wantSpec = "experiment: spec needs platform and workload"
+	badCluster := cluster.StragglerStudySpec()
+	badCluster.Policy = "bogus"
+	wantCluster := badCluster.Validate()
+	if wantCluster == nil {
+		t.Fatal("cluster spec with an unknown policy validated")
+	}
+	ctx := context.Background()
+	for _, reps := range []int{1, 8} {
+		for name, spec := range map[string]Spec{"nil platform": noPlatform, "nil workload": noWorkload} {
+			if _, _, err := (Executor{}).Series(ctx, spec, reps); err == nil || err.Error() != wantSpec {
+				t.Errorf("Series(%s, reps=%d) = %v, want %q", name, reps, err, wantSpec)
+			}
+			if _, err := (Executor{}).seriesWithPlan(ctx, spec, plan, reps); err == nil || err.Error() != wantSpec {
+				t.Errorf("seriesWithPlan(%s, reps=%d) = %v, want %q", name, reps, err, wantSpec)
+			}
+		}
+		if _, err := (Executor{}).ClusterSeries(ctx, badCluster, 1, reps); err == nil || err.Error() != wantCluster.Error() {
+			t.Errorf("ClusterSeries(unknown policy, reps=%d) = %v, want %q", reps, err, wantCluster)
+		}
 	}
 }

@@ -303,3 +303,106 @@ func TestReserveSeqsEqualsNextSeq(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineSnapshotFork proves a forked engine replays a schedule with the
+// same timestamps and the same (at, seq) ordering as the first run: the fork
+// rewinds clock, sequence counter, and step count to the marked values, so
+// the heap keys of the next run are identical to a fresh engine's.
+func TestEngineSnapshotFork(t *testing.T) {
+	runOnce := func(e *Engine) []Time {
+		var fired []Time
+		e.At(10, func() { fired = append(fired, e.Now()) })
+		e.At(5, func() {
+			fired = append(fired, e.Now())
+			e.After(7, func() { fired = append(fired, e.Now()) })
+		})
+		e.Run()
+		return fired
+	}
+
+	fresh := runOnce(NewEngine())
+
+	e := NewEngine()
+	snap := e.Snapshot()
+	first := runOnce(e)
+	e.Fork(snap)
+	if e.Now() != 0 || e.Steps != 0 {
+		t.Fatalf("fork did not rewind: now=%d steps=%d", e.Now(), e.Steps)
+	}
+	second := runOnce(e)
+
+	for name, got := range map[string][]Time{"first": first, "forked": second} {
+		if len(got) != len(fresh) {
+			t.Fatalf("%s run fired %d timers, fresh fired %d", name, len(got), len(fresh))
+		}
+		for i := range got {
+			if got[i] != fresh[i] {
+				t.Errorf("%s run fire %d at %d, fresh at %d", name, i, got[i], fresh[i])
+			}
+		}
+	}
+}
+
+// TestEngineForkRecyclesPending verifies forking with undelivered timers
+// recycles them into the free pool (they must never fire in the next run)
+// and that a post-fork run reuses the structs instead of allocating.
+func TestEngineForkRecyclesPending(t *testing.T) {
+	e := NewEngine()
+	snap := e.Snapshot()
+	leaked := false
+	for i := 0; i < 8; i++ {
+		e.At(Time(100+i), func() { leaked = true })
+	}
+	if e.Pending() != 8 {
+		t.Fatalf("pending = %d, want 8", e.Pending())
+	}
+	allocs := e.TimerAllocs
+	e.Fork(snap)
+	if e.Pending() != 0 {
+		t.Fatalf("pending after fork = %d, want 0", e.Pending())
+	}
+	var n int
+	e.At(1, func() { n++ })
+	e.Run()
+	if leaked {
+		t.Fatal("a pre-fork timer fired after the fork")
+	}
+	if n != 1 {
+		t.Fatalf("post-fork timer fired %d times, want 1", n)
+	}
+	if e.TimerAllocs != allocs {
+		t.Fatalf("post-fork run allocated %d fresh timers, want 0 (free pool holds 8)",
+			e.TimerAllocs-allocs)
+	}
+}
+
+// TestSnapshotForkMidRunPanics pins the contract that only a pristine
+// pending-free state is a valid fork target.
+func TestSnapshotForkMidRunPanics(t *testing.T) {
+	e := NewEngine()
+	e.At(5, func() {})
+	snap := e.Snapshot() // pending event captured
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Fork from a snapshot with pending events did not panic")
+		}
+	}()
+	e.Fork(snap)
+}
+
+// TestTimerAllocsCountsPoolMisses verifies TimerAllocs counts exactly the
+// fresh materializations: first arming allocates, recycled arming does not.
+func TestTimerAllocsCountsPoolMisses(t *testing.T) {
+	e := NewEngine()
+	e.At(1, func() {})
+	e.At(2, func() {})
+	e.Run()
+	if e.TimerAllocs != 2 {
+		t.Fatalf("TimerAllocs after two fresh timers = %d, want 2", e.TimerAllocs)
+	}
+	e.At(3, func() {})
+	e.Run()
+	if e.TimerAllocs != 2 {
+		t.Fatalf("TimerAllocs after recycled timer = %d, want 2 still", e.TimerAllocs)
+	}
+}

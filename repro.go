@@ -86,29 +86,11 @@ type (
 	Executor = experiment.Executor
 	// ProgressFunc receives study-cell completion updates (Executor.OnCell).
 	ProgressFunc = experiment.ProgressFunc
-	// BatchPolicy selects the batched-rep snapshot/fork fast path
-	// (Executor.Batch). Output is byte-identical either way; the policy
-	// only trades construction work for snapshot bookkeeping.
-	BatchPolicy = experiment.BatchPolicy
-	// WorldPool holds warm per-(topology, scheduler-options) worlds the
-	// batched path forks between reps (Executor.Worlds). Safe for
+	// WorldPool holds warm per-(topology, scheduler-options) worlds that
+	// series reset and reuse between reps (Executor.Worlds). Safe for
 	// concurrent use; share one across studies to reuse construction work.
 	WorldPool = experiment.WorldPool
 )
-
-// Batch policies for Executor.Batch.
-const (
-	// BatchAuto batches any series of at least experiment.BatchThreshold
-	// reps (the zero value and the default).
-	BatchAuto = experiment.BatchAuto
-	// BatchOn batches every eligible series regardless of rep count.
-	BatchOn = experiment.BatchOn
-	// BatchOff always rebuilds worlds from scratch (the legacy path).
-	BatchOff = experiment.BatchOff
-)
-
-// ParseBatchPolicy parses "auto", "on" or "off" (the -batch CLI values).
-func ParseBatchPolicy(s string) (BatchPolicy, error) { return experiment.ParseBatchPolicy(s) }
 
 // NewWorldPool returns an empty warm-world pool for Executor.Worlds.
 func NewWorldPool() *WorldPool { return experiment.NewWorldPool() }
