@@ -8,16 +8,12 @@ package main
 // the identical artifact bytes back.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/analyze"
 	"repro/internal/noise"
@@ -71,87 +67,56 @@ func cmdAnalyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	printAnalysis(res.Artifact)
+	var enc []byte
 	if *out != "" {
-		enc, err := res.Artifact.Encode()
-		if err != nil {
+		if enc, err = res.Artifact.Encode(); err != nil {
 			return err
 		}
-		if err := os.WriteFile(*out, enc, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("artifact -> %s (%d bytes)\n", *out, len(enc))
 	}
-	for _, ref := range res.Artifact.Timelines {
-		path := timelinePath(*out, ref.File)
-		if err := os.WriteFile(path, res.Timelines[ref.Source], 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("timeline %s x%s -> %s (%d events)\n",
-			ref.Source, analyze.FormatFactor(ref.Factor), path, ref.Events)
-	}
-	return nil
+	return writeAnalysis(res.Artifact, enc, *out, func(source string) ([]byte, error) {
+		return res.Timelines[source], nil
+	})
 }
 
-// analyzeRemote submits the spec to a daemon or coordinator, polls to
-// completion, and fetches the artifact — byte-identical to a local run of
-// the same spec by construction.
+// analyzeRemote submits the spec to a daemon or coordinator, waits for it
+// and fetches the artifact — byte-identical to a local run of the same
+// spec by construction.
 func analyzeRemote(base string, spec analyze.Spec, out string) error {
-	body, err := json.Marshal(spec)
+	ctx := context.Background()
+	cl := &service.Client{Name: base}
+	st, err := cl.SubmitAnalysis(ctx, spec)
 	if err != nil {
-		return err
-	}
-	resp, err := http.Post(base+"/v1/analyses", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return errBody(resp)
-	}
-	var st service.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return err
 	}
 	fmt.Printf("analysis %s %s cached=%v spec=%s\n", st.ID, st.State, st.Cached, st.SpecHash[:12])
-	for !st.State.Terminal() {
-		time.Sleep(200 * time.Millisecond)
-		code, err := apiGet(base, "/v1/analyses/"+st.ID, &st)
-		if err != nil {
-			return err
-		}
-		if code != http.StatusOK {
-			return fmt.Errorf("status %s: HTTP %d", st.ID, code)
-		}
+	if _, err := waitDone(ctx, cl, st.ID, nil); err != nil {
+		return err
 	}
-	if st.State != service.StateDone {
-		return fmt.Errorf("analysis %s %s: %s", st.ID, st.State, st.Error)
-	}
-	res, err := http.Get(base + "/v1/analyses/" + st.ID + "/result")
+	enc, err := cl.Result(ctx, st.ID)
 	if err != nil {
 		return err
 	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		return errBody(res)
-	}
-	var enc bytes.Buffer
-	if _, err := enc.ReadFrom(res.Body); err != nil {
-		return err
-	}
-	art, err := analyze.Decode(enc.Bytes())
+	art, err := analyze.Decode(enc)
 	if err != nil {
 		return err
 	}
+	return writeAnalysis(art, enc, out, func(source string) ([]byte, error) {
+		return cl.AnalysisTimeline(ctx, st.ID, source)
+	})
+}
+
+// writeAnalysis prints an analysis's ranking, writes its encoded artifact
+// to out (when set), and writes each evidence timeline beside it.
+func writeAnalysis(art *analyze.Artifact, enc []byte, out string, timeline func(source string) ([]byte, error)) error {
 	printAnalysis(art)
 	if out != "" {
-		if err := os.WriteFile(out, enc.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(out, enc, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("artifact -> %s (%d bytes)\n", out, enc.Len())
+		fmt.Printf("artifact -> %s (%d bytes)\n", out, len(enc))
 	}
 	for _, ref := range art.Timelines {
-		tl, err := fetchBytes(base + "/v1/analyses/" + st.ID + "/timeline/" + ref.Source)
+		tl, err := timeline(ref.Source)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "timeline %s: %v\n", ref.Source, err)
 			continue
@@ -164,22 +129,6 @@ func analyzeRemote(base string, spec analyze.Spec, out string) error {
 			ref.Source, analyze.FormatFactor(ref.Factor), path, ref.Events)
 	}
 	return nil
-}
-
-func fetchBytes(url string) ([]byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errBody(resp)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // timelinePath places an evidence file beside the artifact (or in the

@@ -1,20 +1,16 @@
 package main
 
-// Client mode: drive a running noiselabd over HTTP. submit posts an
-// experiment spec (optionally waiting for the result), status polls one
-// job, get fetches the stored result payload, cancel aborts a job.
+// Client mode: drive a running noiselabd (or noisefleet coordinator)
+// through service.Client. submit posts an experiment spec (optionally
+// waiting for the result), status reports one job, get fetches the stored
+// result payload, cancel aborts a job.
 
 import (
-	"bufio"
-	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"strings"
-	"time"
 
 	"repro/internal/service"
 )
@@ -48,185 +44,92 @@ func flagChanged(fs *flag.FlagSet, name string) bool {
 	return changed
 }
 
-// apiGet fetches path and decodes the JSON body into v (when non-nil),
-// returning the status code.
-func apiGet(base, path string, v any) (int, error) {
-	resp, err := http.Get(base + path)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if v == nil {
-		io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode, nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		return resp.StatusCode, fmt.Errorf("decoding response: %w", err)
-	}
-	return resp.StatusCode, nil
-}
-
-// errBody extracts the error message of a non-2xx JSON response.
-func errBody(resp *http.Response) error {
-	var e struct {
-		Error string `json:"error"`
-	}
-	body, _ := io.ReadAll(resp.Body)
-	if json.Unmarshal(body, &e) == nil && e.Error != "" {
-		return fmt.Errorf("%s: %s", resp.Status, e.Error)
-	}
-	return fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(body))
-}
-
 func cmdSubmit(args []string) error {
 	c := newCommon("submit")
 	server := serverFlag(c.fs)
 	reps := c.fs.Int("reps", 50, "repetitions")
 	size := c.fs.String("size", "", "problem size: default or small")
 	tracing := c.fs.Bool("tracing", false, "record per-rep traces in the result")
-	wait := c.fs.Bool("wait", false, "poll until the job finishes and print the summary")
+	wait := c.fs.Bool("wait", false, "follow the job's SSE event stream until it finishes, then print the summary")
 	fleetMode := c.fs.Bool("fleet", false,
 		"target a noisefleet coordinator (default server becomes "+fleetDefault+"); prints per-shard detail with -wait")
-	events := c.fs.Bool("events", false,
-		"with -wait: follow the job's SSE event stream (live rep progress on stderr) instead of polling")
+	events := c.fs.Bool("events", false, "with -wait: print live rep progress to stderr")
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
-	base := resolveServer(c.fs, *server, *fleetMode)
-	spec := service.JobSpec{
+	cl := &service.Client{Name: resolveServer(c.fs, *server, *fleetMode)}
+	ctx := context.Background()
+	st, err := cl.Submit(ctx, service.JobSpec{
 		Platform: *c.platform, Workload: *c.workload, Model: *c.model,
 		Strategy: *c.strategy, Seed: *c.seed, Reps: *reps, Size: *size,
 		Tracing: *tracing,
-	}
-	body, err := json.Marshal(spec)
+	})
 	if err != nil {
-		return err
-	}
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return errBody(resp)
-	}
-	var st service.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return err
 	}
 	fmt.Printf("job %s %s cached=%v spec=%s\n", st.ID, st.State, st.Cached, st.SpecHash[:12])
 	if !*wait {
 		return nil
 	}
+	var progress func(done, total int)
 	if *events {
-		if err := followEvents(base, st.ID); err != nil {
-			fmt.Fprintf(os.Stderr, "event stream: %v; falling back to polling\n", err)
-		}
+		progress = func(done, total int) { fmt.Fprintf(os.Stderr, "\rreps %d/%d", done, total) }
 	}
-	st, err = pollJob(base, st.ID)
+	st, err = waitDone(ctx, cl, st.ID, progress)
+	if *events && st.State != "" {
+		fmt.Fprintf(os.Stderr, "\rjob %s %s\n", st.ID, st.State)
+	}
 	if err != nil {
 		return err
-	}
-	if st.State != service.StateDone {
-		return fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
 	}
 	if *fleetMode {
-		printShards(base, st.ID)
+		for _, s := range st.SubJobs {
+			fmt.Printf("  shard offset=%d reps=%d node=%s job=%s cached=%v retries=%d\n",
+				s.Offset, s.Reps, s.Node, s.JobID, s.Cached, s.Retries)
+		}
 	}
-	return fetchAndPrint(base, st.ID, "")
+	return fetchAndPrint(ctx, cl, st.ID, "")
 }
 
-// followEvents streams a job's SSE events, echoing progress to stderr, and
-// returns once a terminal state event arrives (or the stream breaks — the
-// caller's status poll then settles the final state).
-func followEvents(server, id string) error {
-	resp, err := http.Get(server + "/v1/jobs/" + id + "/events")
-	if err != nil {
-		return err
+// waitDone follows a job to its end and returns its final status; a job
+// that did not finish done is an error.
+func waitDone(ctx context.Context, cl *service.Client, id string, onProgress func(done, total int)) (service.JobStatus, error) {
+	if _, err := cl.WaitDone(ctx, id, onProgress); err != nil {
+		return service.JobStatus{}, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return errBody(resp)
+	st, err := cl.Status(ctx, id)
+	if err == nil && st.State != service.StateDone {
+		err = fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
 	}
-	var event, data string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = line[len("event: "):]
-		case strings.HasPrefix(line, "data: "):
-			data = line[len("data: "):]
-		case line == "":
-			switch event {
-			case "progress":
-				var p struct{ Done, Total int }
-				if json.Unmarshal([]byte(data), &p) == nil {
-					fmt.Fprintf(os.Stderr, "\rreps %d/%d", p.Done, p.Total)
-				}
-			case "state":
-				var s struct {
-					State service.JobState `json:"state"`
-				}
-				if json.Unmarshal([]byte(data), &s) == nil && s.State.Terminal() {
-					fmt.Fprintf(os.Stderr, "\rjob %s %s\n", id, s.State)
-					return nil
-				}
-			}
-			event, data = "", ""
-		}
-	}
-	return sc.Err()
+	return st, err
 }
 
-// printShards reports a fleet job's per-sub-job placement (best-effort:
-// non-coordinator servers simply return no sub_jobs).
-func printShards(server, id string) {
-	var st service.JobStatus
-	if code, err := apiGet(server, "/v1/jobs/"+id, &st); err != nil || code != http.StatusOK {
-		return
+// parseJobFlags parses the flags of a command that names one job; extra
+// (may be nil) adds the command's own flags.
+func parseJobFlags(name string, args []string, extra func(*flag.FlagSet)) (*service.Client, string, error) {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	server := serverFlag(fs)
+	job := fs.String("job", "", "job ID (required)")
+	if extra != nil {
+		extra(fs)
 	}
-	for _, s := range st.SubJobs {
-		fmt.Printf("  shard offset=%d reps=%d node=%s job=%s cached=%v retries=%d\n",
-			s.Offset, s.Reps, s.Node, s.JobID, s.Cached, s.Retries)
+	if err := fs.Parse(args); err != nil {
+		return nil, "", err
 	}
-}
-
-// pollJob polls until the job reaches a terminal state.
-func pollJob(server, id string) (service.JobStatus, error) {
-	for {
-		var st service.JobStatus
-		code, err := apiGet(server, "/v1/jobs/"+id, &st)
-		if err != nil {
-			return st, err
-		}
-		if code != http.StatusOK {
-			return st, fmt.Errorf("status %s: HTTP %d", id, code)
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		time.Sleep(200 * time.Millisecond)
+	if *job == "" {
+		return nil, "", fmt.Errorf("-job is required")
 	}
+	return &service.Client{Name: *server}, *job, nil
 }
 
 func cmdStatus(args []string) error {
-	fs := flag.NewFlagSet("status", flag.ExitOnError)
-	server := serverFlag(fs)
-	job := fs.String("job", "", "job ID (required)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *job == "" {
-		return fmt.Errorf("-job is required")
-	}
-	var st service.JobStatus
-	code, err := apiGet(*server, "/v1/jobs/"+*job, &st)
+	cl, job, err := parseJobFlags("status", args, nil)
 	if err != nil {
 		return err
 	}
-	if code != http.StatusOK {
-		return fmt.Errorf("HTTP %d", code)
+	st, err := cl.Status(context.Background(), job)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("job %s %s cached=%v spec=%s", st.ID, st.State, st.Cached, st.SpecHash[:12])
 	if st.Error != "" {
@@ -237,31 +140,20 @@ func cmdStatus(args []string) error {
 }
 
 func cmdGet(args []string) error {
-	fs := flag.NewFlagSet("get", flag.ExitOnError)
-	server := serverFlag(fs)
-	job := fs.String("job", "", "job ID (required)")
-	out := fs.String("o", "", "write the raw result JSON to this file instead of summarizing")
-	if err := fs.Parse(args); err != nil {
+	var out string
+	cl, job, err := parseJobFlags("get", args, func(fs *flag.FlagSet) {
+		fs.StringVar(&out, "o", "", "write the raw result JSON to this file instead of summarizing")
+	})
+	if err != nil {
 		return err
 	}
-	if *job == "" {
-		return fmt.Errorf("-job is required")
-	}
-	return fetchAndPrint(*server, *job, *out)
+	return fetchAndPrint(context.Background(), cl, job, out)
 }
 
 // fetchAndPrint downloads a result payload and either saves it raw or
 // prints the summary line.
-func fetchAndPrint(server, id, outPath string) error {
-	resp, err := http.Get(server + "/v1/jobs/" + id + "/result")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return errBody(resp)
-	}
-	data, err := io.ReadAll(resp.Body)
+func fetchAndPrint(ctx context.Context, cl *service.Client, id, outPath string) error {
+	data, err := cl.Result(ctx, id)
 	if err != nil {
 		return err
 	}
@@ -284,34 +176,14 @@ func fetchAndPrint(server, id, outPath string) error {
 }
 
 func cmdCancel(args []string) error {
-	fs := flag.NewFlagSet("cancel", flag.ExitOnError)
-	server := serverFlag(fs)
-	job := fs.String("job", "", "job ID (required)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *job == "" {
-		return fmt.Errorf("-job is required")
-	}
-	req, err := http.NewRequest(http.MethodDelete, *server+"/v1/jobs/"+*job, nil)
+	cl, job, err := parseJobFlags("cancel", args, nil)
 	if err != nil {
 		return err
 	}
-	resp, err := http.DefaultClient.Do(req)
+	state, err := cl.Cancel(context.Background(), job)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return errBody(resp)
-	}
-	var body struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return err
-	}
-	fmt.Printf("job %s %s\n", body.ID, body.State)
+	fmt.Printf("job %s %s\n", job, state)
 	return nil
 }

@@ -214,6 +214,8 @@ func usage() {
   noiselab submit     -server URL -platform P -workload W -model M -strategy S
                       [-seed N] [-reps N] [-size small] [-tracing] [-wait]
                       [-events] [-fleet]
+                      (-wait follows the job's SSE event stream to its end;
+                      -events prints rep progress to stderr meanwhile)
   noiselab status     -server URL -job ID
   noiselab get        -server URL -job ID [-o result.json]
   noiselab cancel     -server URL -job ID

@@ -30,9 +30,15 @@ type Config struct {
 	MaxReps int
 	// EventKeep bounds each fleet job's SSE event ring (0 = service default).
 	EventKeep int
-	// Client is the HTTP client used for backend calls (nil = default).
+	// Client is the HTTP client used for backend calls (nil = the
+	// service.Client default, with dial and response-header timeouts).
 	Client *http.Client
 }
+
+// Backend is the coordinator's client for one noiselabd node: the
+// service's one job client, under the name the coordinator's backends, the
+// fleet tests and perfbench/serve.go use.
+type Backend = service.Client
 
 // queueSize bounds the coordinator's job queue. A fleet job's worker
 // mostly waits on backends, so the coordinator runs one worker per queue
@@ -261,7 +267,7 @@ func (r *runner) runSubOn(ctx context.Context, run *fleetRun, idx int, sub SubJo
 	defer func() {
 		if ctx.Err() != nil {
 			cctx, done := context.WithTimeout(context.WithoutCancel(ctx), subCancelTimeout)
-			_ = b.Cancel(cctx, st.ID)
+			_, _ = b.Cancel(cctx, st.ID) // best-effort: the slice is abandoned either way
 			done()
 		}
 	}()

@@ -10,6 +10,9 @@ package service
 // Delivery contract (what the fleet coordinator and the tests rely on):
 //
 //   - Event IDs are strictly increasing per job, starting at 1.
+//   - State events follow the job's transitions in order: each is
+//     published in the server critical section that makes it, so a job's
+//     first event is "queued" (or "done" for a cache hit), never "running".
 //   - Progress events are monotone: the "done" count never regresses, and
 //     each distinct count is published at most once.
 //   - A reconnect with Last-Event-ID resumes after that ID. When the ID has

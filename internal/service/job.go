@@ -249,6 +249,9 @@ type Server struct {
 	// testHookJobUpdate, when non-nil, is called after every job state
 	// transition (with the server mutex released). Tests use it to wait on
 	// state changes without wall-clock polling. Set it before submitting.
+	// The submitter's "queued" call comes after the enqueue, so a worker's
+	// calls for the same job may overtake it; the job's event stream is
+	// the ordered record.
 	testHookJobUpdate func(id string, state JobState)
 }
 
@@ -298,11 +301,17 @@ func (s *Server) Metrics() Snapshot {
 	return s.met.snapshot(len(s.queue), s.cache.Stats())
 }
 
-// notifyUpdate publishes a job state transition to the job's event stream
-// and the test hook. Call with the server mutex released; the stream is
-// published first so a hook-driven waiter observes the event on wake-up.
-func (s *Server) notifyUpdate(j *Job, state JobState) {
+// setState moves j to state and publishes the transition on the job's
+// event stream. Call with the server mutex held, so transitions reach the
+// stream in the order they happen.
+func (j *Job) setState(state JobState) {
+	j.State = state
 	j.events.PublishState(state)
+}
+
+// notify calls the test hook for a transition setState published. Call
+// with the server mutex released.
+func (s *Server) notify(j *Job, state JobState) {
 	if s.testHookJobUpdate != nil {
 		s.testHookJobUpdate(j.ID, state)
 	}
@@ -346,60 +355,46 @@ func (s *Server) submit(spec JobSpec) (*Job, bool, error) {
 		return nil, false, err
 	}
 
+	data, cached := s.cache.Get(hash)
+	now := time.Now()
+	job := &Job{srv: s, Spec: spec, Hash: hash, Created: now, events: NewEventLog(s.cfg.EventKeep)}
+
+	// The job gets its ID, joins s.jobs and publishes its first state in
+	// the critical section that enqueues or completes it. A worker takes
+	// s.mu before it publishes "running", so "queued" always comes first,
+	// and a rejected submission leaves no job behind.
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		s.met.rejected.Inc()
 		return nil, false, errDraining
 	}
-	s.nextID++
-	job := &Job{
-		srv:     s,
-		ID:      fmt.Sprintf("j%06d", s.nextID),
-		Spec:    spec,
-		Hash:    hash,
-		State:   StateQueued,
-		Created: time.Now(),
-		events:  NewEventLog(s.cfg.EventKeep),
-	}
-	s.jobs[job.ID] = job
-	s.mu.Unlock()
 	s.met.submitted.Inc()
-
-	// Fast path: a cached result completes the job at submit time.
-	if data, ok := s.cache.Get(hash); ok {
-		now := time.Now()
-		s.mu.Lock()
-		job.State = StateDone
-		job.Cached = true
-		job.result = data
-		job.Started, job.Finished = now, now
-		s.retire(job)
-		s.mu.Unlock()
-		s.met.jobStarted()
-		s.met.jobFinished(StateDone, true, 0)
-		s.notifyUpdate(job, StateDone)
-		return job, true, nil
-	}
-
-	s.mu.Lock()
-	if s.draining { // re-check: Drain may have closed the queue meanwhile
-		delete(s.jobs, job.ID)
-		s.mu.Unlock()
-		s.met.rejected.Inc()
-		return nil, false, errDraining
-	}
-	select {
-	case s.queue <- job:
-		s.mu.Unlock()
-		s.notifyUpdate(job, StateQueued)
-		return job, false, nil
-	default:
-		delete(s.jobs, job.ID)
+	if !cached && len(s.queue) == cap(s.queue) {
 		s.mu.Unlock()
 		s.met.rejected.Inc()
 		return nil, false, errQueueFull
 	}
+	s.nextID++
+	job.ID = fmt.Sprintf("j%06d", s.nextID)
+	s.jobs[job.ID] = job
+	if !cached {
+		job.setState(StateQueued)
+		s.queue <- job // cannot block: every send holds s.mu, and the queue had room
+		s.mu.Unlock()
+		s.notify(job, StateQueued)
+		return job, false, nil
+	}
+	// A cached result completes the job at submit time.
+	job.Cached, job.result = true, data
+	job.Started, job.Finished = now, now
+	job.setState(StateDone)
+	s.retire(job)
+	s.mu.Unlock()
+	s.met.jobStarted()
+	s.met.jobFinished(StateDone, true, 0)
+	s.notify(job, StateDone)
+	return job, true, nil
 }
 
 // Job returns a tracked job by ID.
@@ -483,7 +478,7 @@ func (s *Server) Cancel(id string) (JobState, bool) {
 	canceledQueued := false
 	switch j.State {
 	case StateQueued:
-		j.State = StateCanceled
+		j.setState(StateCanceled)
 		j.Finished = time.Now()
 		s.met.canceled.Inc()
 		s.retire(j)
@@ -497,7 +492,7 @@ func (s *Server) Cancel(id string) (JobState, bool) {
 		cancel()
 	}
 	if canceledQueued {
-		s.notifyUpdate(j, StateCanceled)
+		s.notify(j, StateCanceled)
 	}
 	return state, true
 }
@@ -512,13 +507,13 @@ func (s *Server) runJob(job *Job) {
 		s.mu.Unlock()
 		return
 	}
-	job.State = StateRunning
+	job.setState(StateRunning)
 	job.Started = time.Now()
 	job.cancel = cancel
 	job.repsTotal = job.Spec.TotalReps()
 	s.mu.Unlock()
 	s.met.jobStarted()
-	s.notifyUpdate(job, StateRunning)
+	s.notify(job, StateRunning)
 
 	data, hit, err := s.cache.GetOrCompute(ctx, job.Hash, func(ctx context.Context) ([]byte, error) {
 		s.met.executions.Inc()
@@ -528,27 +523,28 @@ func (s *Server) runJob(job *Job) {
 	now := time.Now()
 	s.mu.Lock()
 	job.Finished = now
+	state := StateDone
 	switch {
 	case err == nil:
-		job.State = StateDone
 		job.Cached = hit
 		job.result = data
 	case errors.Is(err, context.Canceled):
-		job.State = StateCanceled
+		state = StateCanceled
 		job.Err = "canceled"
 	case errors.Is(err, context.DeadlineExceeded):
-		job.State = StateFailed
+		state = StateFailed
 		job.Err = fmt.Sprintf("timed out after %v", s.cfg.JobTimeout)
 	default:
-		job.State = StateFailed
+		state = StateFailed
 		job.Err = err.Error()
 	}
-	state, cached := job.State, job.Cached
+	job.setState(state)
+	cached := job.Cached
 	latency := job.Finished.Sub(job.Started).Seconds()
 	s.retire(job)
 	s.mu.Unlock()
 	s.met.jobFinished(state, cached, latency)
-	s.notifyUpdate(job, state)
+	s.notify(job, state)
 }
 
 // engineRunner runs jobs on this process's engine: the daemon's runner.
