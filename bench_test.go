@@ -31,7 +31,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mitigate"
 	"repro/internal/obs"
-	"repro/internal/omprt"
+	"repro/internal/parmodel"
 	"repro/internal/platform"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -383,7 +383,7 @@ func BenchmarkAblationWaitPolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p, w, cfg, _ := ablationSetup(b, true)
 		reps := benchReps().Inject
-		active := omprt.DefaultConfig()
+		active := parmodel.OpenMP()
 		passive := active
 		passive.ActiveWait = false
 		spec := Spec{Platform: p, Workload: w, Model: "omp", Strategy: Rm,

@@ -27,7 +27,6 @@
 //	                     which resource gates the workload
 //	traces               analyze collected trace files (per-source stats)
 //	report               regenerate every table and figure into a directory
-//	timeline             export a run's full scheduling timeline (Chrome JSON)
 //	runlevel             baseline variability at runlevel 5 vs 3 (§5.1)
 //	cluster              simulated-datacenter straggler study: placement
 //	                     policies on a multi-node topology
@@ -158,8 +157,6 @@ func run() int {
 		err = cmdTraces(args)
 	case "report":
 		err = cmdReport(args)
-	case "timeline":
-		err = cmdTimeline(args)
 	case "runlevel":
 		err = cmdRunlevel(args)
 	case "cluster":

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -149,21 +150,26 @@ func TestNativeWorkloadBuilders(t *testing.T) {
 	fn()
 }
 
+// TestCmdTimeline: -timeline-out records the real run through the runtime
+// executor — I/O devices registered, so a logwriter run shows its io-wait
+// spans — without changing what the run simulates.
 func TestCmdTimeline(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "tl.json")
-	out := captureStdout(t, func() error {
-		return cmdTimeline([]string{"-workload", "schedbench", "-o", path})
-	})
-	if !strings.Contains(out, "timeline ->") {
-		t.Fatalf("timeline output: %s", out)
+	args := []string{"-workload", "logwriter", "-platform", "a64fx-reserved"}
+	plain := captureStdout(t, func() error { return cmdRun(args) })
+
+	path := filepath.Join(t.TempDir(), "tl.json")
+	gTimelineOut, timelineOnce = path, sync.Once{}
+	t.Cleanup(func() { gTimelineOut, timelineOnce = "", sync.Once{} })
+	recorded := captureStdout(t, func() error { return cmdRun(args) })
+	if !strings.HasPrefix(plain, "exec time:") || recorded != plain {
+		t.Fatalf("exec time with -timeline-out %q, without %q", recorded, plain)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "thread_name") {
-		t.Fatal("timeline JSON missing metadata rows")
+	if !strings.Contains(string(data), `"io-wait"`) {
+		t.Fatal("timeline holds no io-wait spans")
 	}
 }
 

@@ -274,7 +274,7 @@ func (s *Scheduler) SetTracer(h Hook) { s.tracer = h }
 func (s *Scheduler) SetObserver(r *obs.Recorder) { s.obs = r }
 
 // Observer returns the attached recorder, nil when observability is off.
-// Runtime layers (omprt, syclrt) emit their region/kernel spans through it.
+// The runtime model (parmodel) emits its region/kernel spans through it.
 func (s *Scheduler) Observer() *obs.Recorder { return s.obs }
 
 // TotalPreemptions sums involuntary context switches over all tasks.

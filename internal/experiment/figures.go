@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mitigate"
-	"repro/internal/omprt"
+	"repro/internal/parmodel"
 	"repro/internal/platform"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -45,15 +45,15 @@ func Figure1(reps int, seed uint64) ([]FigureSeries, error) {
 // Figure1Exec is Figure1 under an explicit executor and context.
 func Figure1Exec(ctx context.Context, e Executor, reps int, seed uint64) ([]FigureSeries, error) {
 	type combo struct {
-		sched omprt.Schedule
+		sched parmodel.Schedule
 		label string
 		chunk int
 	}
 	var combos []combo
 	for _, sc := range []struct {
-		s     omprt.Schedule
+		s     parmodel.Schedule
 		short string
-	}{{omprt.Static, "st"}, {omprt.Dynamic, "dy"}, {omprt.Guided, "gd"}} {
+	}{{parmodel.Static, "st"}, {parmodel.Dynamic, "dy"}, {parmodel.Guided, "gd"}} {
 		for _, chunk := range []int{1, 8, 64} {
 			combos = append(combos, combo{sc.s, fmt.Sprintf("%s:%d", sc.short, chunk), chunk})
 		}
@@ -70,7 +70,7 @@ func Figure1Exec(ctx context.Context, e Executor, reps int, seed uint64) ([]Figu
 			return nil, err
 		}
 		for _, c := range combos {
-			cfg := omprt.DefaultConfig()
+			cfg := parmodel.OpenMP()
 			cfg.Schedule = c.sched
 			cfg.Chunk = c.chunk
 			spec := Spec{

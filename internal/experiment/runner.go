@@ -13,10 +13,9 @@ import (
 	"repro/internal/mitigate"
 	"repro/internal/noise"
 	"repro/internal/obs"
-	"repro/internal/omprt"
+	"repro/internal/parmodel"
 	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/syclrt"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -61,13 +60,12 @@ type Spec struct {
 	SourceScale float64
 	// Runlevel3 disables GUI noise, as in the paper's re-runs.
 	Runlevel3 bool
-	// OMP / SYCL override the runtime model configs (nil = defaults).
-	OMP  *omprt.Config
-	SYCL *syclrt.Config
+	// OMP overrides the OpenMP runtime config (nil = parmodel.OpenMP()).
+	OMP *parmodel.Config
 	// DLRuntime/DLPeriod, when positive, spawn every workload thread under
 	// SCHED_DEADLINE with this per-thread CBS reservation (runtime of CPU
 	// per period) — the deadline-class mitigation. Zero leaves threads in
-	// the fair class. Applied on top of OMP/SYCL config overrides.
+	// the fair class. Applied on top of the OMP override.
 	DLRuntime sim.Time
 	DLPeriod  sim.Time
 	// Obs, when non-nil, attaches a passive observability recorder to the

@@ -21,13 +21,13 @@ import (
 
 	"repro/internal/mitigate"
 	"repro/internal/obs"
-	"repro/internal/omprt"
+	"repro/internal/parmodel"
 	"repro/internal/sim"
 )
 
 func TestGoldenRuntimeTimeline(t *testing.T) {
-	ompWith := func(s omprt.Schedule, chunk int) *omprt.Config {
-		cfg := omprt.DefaultConfig()
+	ompWith := func(s parmodel.Schedule, chunk int) *parmodel.Config {
+		cfg := parmodel.OpenMP()
 		cfg.Schedule, cfg.Chunk = s, chunk
 		return &cfg
 	}
@@ -35,19 +35,19 @@ func TestGoldenRuntimeTimeline(t *testing.T) {
 		name     string
 		workload string
 		model    string
-		omp      *omprt.Config
+		omp      *parmodel.Config
 		dl       bool
 		contains string // a span name or arg the timeline must hold
 		digest   string
 	}{
 		{name: "nbody-omp-static", workload: "nbody", model: "omp",
-			omp: ompWith(omprt.Static, 0), contains: "static",
+			omp: ompWith(parmodel.Static, 0), contains: "static",
 			digest: "ea2afeac95cc3fb06cff3f437ff24216626916035672801c7e245dd44d580842"},
 		{name: "nbody-omp-dynamic4", workload: "nbody", model: "omp",
-			omp: ompWith(omprt.Dynamic, 4), contains: "dynamic",
+			omp: ompWith(parmodel.Dynamic, 4), contains: "dynamic",
 			digest: "c7dfd3c4c3690c5113a5044d26d9aac481dbe538e371de30b4fd1aef197dba5a"},
 		{name: "nbody-omp-guided", workload: "nbody", model: "omp",
-			omp: ompWith(omprt.Guided, 0), contains: "guided",
+			omp: ompWith(parmodel.Guided, 0), contains: "guided",
 			digest: "5055d57c0bb96faa584ce16f41e555bdb594cb62c65bc1c29539b28fde0c14b5"},
 		{name: "nbody-sycl", workload: "nbody", model: "sycl", contains: "in-order",
 			digest: "2adf6532d0378c9a6134b4f022dcf77d0923176812723359d982e2a46d043dbc"},

@@ -10,9 +10,8 @@ import (
 	"repro/internal/mitigate"
 	"repro/internal/noise"
 	"repro/internal/obs"
-	"repro/internal/omprt"
+	"repro/internal/parmodel"
 	"repro/internal/sim"
-	"repro/internal/syclrt"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -217,35 +216,24 @@ func (w *world) body(spec Spec, plan *mitigate.Plan) (Result, error) {
 		}
 	}
 
-	var done *cpusched.Task
+	var cfg parmodel.Config
 	switch spec.Model {
 	case "omp":
-		cfg := omprt.DefaultConfig()
+		cfg = parmodel.OpenMP()
 		if spec.OMP != nil {
 			cfg = *spec.OMP
 		}
-		if spec.DLRuntime > 0 {
-			cfg.Policy = cpusched.PolicyDeadline
-			cfg.DLRuntime = spec.DLRuntime
-			cfg.DLPeriod = spec.DLPeriod
-		}
-		team := omprt.Start(sched, plan, cfg, spec.Workload.Body())
-		done = team.Master()
 	case "sycl":
-		cfg := syclrt.DefaultConfig()
-		if spec.SYCL != nil {
-			cfg = *spec.SYCL
-		}
-		if spec.DLRuntime > 0 {
-			cfg.Policy = cpusched.PolicyDeadline
-			cfg.DLRuntime = spec.DLRuntime
-			cfg.DLPeriod = spec.DLPeriod
-		}
-		q := syclrt.Start(sched, plan, cfg, spec.Workload.Body())
-		done = q.Host()
+		cfg = parmodel.SYCL()
 	default:
 		return Result{Obs: rec}, fmt.Errorf("experiment: unknown model %q", spec.Model)
 	}
+	if spec.DLRuntime > 0 {
+		cfg.Policy = cpusched.PolicyDeadline
+		cfg.DLRuntime = spec.DLRuntime
+		cfg.DLPeriod = spec.DLPeriod
+	}
+	done := parmodel.Start(sched, plan, cfg, spec.Workload.Body())
 
 	if replayer != nil {
 		// Injector processes synchronize with workload start (Listing 1's

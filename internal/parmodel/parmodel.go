@@ -1,10 +1,13 @@
 // Package parmodel defines the interface between workload cost models and
-// the parallel runtime models (omprt, syclrt): a workload is a function of
-// a Model, the runtimes record its calls as a phase list (Record), and
-// execute the phases as parallel loops of costed work units on the
-// simulated machine. The two runtime implementations differ exactly where
-// the paper says OpenMP and SYCL differ: work distribution policy,
-// synchronization style, and fixed runtime overheads.
+// the parallel runtime model: a workload is a function of a Model, the
+// runtime records its calls as a phase list (Record), and one fork-join
+// team executes the phases as parallel loops of costed work units on the
+// simulated machine (Start). OpenMP and SYCL are presets of that team's
+// Config, and they differ exactly where the paper says the two runtimes
+// differ: work distribution policy (static vs dynamic work-groups),
+// synchronization style (spinning vs passive waits), and fixed runtime
+// overheads (fork vs kernel submission, chunk dispatch, codegen
+// efficiency).
 package parmodel
 
 // Cost is the machine demand of one work unit: CPU cycles, bytes of memory
@@ -36,17 +39,17 @@ func (c Cost) Add(o Cost) Cost {
 }
 
 // Scale returns the cost with CPU and memory demands multiplied by f. I/O
-// volume is data, not work: runtime efficiency factors (omprt/syclrt
-// CostFactor) change how fast a unit computes, not how many bytes it must
-// move through a device, so IOBytes is deliberately left unscaled.
+// volume is data, not work: the runtime efficiency factor
+// (Config.CostFactor) changes how fast a unit computes, not how many bytes
+// it must move through a device, so IOBytes is deliberately left unscaled.
 func (c Cost) Scale(f float64) Cost {
 	return Cost{c.Cycles * f, c.Bytes * f, c.IOBytes, c.IODev}
 }
 
-// Model is the interface a workload body describes its work against. A
-// runtime's Start does not execute the body on the simulated machine: it
-// records the body once (Record) into a fixed phase list that the
-// master/host thread then executes. The model has no clock, so a body can
+// Model is the interface a workload body describes its work against.
+// Start does not execute the body on the simulated machine: it records the
+// body once (Record) into a fixed phase list that the master/host thread
+// then executes. The model has no clock, so a body can
 // observe only Threads() and Name(); everything else it does must be a
 // fixed sequence of ParallelFor/Master* calls. Cost functions are called
 // later, while the phases run.

@@ -7,10 +7,8 @@ import (
 	"repro/internal/cpusched"
 	"repro/internal/machine"
 	"repro/internal/mitigate"
-	"repro/internal/omprt"
 	"repro/internal/parmodel"
 	"repro/internal/sim"
-	"repro/internal/syclrt"
 	"repro/internal/workloads"
 )
 
@@ -124,15 +122,8 @@ func TestNegativeTripCountPanicsAtStart(t *testing.T) {
 	body := func(m parmodel.Model) {
 		m.ParallelFor(-1, func(int) parmodel.Cost { return parmodel.Cost{} })
 	}
-	start := map[string]func(*cpusched.Scheduler, *mitigate.Plan){
-		"omp": func(s *cpusched.Scheduler, p *mitigate.Plan) {
-			omprt.Start(s, p, omprt.DefaultConfig(), body)
-		},
-		"sycl": func(s *cpusched.Scheduler, p *mitigate.Plan) {
-			syclrt.Start(s, p, syclrt.DefaultConfig(), body)
-		},
-	}
-	for model, fn := range start {
+	presets := map[string]parmodel.Config{"omp": parmodel.OpenMP(), "sycl": parmodel.SYCL()}
+	for model, cfg := range presets {
 		s := cpusched.New(sim.NewEngine(), machine.MustPreset(machine.TinyTest), cpusched.Defaults())
 		plan := mitigate.MustApply(mitigate.TP, s.Topology())
 		func() {
@@ -141,7 +132,7 @@ func TestNegativeTripCountPanicsAtStart(t *testing.T) {
 					t.Errorf("%s: negative trip count did not panic", model)
 				}
 			}()
-			fn(s, plan)
+			parmodel.Start(s, plan, cfg, body)
 		}()
 		if n := len(s.Tasks()); n != 0 {
 			t.Errorf("%s: %d tasks spawned before the panic", model, n)

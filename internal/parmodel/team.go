@@ -1,22 +1,15 @@
-// Package omprt models an OpenMP-style runtime on the simulated scheduler:
-// a fork-join thread team with static, dynamic, and guided loop schedules,
-// configurable chunk sizes, an active (spinning) or passive wait policy,
-// and small fork/dispatch overheads. Its noise sensitivity is structural:
-// with the default static schedule every region ends in a barrier that a
-// single delayed thread holds up — the straggler effect the paper observes
-// for OpenMP under injected noise.
-package omprt
+package parmodel
 
 import (
 	"fmt"
 
 	"repro/internal/cpusched"
 	"repro/internal/mitigate"
-	"repro/internal/parmodel"
 	"repro/internal/sim"
 )
 
-// Schedule is the OpenMP loop schedule kind.
+// Schedule is the loop schedule kind: how a region's units are split
+// across the team.
 type Schedule int
 
 const (
@@ -42,33 +35,22 @@ func (s Schedule) String() string {
 	}
 }
 
-// ParseSchedule parses "st"/"static", "dy"/"dynamic", "gd"/"guided" — the
-// short forms are the x-axis labels of the paper's Figure 1.
-func ParseSchedule(s string) (Schedule, error) {
-	switch s {
-	case "st", "static":
-		return Static, nil
-	case "dy", "dynamic":
-		return Dynamic, nil
-	case "gd", "guided":
-		return Guided, nil
-	default:
-		return 0, fmt.Errorf("omprt: unknown schedule %q", s)
-	}
-}
-
-// Config tunes the runtime model.
+// Config tunes the runtime model. OpenMP and SYCL are presets of it.
 type Config struct {
 	// Schedule and Chunk select the loop schedule (chunk 0 = default:
 	// contiguous static ranges / chunk 1 for dynamic-guided minimum).
+	// SYCL's work-group claiming is Dynamic with Chunk units per group.
 	Schedule Schedule
 	Chunk    int
 	// ActiveWait spins at region-end barriers (OMP_WAIT_POLICY=active
 	// flavour); passive blocks.
 	ActiveWait bool
-	// ForkOverhead is master-side work per parallel region.
+	// ForkOverhead is master-side work per parallel region (SYCL: per
+	// kernel submission — queue entry, dependency tracking, handler
+	// construction).
 	ForkOverhead sim.Time
-	// DispatchOverhead is per-chunk claim cost for dynamic/guided.
+	// DispatchOverhead is per-chunk claim cost for dynamic/guided (SYCL:
+	// per work-group).
 	DispatchOverhead sim.Time
 	// CostFactor scales every unit's cost (compiler/runtime efficiency).
 	CostFactor float64
@@ -79,11 +61,14 @@ type Config struct {
 	Policy    cpusched.Policy
 	DLRuntime sim.Time
 	DLPeriod  sim.Time
+
+	// flavour selects the runtime's labels; only the presets set it.
+	flavour flavour
 }
 
-// DefaultConfig returns the model constants used for the paper's OpenMP
-// runs: static schedule, active waiting, low overheads.
-func DefaultConfig() Config {
+// OpenMP returns the model constants used for the paper's OpenMP runs:
+// static schedule, active waiting, low overheads.
+func OpenMP() Config {
 	return Config{
 		Schedule:         Static,
 		Chunk:            0,
@@ -94,18 +79,83 @@ func DefaultConfig() Config {
 	}
 }
 
+// SYCL returns the model constants used for the paper's SYCL (DPC++ on the
+// CPU) runs: a host thread submits each ParallelFor as a kernel to an
+// in-order queue and joins the pool that claims its work-groups
+// dynamically, one unit per group. The per-kernel submission cost, the
+// per-group dispatch cost and the codegen efficiency factor make SYCL
+// slower in raw time but more resilient to noise: a delayed worker claims
+// fewer groups instead of holding a static-schedule barrier hostage.
+func SYCL() Config {
+	return Config{
+		Schedule:         Dynamic,
+		Chunk:            1,
+		ActiveWait:       false,
+		ForkOverhead:     35 * sim.Microsecond,
+		DispatchOverhead: 400, // ns
+		CostFactor:       1.08,
+		flavour:          flavourSYCL,
+	}
+}
+
+// flavour identifies which runtime a team presents itself as. It changes
+// labels only, plus the runtime name a body observes (workloads scale
+// their SYCL efficiency gap on it); the zero value is OpenMP.
+type flavour uint8
+
+const (
+	flavourOpenMP flavour = iota
+	flavourSYCL
+)
+
+// labels are a flavour's names in the timeline and in panics.
+type labels struct {
+	name   string // Model.Name, as Record reports it
+	pkg    string // panic prefix
+	master string // master/host task name
+	region string // region span name format, numbered per region
+	order  string // region span arg; empty means the schedule name
+	// workers caches the recurring worker task names: teams are rebuilt
+	// every rep, and re-formatting identical names each time is measurable
+	// in batched series.
+	workers [64]string
+}
+
+var flavours = [...]*labels{
+	flavourOpenMP: newLabels(labels{name: "omp", pkg: "omprt", master: "omp-master",
+		region: "parallel-region-%d"}),
+	flavourSYCL: newLabels(labels{name: "sycl", pkg: "syclrt", master: "sycl-host",
+		region: "kernel-%d", order: "in-order"}),
+}
+
+func newLabels(l labels) *labels {
+	for i := range l.workers {
+		l.workers[i] = fmt.Sprintf("%s-worker-%d", l.name, i)
+	}
+	return &l
+}
+
+// worker returns the task name of worker thread i (i >= 1).
+func (l *labels) worker(i int) string {
+	if i < len(l.workers) {
+		return l.workers[i]
+	}
+	return fmt.Sprintf("%s-worker-%d", l.name, i)
+}
+
 type loopState struct {
 	n    int
-	cost func(int) parmodel.Cost
+	cost func(int) Cost
 	next int // shared claim cursor for dynamic/guided
 }
 
-// Team is an OpenMP-style thread team bound to a scheduler and a mitigation
-// plan.
-type Team struct {
+// team is a fork-join thread team bound to a scheduler and a mitigation
+// plan: an OpenMP team, or a SYCL in-order queue with its worker pool.
+type team struct {
 	s    *cpusched.Scheduler
 	plan *mitigate.Plan
 	cfg  Config
+	lab  *labels
 
 	startBar *cpusched.Barrier
 	endBar   *cpusched.Barrier
@@ -116,38 +166,37 @@ type Team struct {
 	regions int
 
 	cyclesPerNs float64
-
-	master  *cpusched.Task
-	workers []*cpusched.Task
 }
 
-// Start records body (parmodel.Record) and creates the team: master and
-// workers are spawned immediately as scheduler Programs, workers parking
-// at the region barrier while the master executes the recorded phases. It
-// returns the team; the caller drives the engine until Master is done.
-func Start(s *cpusched.Scheduler, plan *mitigate.Plan, cfg Config, body parmodel.Body) *Team {
+// Start records body (Record) and creates the team: workers are spawned
+// immediately as scheduler Programs, parking at the region barrier, and
+// the master (SYCL: host) thread executes the recorded phases, joining
+// each region as thread 0. It returns the master task, the workload's
+// completion handle; the caller drives the engine until it is done.
+func Start(s *cpusched.Scheduler, plan *mitigate.Plan, cfg Config, body Body) *cpusched.Task {
 	if cfg.CostFactor <= 0 {
 		cfg.CostFactor = 1.0
 	}
-	phases := parmodel.Record(body, plan.Threads, "omp")
-	t := &Team{
+	lab := flavours[cfg.flavour]
+	phases := Record(body, plan.Threads, lab.name)
+	t := &team{
 		s:           s,
 		plan:        plan,
 		cfg:         cfg,
+		lab:         lab,
 		startBar:    cpusched.NewBarrier(plan.Threads),
 		endBar:      cpusched.NewBarrier(plan.Threads),
 		cyclesPerNs: s.Topology().CyclesPerNs(),
 	}
 	// Workers are threads 1..N-1; master is thread 0.
 	for i := 1; i < plan.Threads; i++ {
-		t.workers = append(t.workers, s.SpawnProgram(t.spec(i, workerName(i)), &workerProgram{t: t, id: i}))
+		s.SpawnProgram(t.spec(i, lab.worker(i)), &workerProgram{t: t, id: i})
 	}
-	t.master = s.SpawnProgram(t.spec(0, "omp-master"),
+	return s.SpawnProgram(t.spec(0, lab.master),
 		&masterProgram{t: t, phases: phases, share: workerProgram{t: t}})
-	return t
 }
 
-func (t *Team) spec(thread int, name string) cpusched.TaskSpec {
+func (t *team) spec(thread int, name string) cpusched.TaskSpec {
 	return cpusched.TaskSpec{
 		Name:      name,
 		Kind:      cpusched.KindWorkload,
@@ -158,19 +207,17 @@ func (t *Team) spec(thread int, name string) cpusched.TaskSpec {
 	}
 }
 
-// Master returns the master task (the workload's completion handle).
-func (t *Team) Master() *cpusched.Task { return t.master }
-
 // masterProgram is the master thread: it executes the recorded phases in
-// order. A parallel region costs ForkOverhead of master-side setup, then
-// the master runs thread 0's share through the same workerProgram walk the
-// workers run (start barrier, chunks, end barrier). A one-thread team's
-// barriers release on arrival, so it needs no special case. After the last
-// phase the master raises stop and arrives at the start barrier once more,
+// order. A parallel region (SYCL: a kernel submitted and immediately
+// waited for) costs ForkOverhead of master-side setup, then the master
+// runs thread 0's share through the same workerProgram walk the workers
+// run (start barrier, chunks, end barrier). A one-thread team's barriers
+// release on arrival, so it needs no special case. After the last phase
+// the master raises stop and arrives at the start barrier once more,
 // releasing the parked workers to exit.
 type masterProgram struct {
-	t        *Team
-	phases   []parmodel.Phase
+	t        *team
+	phases   []Phase
 	pc       int
 	share    workerProgram // thread 0's part of the current region
 	inRegion bool
@@ -190,8 +237,12 @@ func (m *masterProgram) Next(task *cpusched.Task) (cpusched.Request, bool) {
 	if m.spanOpen {
 		// Observability only reads the clock: the span steals no time.
 		m.spanOpen = false
-		t.s.Observer().Span(task.CPU(), fmt.Sprintf("parallel-region-%d", t.regions),
-			"omp", t.cfg.Schedule.String(), m.regionStart, t.s.Now())
+		arg := t.lab.order
+		if arg == "" {
+			arg = t.cfg.Schedule.String()
+		}
+		t.s.Observer().Span(task.CPU(), fmt.Sprintf(t.lab.region, t.regions),
+			t.lab.name, arg, m.regionStart, t.s.Now())
 	}
 	if m.pc == len(m.phases) {
 		if t.stop {
@@ -203,7 +254,7 @@ func (m *masterProgram) Next(task *cpusched.Task) (cpusched.Request, bool) {
 	p := &m.phases[m.pc]
 	m.pc++
 	switch p.Kind {
-	case parmodel.PhaseParallelFor:
+	case PhaseParallelFor:
 		t.loop = loopState{n: p.N, cost: p.Cost}
 		if t.s.Observer() != nil {
 			m.spanOpen, m.regionStart = true, t.s.Now()
@@ -211,11 +262,11 @@ func (m *masterProgram) Next(task *cpusched.Task) (cpusched.Request, bool) {
 		}
 		m.inRegion = true
 		return cpusched.ReqCompute(float64(t.cfg.ForkOverhead) * t.cyclesPerNs), true
-	case parmodel.PhaseCompute:
+	case PhaseCompute:
 		return cpusched.ReqCompute(p.Amount * t.cfg.CostFactor), true
-	case parmodel.PhaseMemory:
+	case PhaseMemory:
 		return cpusched.ReqMemory(p.Amount * t.cfg.CostFactor), true
-	default: // parmodel.PhaseBlockOn; I/O volume is data, CostFactor does not apply
+	default: // PhaseBlockOn; I/O volume is data, CostFactor does not apply
 		return cpusched.ReqBlockOn(t.device(p.Dev), p.Amount), true
 	}
 }
@@ -228,7 +279,7 @@ func (m *masterProgram) Next(task *cpusched.Task) (cpusched.Request, bool) {
 // each thread's next request, so dynamic/guided claim races resolve in
 // fetch order.
 type workerProgram struct {
-	t     *Team
+	t     *team
 	id    int
 	state int
 	base  int     // next chunk base (static chunked schedule)
@@ -261,8 +312,24 @@ func (w *workerProgram) afterUnit() int {
 	return wDispatch
 }
 
+// unit starts executing iterations [lo, hi): it sums and scales their
+// cost, keeps the memory and I/O halves for the states that follow, and
+// returns the compute cycles to yield now.
+func (w *workerProgram) unit(lo, hi int) float64 {
+	t := w.t
+	var total Cost
+	for i := lo; i < hi; i++ {
+		total = total.Add(t.loop.cost(i))
+	}
+	total = total.Scale(t.cfg.CostFactor)
+	w.mem, w.io, w.iodev = total.Bytes, total.IOBytes, total.IODev
+	w.state = wMemory
+	return total.Cycles
+}
+
 func (w *workerProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 	t := w.t
+	l := &t.loop
 	for {
 		switch w.state {
 		case wStartBar:
@@ -275,36 +342,24 @@ func (w *workerProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 			switch t.cfg.Schedule {
 			case Static:
 				if t.cfg.Chunk <= 0 {
-					l := &t.loop
-					lo := w.id * l.n / t.plan.Threads
-					hi := (w.id + 1) * l.n / t.plan.Threads
-					c, b, io, dev := t.rangeCost(lo, hi)
-					w.mem, w.io, w.iodev = b, io, dev
-					w.state = wMemory
-					return cpusched.ReqCompute(c), true
+					lo, hi := w.id*l.n/t.plan.Threads, (w.id+1)*l.n/t.plan.Threads
+					return cpusched.ReqCompute(w.unit(lo, hi)), true
 				}
 				w.base = w.id * t.cfg.Chunk
 				w.state = wStaticNext
 			case Dynamic, Guided:
 				w.state = wDispatch
 			default:
-				panic("omprt: unknown schedule")
+				panic(t.lab.pkg + ": unknown schedule")
 			}
 		case wStaticNext:
-			l := &t.loop
 			if w.base >= l.n {
 				w.state = wEndBar
 				continue
 			}
-			hi := w.base + t.cfg.Chunk
-			if hi > l.n {
-				hi = l.n
-			}
-			c, b, io, dev := t.rangeCost(w.base, hi)
+			lo := w.base
 			w.base += t.plan.Threads * t.cfg.Chunk
-			w.mem, w.io, w.iodev = b, io, dev
-			w.state = wMemory
-			return cpusched.ReqCompute(c), true
+			return cpusched.ReqCompute(w.unit(lo, min(lo+t.cfg.Chunk, l.n))), true
 		case wDispatch:
 			// Zero overhead yields a zero-demand request the scheduler
 			// skips.
@@ -312,21 +367,13 @@ func (w *workerProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 			return cpusched.ReqCompute(float64(t.cfg.DispatchOverhead) * t.cyclesPerNs), true
 		case wClaim:
 			// The claim runs at the fetch following the dispatch compute.
-			l := &t.loop
 			lo := l.next
 			if lo >= l.n {
 				w.state = wEndBar
 				continue
 			}
-			hi := lo + t.claimSize(lo)
-			if hi > l.n {
-				hi = l.n
-			}
-			l.next = hi
-			c, b, io, dev := t.rangeCost(lo, hi)
-			w.mem, w.io, w.iodev = b, io, dev
-			w.state = wMemory
-			return cpusched.ReqCompute(c), true
+			l.next = min(lo+t.claimSize(lo), l.n)
+			return cpusched.ReqCompute(w.unit(lo, l.next)), true
 		case wMemory:
 			b := w.mem
 			w.mem = 0
@@ -350,54 +397,20 @@ func (w *workerProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 
 // claimSize returns the chunk size a dynamic/guided claim takes when the
 // cursor stands at lo.
-func (t *Team) claimSize(lo int) int {
-	minChunk := t.cfg.Chunk
-	if minChunk <= 0 {
-		minChunk = 1
-	}
+func (t *team) claimSize(lo int) int {
+	minChunk := max(t.cfg.Chunk, 1)
 	if t.cfg.Schedule == Dynamic {
 		return minChunk
 	}
 	T := t.plan.Threads
-	size := (t.loop.n - lo + 2*T - 1) / (2 * T)
-	if size < minChunk {
-		size = minChunk
-	}
-	return size
-}
-
-// rangeCost sums and scales the cost of iterations [lo, hi).
-func (t *Team) rangeCost(lo, hi int) (cycles, bytes, ioBytes float64, ioDev string) {
-	var total parmodel.Cost
-	for i := lo; i < hi; i++ {
-		total = total.Add(t.loop.cost(i))
-	}
-	total = total.Scale(t.cfg.CostFactor)
-	return total.Cycles, total.Bytes, total.IOBytes, total.IODev
+	return max((t.loop.n-lo+2*T-1)/(2*T), minChunk)
 }
 
 // device resolves a workload-referenced device name on the scheduler.
-func (t *Team) device(name string) *cpusched.Device {
+func (t *team) device(name string) *cpusched.Device {
 	d := t.s.Device(name)
 	if d == nil {
-		panic(fmt.Sprintf("omprt: workload references unregistered device %q", name))
+		panic(fmt.Sprintf("%s: workload references unregistered device %q", t.lab.pkg, name))
 	}
 	return d
-}
-
-// workerNames caches the recurring per-thread names: teams are rebuilt
-// every rep, and re-formatting identical names each time is measurable in
-// batched series.
-var workerNames = func() (s [64]string) {
-	for i := range s {
-		s[i] = fmt.Sprintf("omp-worker-%d", i)
-	}
-	return
-}()
-
-func workerName(i int) string {
-	if i >= 0 && i < len(workerNames) {
-		return workerNames[i]
-	}
-	return fmt.Sprintf("omp-worker-%d", i)
 }

@@ -129,6 +129,9 @@ func (s *Server) submitHTTP(w http.ResponseWriter, spec JobSpec) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	if s.testHookSubmitted != nil {
+		s.testHookSubmitted(job.ID)
+	}
 	st, _ := s.Status(job.ID)
 	code := http.StatusAccepted
 	if cached {

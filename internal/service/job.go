@@ -247,12 +247,18 @@ type Server struct {
 	workers sync.WaitGroup
 
 	// testHookJobUpdate, when non-nil, is called after every job state
-	// transition (with the server mutex released). Tests use it to wait on
-	// state changes without wall-clock polling. Set it before submitting.
-	// The submitter's "queued" call comes after the enqueue, so a worker's
-	// calls for the same job may overtake it; the job's event stream is
-	// the ordered record.
+	// transition. Tests use it to wait on state changes without wall-clock
+	// polling. Set it before submitting. The "queued" call runs with the
+	// server mutex held, before the job enters the queue, so it must not
+	// call back into the Server; every other call runs with the mutex
+	// released. A job's calls therefore start with "queued" (or "done", for
+	// a result served from the cache at submit time), and the worker's
+	// calls for it follow.
 	testHookJobUpdate func(id string, state JobState)
+	// testHookSubmitted, when non-nil, is called by the submit routes after
+	// the job is enqueued (or served from the cache) and before its status
+	// is read for the response, with the server mutex released.
+	testHookSubmitted func(id string)
 }
 
 // New builds a daemon: a Server whose jobs run on the local engine.
@@ -310,7 +316,8 @@ func (j *Job) setState(state JobState) {
 }
 
 // notify calls the test hook for a transition setState published. Call
-// with the server mutex released.
+// with the server mutex released, except for "queued" (see
+// testHookJobUpdate).
 func (s *Server) notify(j *Job, state JobState) {
 	if s.testHookJobUpdate != nil {
 		s.testHookJobUpdate(j.ID, state)
@@ -361,8 +368,9 @@ func (s *Server) submit(spec JobSpec) (*Job, bool, error) {
 
 	// The job gets its ID, joins s.jobs and publishes its first state in
 	// the critical section that enqueues or completes it. A worker takes
-	// s.mu before it publishes "running", so "queued" always comes first,
-	// and a rejected submission leaves no job behind.
+	// s.mu before it publishes "running", so "queued" always comes first —
+	// on the event stream and at the test hook, which sees it before the
+	// enqueue — and a rejected submission leaves no job behind.
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -380,9 +388,9 @@ func (s *Server) submit(spec JobSpec) (*Job, bool, error) {
 	s.jobs[job.ID] = job
 	if !cached {
 		job.setState(StateQueued)
+		s.notify(job, StateQueued)
 		s.queue <- job // cannot block: every send holds s.mu, and the queue had room
 		s.mu.Unlock()
-		s.notify(job, StateQueued)
 		return job, false, nil
 	}
 	// A cached result completes the job at submit time.

@@ -119,3 +119,45 @@ func TestQueuedBeforeRunningUnderLoad(t *testing.T) {
 		}
 	}
 }
+
+// TestHookSeesQueuedFirst pins the state hook's contract: a job's hook
+// calls start with "queued". The hook holds the queued call until the
+// job's "running" call arrives or a second passes, so a submitter that
+// notified only after the enqueue, with the idle worker free to take the
+// job, would see "running" overtake it every time.
+func TestHookSeesQueuedFirst(t *testing.T) {
+	srv, err := NewServer(Config{Workers: 1}, holdRunner{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	var mu sync.Mutex
+	var states []JobState
+	running, done := make(chan struct{}), make(chan struct{})
+	srv.testHookJobUpdate = func(id string, state JobState) {
+		if state == StateQueued {
+			select {
+			case <-running:
+			case <-time.After(time.Second):
+			}
+		}
+		mu.Lock()
+		states = append(states, state)
+		mu.Unlock()
+		switch {
+		case state == StateRunning:
+			close(running)
+		case state.Terminal():
+			close(done)
+		}
+	}
+	if _, err := srv.Submit(tinySpec(71, 1)); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []JobState{StateQueued, StateRunning, StateDone}; !reflect.DeepEqual(states, want) {
+		t.Fatalf("hook saw %v, want %v", states, want)
+	}
+}

@@ -11,9 +11,10 @@ import (
 // TestSubmitStatusIgnoresFinishRace pins the submit routes' status code
 // when the worker wins the race: a job that runs and finishes before the
 // handler reads its status was still accepted (202), not served from
-// cache at submit time (200). The state hook holds each submission at its
-// queued notification, inside the handler, until the worker has finished
-// the job; a resubmit afterwards is a cache hit and answers 200.
+// cache at submit time (200). The submit hook holds each submission inside
+// the handler, after the enqueue and before the status read, until the
+// worker has finished the job; a resubmit afterwards is a cache hit and
+// answers 200.
 func TestSubmitStatusIgnoresFinishRace(t *testing.T) {
 	srv, err := NewServer(Config{Workers: 1}, holdRunner{}, nil)
 	if err != nil {
@@ -31,14 +32,14 @@ func TestSubmitStatusIgnoresFinishRace(t *testing.T) {
 		}
 		return ch
 	}
+	srv.testHookSubmitted = func(id string) {
+		select {
+		case <-doneCh(id):
+		case <-time.After(time.Minute):
+		}
+	}
 	srv.testHookJobUpdate = func(id string, state JobState) {
-		switch {
-		case state == StateQueued:
-			select {
-			case <-doneCh(id):
-			case <-time.After(time.Minute):
-			}
-		case state.Terminal():
+		if state.Terminal() {
 			close(doneCh(id))
 		}
 	}

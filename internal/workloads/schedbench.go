@@ -159,7 +159,7 @@ func (sb *SchedBench) Run(kind SchedKind, chunk, threads int) float64 {
 
 // SchedBenchSpec is the schedbench cost model: Outer repetitions of a
 // parallel loop of N iterations whose cost ramps with Imbalance. The OpenMP
-// schedule/chunk is configured on the omprt runtime, not here, so Figure
+// schedule/chunk is configured on the runtime (parmodel.Config), not here, so Figure
 // 1's x-axis (st/dy/gd x chunk) is a runtime-config sweep over this one
 // workload.
 type SchedBenchSpec struct {

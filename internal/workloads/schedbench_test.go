@@ -7,10 +7,8 @@ import (
 	"repro/internal/cpusched"
 	"repro/internal/machine"
 	"repro/internal/mitigate"
-	"repro/internal/omprt"
 	"repro/internal/parmodel"
 	"repro/internal/sim"
-	"repro/internal/syclrt"
 )
 
 func TestSchedBenchChecksumsAgree(t *testing.T) {
@@ -53,17 +51,16 @@ func runModel(t *testing.T, w Workload, model string) sim.Time {
 		}
 	}
 	plan := mitigate.MustApply(mitigate.TP, topo)
-	var doneTask *cpusched.Task
+	var cfg parmodel.Config
 	switch model {
 	case "omp":
-		team := omprt.Start(s, plan, omprt.DefaultConfig(), w.Body())
-		doneTask = team.Master()
+		cfg = parmodel.OpenMP()
 	case "sycl":
-		q := syclrt.Start(s, plan, syclrt.DefaultConfig(), w.Body())
-		doneTask = q.Host()
+		cfg = parmodel.SYCL()
 	default:
 		t.Fatalf("bad model %q", model)
 	}
+	doneTask := parmodel.Start(s, plan, cfg, w.Body())
 	eng.RunWhile(func() bool { return !doneTask.Done() })
 	end := eng.Now()
 	s.Shutdown()
@@ -147,22 +144,22 @@ func TestSchedBenchModelImbalanceVisible(t *testing.T) {
 	// Static scheduling of an imbalanced ramp is slower than dynamic with
 	// small chunks (the classic schedbench observation).
 	spec := SchedBenchSpec{Outer: 5, N: 256, CyclesPerIter: 300e3, Imbalance: 2.0}
-	run := func(schedKind omprt.Schedule, chunk int) sim.Time {
+	run := func(schedKind parmodel.Schedule, chunk int) sim.Time {
 		eng := sim.NewEngine()
 		topo := machine.MustPreset(machine.TinyTest)
 		s := cpusched.New(eng, topo, cpusched.Defaults())
 		plan := mitigate.MustApply(mitigate.TP, topo)
-		cfg := omprt.DefaultConfig()
+		cfg := parmodel.OpenMP()
 		cfg.Schedule = schedKind
 		cfg.Chunk = chunk
-		team := omprt.Start(s, plan, cfg, spec.Body())
-		eng.RunWhile(func() bool { return !team.Master().Done() })
+		master := parmodel.Start(s, plan, cfg, spec.Body())
+		eng.RunWhile(func() bool { return !master.Done() })
 		end := eng.Now()
 		s.Shutdown()
 		return end
 	}
-	static := run(omprt.Static, 0)
-	dynamic := run(omprt.Dynamic, 4)
+	static := run(parmodel.Static, 0)
+	dynamic := run(parmodel.Dynamic, 4)
 	if dynamic >= static {
 		t.Fatalf("dynamic (%v) should beat static (%v) on an imbalanced ramp", dynamic, static)
 	}
@@ -177,8 +174,8 @@ func BenchmarkNBodyModelSim(b *testing.B) {
 		topo := machine.MustPreset(machine.TinyTest)
 		s := cpusched.New(eng, topo, cpusched.Defaults())
 		plan := mitigate.MustApply(mitigate.TP, topo)
-		team := omprt.Start(s, plan, omprt.DefaultConfig(), w.Body())
-		eng.RunWhile(func() bool { return !team.Master().Done() })
+		master := parmodel.Start(s, plan, parmodel.OpenMP(), w.Body())
+		eng.RunWhile(func() bool { return !master.Done() })
 		s.Shutdown()
 	}
 }

@@ -8,7 +8,8 @@
 //   - A simulation cost model (the *Spec types' Body method), which maps
 //     the same computational structure — parallel regions, work units,
 //     compute cycles, memory traffic, reductions — onto the simulated
-//     machine through a parmodel.Model (omprt or syclrt).
+//     machine through a parmodel.Model (the OpenMP or SYCL preset of
+//     parmodel's one runtime team).
 //
 // The SYCLFactor on each spec carries the per-workload efficiency gap
 // between the DPC++ and OpenMP binaries observed in the paper's baselines
