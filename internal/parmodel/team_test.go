@@ -75,37 +75,43 @@ func TestKernelSpeedup(t *testing.T) {
 	}
 }
 
-// TestWorkConservation: every schedule and chunk size of both presets
-// executes each unit exactly once.
+// TestWorkConservation: every OpenMP schedule and chunk size executes
+// each unit exactly once.
 func TestWorkConservation(t *testing.T) {
-	var cfgs []Config
 	for _, schedKind := range []Schedule{Static, Dynamic, Guided} {
 		for _, chunk := range []int{0, 1, 3} {
 			cfg := OpenMP()
 			cfg.Schedule, cfg.Chunk = schedKind, chunk
-			cfgs = append(cfgs, cfg)
+			checkWorkConserved(t, cfg)
 		}
 	}
+}
+
+// TestSYCLWorkConservation: every SYCL work-group size executes each unit
+// exactly once.
+func TestSYCLWorkConservation(t *testing.T) {
 	for _, wg := range []int{1, 3, 7} {
 		cfg := SYCL()
 		cfg.Chunk = wg
-		cfgs = append(cfgs, cfg)
+		checkWorkConserved(t, cfg)
 	}
-	for _, cfg := range cfgs {
-		s := newSched()
-		const n = 97
-		seen := make([]int, n)
-		runBody(t, s, mitigate.TP, cfg, func(m Model) {
-			m.ParallelFor(n, func(i int) Cost {
-				seen[i]++
-				return Cost{Cycles: 1e5}
-			})
+}
+
+func checkWorkConserved(t *testing.T, cfg Config) {
+	t.Helper()
+	s := newSched()
+	const n = 97
+	seen := make([]int, n)
+	runBody(t, s, mitigate.TP, cfg, func(m Model) {
+		m.ParallelFor(n, func(i int) Cost {
+			seen[i]++
+			return Cost{Cycles: 1e5}
 		})
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("%s %v chunk=%d: unit %d executed %d times",
-					flavours[cfg.flavour].name, cfg.Schedule, cfg.Chunk, i, c)
-			}
+	})
+	for i, c := range seen {
+		if c != 1 {
+			t.Fatalf("%s %v chunk=%d: unit %d executed %d times",
+				flavours[cfg.flavour].name, cfg.Schedule, cfg.Chunk, i, c)
 		}
 	}
 }
@@ -218,30 +224,39 @@ func TestSingleThread(t *testing.T) {
 	}
 }
 
-// TestWorkersExitAfterBody: under both presets, every worker exits once
-// the master finishes the body.
+// TestWorkersExitAfterBody: every OpenMP worker exits once the master
+// finishes the body.
 func TestWorkersExitAfterBody(t *testing.T) {
-	for _, cfg := range []Config{OpenMP(), SYCL()} {
-		s := newSched()
-		plan := mitigate.MustApply(mitigate.TP, s.Topology())
-		master := Start(s, plan, cfg, func(m Model) {
-			m.ParallelFor(8, uniform(1e6))
-		})
-		s.Engine().Run()
-		if !master.Done() {
-			t.Fatal("master not done")
-		}
-		tasks := s.Tasks()
-		if len(tasks) != plan.Threads {
-			t.Fatalf("%d tasks, want %d", len(tasks), plan.Threads)
-		}
-		for _, w := range tasks {
-			if !w.Done() {
-				t.Fatalf("%s did not exit after the master finished", w.Name)
-			}
-		}
-		s.Shutdown()
+	checkWorkersExit(t, OpenMP())
+}
+
+// TestSYCLWorkersExitAfterBody: every SYCL worker exits once the host
+// finishes the body.
+func TestSYCLWorkersExitAfterBody(t *testing.T) {
+	checkWorkersExit(t, SYCL())
+}
+
+func checkWorkersExit(t *testing.T, cfg Config) {
+	t.Helper()
+	s := newSched()
+	plan := mitigate.MustApply(mitigate.TP, s.Topology())
+	master := Start(s, plan, cfg, func(m Model) {
+		m.ParallelFor(8, uniform(1e6))
+	})
+	s.Engine().Run()
+	if !master.Done() {
+		t.Fatal("master not done")
 	}
+	tasks := s.Tasks()
+	if len(tasks) != plan.Threads {
+		t.Fatalf("%d tasks, want %d", len(tasks), plan.Threads)
+	}
+	for _, w := range tasks {
+		if !w.Done() {
+			t.Fatalf("%s did not exit after the master finished", w.Name)
+		}
+	}
+	s.Shutdown()
 }
 
 func TestMemoryCostsFlowThrough(t *testing.T) {
