@@ -175,6 +175,7 @@ examples:
 	$(GO) run ./examples/nbody-compare
 	$(GO) run ./examples/minife-mitigation
 	$(GO) run ./examples/schedbench-motivation
+	$(GO) run ./examples/advisor
 
 # The artifacts the reproduction instructions ask for. The full bench
 # suite regenerates every table/figure and needs more than go test's

@@ -101,7 +101,7 @@ func injectionResult(b *testing.B, workload string) *InjectionResult {
 		Improved:           true,
 		ConfigsPerPlatform: cfgPer,
 	}
-	res, err := st.Run()
+	res, err := st.RunContext(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func BenchmarkTable1(b *testing.B) {
 	}
 	reps := benchReps().Baseline
 	for i := 0; i < b.N; i++ {
-		rows, err := TracingOverhead(p, []string{"nbody", "babelstream", "minife"}, reps, benchSeed)
+		rows, err := TracingOverheadExec(context.Background(), Executor{}, p, []string{"nbody", "babelstream", "minife"}, reps, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func BenchmarkTable2(b *testing.B) {
 				res, err := (experiment.BaselineStudy{
 					Platform: p, Workload: w, Reps: reps,
 					Seed: benchSeed, SMT: false,
-				}).Run()
+				}).RunContext(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -221,7 +221,7 @@ func BenchmarkTable7(b *testing.B) {
 			Reps:     reps,
 			Seed:     benchSeed,
 			Improved: true,
-		}).Run()
+		}).RunContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func BenchmarkTable7(b *testing.B) {
 func BenchmarkFigure1(b *testing.B) {
 	reps := benchReps().Baseline
 	for i := 0; i < b.N; i++ {
-		series, err := Figure1(reps, benchSeed)
+		series, err := Figure1Exec(context.Background(), Executor{}, reps, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func BenchmarkFigure1(b *testing.B) {
 func BenchmarkFigure2(b *testing.B) {
 	reps := benchReps().Baseline
 	for i := 0; i < b.N; i++ {
-		series, err := Figure2(reps, benchSeed)
+		series, err := Figure2Exec(context.Background(), Executor{}, reps, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -291,7 +291,7 @@ func ablationSetup(b *testing.B, improved bool) (*Platform, Workload, *Config, *
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg, pr, err := BuildConfig(p, "nbody",
+	cfg, pr, err := BuildConfigExec(context.Background(), Executor{}, p, "nbody",
 		ConfigSource{Model: "omp", Strategy: Rm, ID: 1},
 		benchReps().Collect, improved, benchSeed)
 	if err != nil {
@@ -302,7 +302,7 @@ func ablationSetup(b *testing.B, improved bool) (*Platform, Workload, *Config, *
 
 func meanInjected(b *testing.B, spec Spec, reps int) float64 {
 	b.Helper()
-	times, _, err := RunSeries(spec, reps)
+	times, _, err := Executor{}.Series(context.Background(), spec, reps)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -448,13 +448,13 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 	par := Executor{}
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		seqT, _, err := RunSeriesExec(context.Background(), Executor{Parallelism: 1}, spec, reps)
+		seqT, _, err := Executor{Parallelism: 1}.Series(context.Background(), spec, reps)
 		if err != nil {
 			b.Fatal(err)
 		}
 		seqDur := time.Since(t0)
 		t0 = time.Now()
-		parT, _, err := RunSeriesExec(context.Background(), par, spec, reps)
+		parT, _, err := par.Series(context.Background(), spec, reps)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -531,7 +531,7 @@ func BenchmarkSimulatedRunBatch(b *testing.B) {
 	// Warm the pool outside the timer so the measured steady state is the
 	// reused-world rep, not the one-time world construction, and spot-check
 	// byte-identity of a warm rep against a fresh world.
-	warm, _, err := RunSeriesExec(context.Background(), exec, spec(benchSeed), 1)
+	warm, _, err := exec.Series(context.Background(), spec(benchSeed), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -545,7 +545,7 @@ func BenchmarkSimulatedRunBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := RunSeriesExec(context.Background(), exec, spec(uint64(i)), 1); err != nil {
+		if _, _, err := exec.Series(context.Background(), spec(uint64(i)), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -574,7 +574,7 @@ func BenchmarkSnapshotSweep(b *testing.B) {
 			Reps:       RepCounts{Collect: 20, Baseline: 4, Inject: 4},
 			Seed:       benchSeed,
 			Exec:       Executor{Parallelism: 1, Worlds: worlds},
-		}.Run()
+		}.RunContext(context.Background())
 	}
 	t0 := time.Now()
 	fresh, err := sweep(experiment.FreshWorlds())
@@ -665,7 +665,7 @@ func BenchmarkPipeline(b *testing.B) {
 			CollectRuns: 10,
 			Improved:    true,
 		}
-		if _, err := pl.Run(); err != nil {
+		if _, err := pl.RunContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -727,7 +727,7 @@ func BenchmarkIntensitySweep(b *testing.B) {
 			Factors:    []float64{0.5, 1, 2, 4, 8},
 			Reps:       benchReps(),
 			Seed:       benchSeed,
-		}).Run()
+		}).RunContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -771,7 +771,7 @@ func BenchmarkRunlevel3(b *testing.B) {
 			Workloads: []string{"nbody", "babelstream", "minife"},
 			Reps:      reps,
 			Seed:      benchSeed,
-		}).Run()
+		}).RunContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/advisor"
@@ -33,7 +34,7 @@ func cmdAdvise(args []string) error {
 		Seed:      *c.seed,
 		Objective: advisor.Objective{WorstWeight: *worstWeight},
 		Exec:      newExec(),
-	}.Recommend()
+	}.RecommendContext(context.Background())
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 
 	"repro"
@@ -227,7 +226,7 @@ func cmdBaseline(args []string) error {
 	if err := c.applyDeadline(&spec); err != nil {
 		return err
 	}
-	times, _, err := repro.RunSeriesExec(context.Background(), newExec(), spec, *reps)
+	times, _, err := newExec().Series(context.Background(), spec, *reps)
 	if err != nil {
 		return err
 	}
@@ -318,7 +317,7 @@ func cmdInject(args []string) error {
 	if err := c.applyDeadline(&spec); err != nil {
 		return err
 	}
-	times, _, err := repro.RunSeriesExec(context.Background(), newExec(), spec, *reps)
+	times, _, err := newExec().Series(context.Background(), spec, *reps)
 	if err != nil {
 		return err
 	}
@@ -336,216 +335,6 @@ func cmdInject(args []string) error {
 		}
 		fmt.Printf("anomaly exec: %.4fs -> replication accuracy %s%.2f%%\n",
 			cfg.AnomalyExec.Seconds(), neg, abs*100)
-	}
-	return nil
-}
-
-func scaleFlags(name string) (*flag.FlagSet, *float64, *uint64) {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	scale := fs.Float64("scale", 1.0, "multiply repetition counts (1.0 = CI scale; paper scale needs ~8-40x)")
-	seed := fs.Uint64("seed", 20250706, "base seed")
-	return fs, scale, seed
-}
-
-// emitTable prints the table and optionally writes it as CSV.
-func emitTable(t *repro.RenderTable, csvPath string) error {
-	fmt.Print(t.Text())
-	if csvPath == "" {
-		return nil
-	}
-	f, err := os.Create(csvPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := t.WriteCSV(f); err != nil {
-		return err
-	}
-	fmt.Printf("csv -> %s\n", csvPath)
-	return nil
-}
-
-func cmdTable1(args []string) error {
-	fs, scale, seed := scaleFlags("table1")
-	csvPath := fs.String("csv", "", "also write the table as CSV to this file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	p, err := repro.NewPlatform(repro.Intel9700KF)
-	if err != nil {
-		return err
-	}
-	reps := repro.DefaultReps().Scale(*scale).Baseline
-	rows, err := repro.TracingOverheadExec(context.Background(), newExec(), p,
-		[]string{"nbody", "babelstream", "minife"}, reps, *seed)
-	if err != nil {
-		return err
-	}
-	return emitTable(repro.RenderTable1(rows), *csvPath)
-}
-
-func cmdTable2(args []string) error {
-	fs, scale, seed := scaleFlags("table2")
-	csvPath := fs.String("csv", "", "also write the table as CSV to this file")
-	platformsFlag := fs.String("platforms", repro.Intel9700KF+","+repro.AMD9950X3D, "comma-separated platforms")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	reps := repro.DefaultReps().Scale(*scale).Baseline
-	var results []*repro.BaselineResult
-	for _, pname := range strings.Split(*platformsFlag, ",") {
-		p, err := repro.NewPlatform(pname)
-		if err != nil {
-			return err
-		}
-		for _, w := range []string{"nbody", "babelstream", "minife"} {
-			res, err := (experiment.BaselineStudy{
-				Platform: p, Workload: w, Reps: reps, Seed: *seed,
-				Exec: newExec(),
-			}).Run()
-			if err != nil {
-				return err
-			}
-			results = append(results, res)
-		}
-	}
-	return emitTable(repro.RenderTable2(results), *csvPath)
-}
-
-func runInjectionStudy(workload string, scale float64, seed uint64) (*repro.InjectionResult, error) {
-	var plats []*repro.Platform
-	for _, name := range []string{repro.Intel9700KF, repro.AMD9950X3D} {
-		p, err := repro.NewPlatform(name)
-		if err != nil {
-			return nil, err
-		}
-		plats = append(plats, p)
-	}
-	cfgPer := map[string]int{repro.Intel9700KF: 2, repro.AMD9950X3D: 1}
-	if workload == "minife" {
-		cfgPer[repro.AMD9950X3D] = 2
-	}
-	st := experiment.InjectionStudy{
-		Platforms:          plats,
-		Workload:           workload,
-		Reps:               repro.DefaultReps().Scale(scale),
-		Seed:               seed,
-		Improved:           true,
-		ConfigsPerPlatform: cfgPer,
-		Exec:               newExec(),
-	}
-	return st.Run()
-}
-
-func cmdTableN(args []string, num int, workload string) error {
-	fs, scale, seed := scaleFlags(fmt.Sprintf("table%d", num))
-	csvPath := fs.String("csv", "", "also write the table as CSV to this file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	res, err := runInjectionStudy(workload, *scale, *seed)
-	if err != nil {
-		return err
-	}
-	return emitTable(repro.RenderInjectionTable(num, res), *csvPath)
-}
-
-func cmdTable6(args []string) error {
-	fs, scale, seed := scaleFlags("table6")
-	csvPath := fs.String("csv", "", "also write the table as CSV to this file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var all []*repro.InjectionResult
-	for _, w := range []string{"nbody", "babelstream", "minife"} {
-		res, err := runInjectionStudy(w, *scale, *seed)
-		if err != nil {
-			return err
-		}
-		all = append(all, res)
-	}
-	agg := repro.AggregateChange(all)
-	if err := emitTable(repro.RenderTable6(agg), *csvPath); err != nil {
-		return err
-	}
-	return repro.WriteChecks(os.Stdout, repro.CheckInjectionShape(agg))
-}
-
-func cmdTable7(args []string) error {
-	fs, scale, seed := scaleFlags("table7")
-	csvPath := fs.String("csv", "", "also write the table as CSV to this file")
-	original := fs.Bool("original", false, "use the original pessimistic merge (for comparison with §5.2)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	entries, err := (repro.AccuracyStudy{
-		Cases:    repro.PaperAccuracyCases(),
-		Reps:     repro.DefaultReps().Scale(*scale),
-		Seed:     *seed,
-		Improved: !*original,
-		Exec:     newExec(),
-	}).Run()
-	if err != nil {
-		return err
-	}
-	return emitTable(repro.RenderTable7(entries), *csvPath)
-}
-
-func cmdFig1(args []string) error {
-	fs := flag.NewFlagSet("fig1", flag.ExitOnError)
-	reps := fs.Int("reps", 20, "repetitions per box")
-	seed := fs.Uint64("seed", 20250706, "base seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	series, err := repro.Figure1Exec(context.Background(), newExec(), *reps, *seed)
-	if err != nil {
-		return err
-	}
-	fmt.Print(repro.RenderFigure(1, "schedbench exec time (ms), A64FX reserved vs w/o", series).Text())
-	fmt.Println()
-	fmt.Print(repro.RenderBoxPlot("box plots (shared axis)", series, 64))
-	return nil
-}
-
-func cmdFig2(args []string) error {
-	fs := flag.NewFlagSet("fig2", flag.ExitOnError)
-	reps := fs.Int("reps", 20, "repetitions per box")
-	seed := fs.Uint64("seed", 20250706, "base seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	series, err := repro.Figure2Exec(context.Background(), newExec(), *reps, *seed)
-	if err != nil {
-		return err
-	}
-	fmt.Print(repro.RenderFigure(2, "Babelstream dot exec time (ms) vs threads", series).Text())
-	fmt.Println()
-	fmt.Print(repro.RenderBoxPlot("box plots (shared axis)", series, 64))
-	return nil
-}
-
-func cmdShapeCheck(args []string) error {
-	fs, scale, seed := scaleFlags("shapecheck")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var all []*repro.InjectionResult
-	for _, w := range []string{"nbody", "babelstream", "minife"} {
-		res, err := runInjectionStudy(w, *scale, *seed)
-		if err != nil {
-			return err
-		}
-		all = append(all, res)
-	}
-	checks := repro.CheckInjectionShape(repro.AggregateChange(all))
-	if err := repro.WriteChecks(os.Stdout, checks); err != nil {
-		return err
-	}
-	for _, c := range checks {
-		if !c.Pass {
-			return fmt.Errorf("shape check failed: %s", c.Name)
-		}
 	}
 	return nil
 }

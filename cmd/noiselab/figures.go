@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -110,7 +111,7 @@ func cmdFig5(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg, _, err := repro.BuildConfig(p, *c.workload,
+	cfg, _, err := repro.BuildConfigExec(context.Background(), repro.Executor{}, p, *c.workload,
 		repro.ConfigSource{Model: *c.model, Strategy: strat, ID: 1},
 		*collect, true, *c.seed)
 	if err != nil {

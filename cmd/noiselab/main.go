@@ -126,19 +126,19 @@ func run() int {
 	case "table2":
 		err = cmdTable2(args)
 	case "table3":
-		err = cmdTableN(args, 3, "nbody")
+		err = cmdTableN(args, 3)
 	case "table4":
-		err = cmdTableN(args, 4, "babelstream")
+		err = cmdTableN(args, 4)
 	case "table5":
-		err = cmdTableN(args, 5, "minife")
+		err = cmdTableN(args, 5)
 	case "table6":
 		err = cmdTable6(args)
 	case "table7":
 		err = cmdTable7(args)
 	case "fig1":
-		err = cmdFig1(args)
+		err = cmdFig(args, 1)
 	case "fig2":
-		err = cmdFig2(args)
+		err = cmdFig(args, 2)
 	case "fig3":
 		err = cmdFig3(args)
 	case "fig4":

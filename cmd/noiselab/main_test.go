@@ -280,13 +280,13 @@ func TestCmdPaperOutputsPinned(t *testing.T) {
 			"4e08139c76c79939ed2e52ca89742fa3345164811bc0152d922f6b4ec71aacf0"},
 		{"table2", func() error { return cmdTable2([]string{"-scale", "0.02"}) },
 			"096017c93d297af0ae7e874fae95c4d39d0b9811ca9b684e08e2c514c0addd22"},
-		{"table3", func() error { return cmdTableN([]string{"-scale", "0.02"}, 3, "nbody") },
+		{"table3", func() error { return cmdTableN([]string{"-scale", "0.02"}, 3) },
 			"e38e084509ba49af2cba5dec06ddb61a88b97b889e2597aa87b3c610cc261b1e"},
 		{"table7", func() error { return cmdTable7([]string{"-scale", "0.02"}) },
 			"9685019f5313c4d10eaef7656464bce8fe1cf1c0f740d2b4dba4a7d828052cb6"},
-		{"fig1", func() error { return cmdFig1([]string{"-reps", "2"}) },
+		{"fig1", func() error { return cmdFig([]string{"-reps", "2"}, 1) },
 			"ead9dd484d553f2a8063f14b0c160a71ca199b7f403e7da3b786fe31cede921e"},
-		{"fig2", func() error { return cmdFig2([]string{"-reps", "2"}) },
+		{"fig2", func() error { return cmdFig([]string{"-reps", "2"}, 2) },
 			"9b7f1a0c946db41bc6ba153f0b64d999be30b0029244e66b85634c5c45199e62"},
 	}
 	for _, c := range cases {

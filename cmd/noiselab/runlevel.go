@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -34,7 +35,7 @@ func cmdRunlevel(args []string) error {
 		Reps:       *reps,
 		Seed:       *c.seed,
 		Exec:       newExec(),
-	}).Run()
+	}).RunContext(context.Background())
 	if err != nil {
 		return err
 	}

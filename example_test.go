@@ -4,6 +4,7 @@ package repro_test
 // raw simulated times so they stay stable as model constants are tuned.
 
 import (
+	"context"
 	"fmt"
 
 	"repro"
@@ -28,10 +29,11 @@ func ExampleRunOnce() {
 	// traced events: true
 }
 
-// ExampleBuildConfig runs injector stages 1+2 and inspects the artifacts.
-func ExampleBuildConfig() {
+// ExampleBuildConfigExec runs injector stages 1+2 and inspects the
+// artifacts.
+func ExampleBuildConfigExec() {
 	p, _ := repro.NewPlatform(repro.Intel9700KF)
-	cfg, pipeline, err := repro.BuildConfig(p, "nbody",
+	cfg, pipeline, err := repro.BuildConfigExec(context.Background(), repro.Executor{}, p, "nbody",
 		repro.ConfigSource{Model: "omp", Strategy: repro.Rm, ID: 1},
 		30 /* collect runs; the paper uses 1000 */, true, 42)
 	if err != nil {

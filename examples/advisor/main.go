@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ func recommend(p *repro.Platform, workload string, worstWeight float64) {
 		Reps:      experiment.RepCounts{Collect: 80, Baseline: 8, Inject: 8},
 		Seed:      5,
 		Objective: advisor.Objective{WorstWeight: worstWeight},
-	}.Recommend()
+	}.RecommendContext(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func main() {
 		Factors:    []float64{0.5, 1, 2, 4},
 		Reps:       repro.RepCounts{Collect: 80, Baseline: 6, Inject: 6},
 		Seed:       5,
-	}).Run()
+	}).RunContext(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -101,13 +101,8 @@ type Advisor struct {
 	Exec experiment.Executor
 }
 
-// Recommend benchmarks all strategies at baseline and under worst-case
-// injection and returns a recommendation.
-func (a Advisor) Recommend() (*Recommendation, error) {
-	return a.RecommendContext(context.Background())
-}
-
-// RecommendContext is Recommend under ctx.
+// RecommendContext benchmarks all strategies at baseline and under
+// worst-case injection under ctx and returns a recommendation.
 func (a Advisor) RecommendContext(ctx context.Context) (*Recommendation, error) {
 	if err := a.Objective.Validate(); err != nil {
 		return nil, err

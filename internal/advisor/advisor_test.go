@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/experiment"
@@ -34,7 +35,7 @@ func TestObjectiveValidate(t *testing.T) {
 }
 
 func TestRecommendStructure(t *testing.T) {
-	rec, err := tinyAdvisor(t, "nbody", 0.5).Recommend()
+	rec, err := tinyAdvisor(t, "nbody", 0.5).RecommendContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestRecommendStructure(t *testing.T) {
 func TestRecommendAverageObjectivePrefersAllCores(t *testing.T) {
 	// With worst-case weight 0, the compute-bound workload should not
 	// recommend housekeeping: the baseline penalty dominates.
-	rec, err := tinyAdvisor(t, "nbody", 0).Recommend()
+	rec, err := tinyAdvisor(t, "nbody", 0).RecommendContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestRecommendAverageObjectivePrefersAllCores(t *testing.T) {
 
 func TestClassifierMemoryBound(t *testing.T) {
 	// Babelstream saturates bandwidth: losing one core barely hurts.
-	rec, err := tinyAdvisor(t, "babelstream", 0.5).Recommend()
+	rec, err := tinyAdvisor(t, "babelstream", 0.5).RecommendContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestClassifierMemoryBound(t *testing.T) {
 func TestRecommendRejectsBadObjective(t *testing.T) {
 	a := tinyAdvisor(t, "nbody", 0)
 	a.Objective.WorstWeight = 2
-	if _, err := a.Recommend(); err == nil {
+	if _, err := a.RecommendContext(context.Background()); err == nil {
 		t.Fatal("invalid objective should error")
 	}
 }
@@ -102,7 +103,7 @@ func TestCharacterString(t *testing.T) {
 func TestDefaultModel(t *testing.T) {
 	a := tinyAdvisor(t, "nbody", 0.5)
 	a.Model = ""
-	rec, err := a.Recommend()
+	rec, err := a.RecommendContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

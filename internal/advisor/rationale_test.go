@@ -5,6 +5,7 @@ package advisor
 // and the shared-bootstrap CI bounds on assessments.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -109,7 +110,7 @@ func TestClassifyTable(t *testing.T) {
 }
 
 func TestAssessmentCIBounds(t *testing.T) {
-	rec, err := tinyAdvisor(t, "nbody", 0.5).Recommend()
+	rec, err := tinyAdvisor(t, "nbody", 0.5).RecommendContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

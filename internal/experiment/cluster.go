@@ -12,11 +12,14 @@ import (
 // ClusterSeries executes reps cluster runs of spec with index-derived seeds
 // and returns the results in rep order. Like Series, reps fan out over the
 // worker pool and output is bit-identical for every parallelism level: each
-// rep is a pure function of (spec, seedAt(seed, i)). Reps share warm cluster
+// rep is a pure function of (spec, SeedAt(seed, i)). Reps share warm cluster
 // shells — the multi-node topology and per-node schedulers built once per
 // in-flight rep instead of once per rep — with outputs unchanged.
 func (e Executor) ClusterSeries(ctx context.Context, spec cluster.Spec, seed uint64, reps int) ([]*cluster.Result, error) {
 	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkReps(reps); err != nil {
 		return nil, err
 	}
 	// Shells are spec-specific, so the pool is per series; under
@@ -37,7 +40,7 @@ func (e Executor) ClusterSeries(ctx context.Context, spec cluster.Spec, seed uin
 				return rec, err
 			}
 		}
-		res, err := sh.Run(seedAt(seed, i), rec)
+		res, err := sh.Run(SeedAt(seed, i), rec)
 		if recycle {
 			shells.put(spec, sh)
 		}
@@ -67,7 +70,7 @@ type ClusterStudy struct {
 	Policies []string
 	// Reps is the repetition count per policy (0 = 5).
 	Reps int
-	// Seed is the base seed; rep i of every policy uses seedAt(Seed, i).
+	// Seed is the base seed; rep i of every policy uses SeedAt(Seed, i).
 	Seed uint64
 	// Exec is the execution layer.
 	Exec Executor

@@ -20,11 +20,8 @@ import (
 // historical seed sequence intact across the parallel refactor.
 const seedStride = 1000003
 
-// seedAt derives the seed for rep i of a series starting at base.
-func seedAt(base uint64, i int) uint64 { return base + uint64(i)*seedStride }
-
-// SeedAt is the exported form of the per-rep seed derivation. Because every
-// series (kernel or cluster) derives rep i's seed as
+// SeedAt derives the seed for rep i of a series starting at base. Because
+// every series (kernel or cluster) derives rep i's seed as
 // base + i*stride, a series starting at SeedAt(base, off) runs exactly reps
 // [off, off+n) of the series starting at base — the property the fleet's
 // rep splitter uses to fan one job's repetitions across backends and merge
@@ -36,7 +33,7 @@ func seedAt(base uint64, i int) uint64 { return base + uint64(i)*seedStride }
 // is odd (hence invertible mod 2^64), i ↦ SeedAt(base, i) is injective over
 // any window of fewer than 2^64 reps: no two reps of a series ever collide
 // on a seed, wrapped or not. FuzzSeedAt pins both properties.
-func SeedAt(base uint64, i int) uint64 { return seedAt(base, i) }
+func SeedAt(base uint64, i int) uint64 { return base + uint64(i)*seedStride }
 
 // ProgressFunc receives completion updates from a running study: done of
 // total units are finished, and label names the unit that just completed.
@@ -46,7 +43,7 @@ type ProgressFunc func(done, total int, label string)
 // Executor is the execution layer every study fans its repetitions through.
 // Reps of a series are pure functions of (spec, seed), so the executor runs
 // them on a bounded worker pool while guaranteeing results bit-identical to
-// sequential execution: per-rep seeds are derived by index (seedAt), each
+// sequential execution: per-rep seeds are derived by index (SeedAt), each
 // in-flight rep gets its own world (engine and scheduler, reset between
 // reps), and results land in index-addressed slots so ordering never
 // depends on goroutine completion.
@@ -290,11 +287,23 @@ func (e Executor) deliverTimeline(rec *obs.Recorder) {
 	}
 }
 
+// checkReps rejects a negative rep count before a series sizes its result
+// slices by it; zero reps is an empty series.
+func checkReps(reps int) error {
+	if reps < 0 {
+		return fmt.Errorf("experiment: negative rep count %d", reps)
+	}
+	return nil
+}
+
 // Series executes reps runs of spec with index-derived seeds and returns
 // the execution times in rep order (and the traces, when spec.Tracing).
 // Output is bit-identical for every parallelism level.
 func (e Executor) Series(ctx context.Context, spec Spec, reps int) ([]sim.Time, []*trace.Trace, error) {
 	if err := spec.validate(); err != nil {
+		return nil, nil, err
+	}
+	if err := checkReps(reps); err != nil {
 		return nil, nil, err
 	}
 	plan, err := mitigate.Apply(spec.Strategy, spec.Platform.Topo)
@@ -308,6 +317,9 @@ func (e Executor) Series(ctx context.Context, spec Spec, reps int) ([]sim.Time, 
 // strategy derivation (the thread-count sweeps). Traces are not returned.
 func (e Executor) seriesWithPlan(ctx context.Context, spec Spec, plan *mitigate.Plan, reps int) ([]sim.Time, error) {
 	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	if err := checkReps(reps); err != nil {
 		return nil, err
 	}
 	times, _, err := e.series(ctx, spec, plan, reps)
@@ -328,7 +340,7 @@ func (e Executor) series(ctx context.Context, spec Spec, plan *mitigate.Plan,
 	var rec0 *obs.Recorder
 	err := e.run(ctx, reps, func(i int) (*obs.Recorder, error) {
 		s := spec
-		s.Seed = seedAt(spec.Seed, i)
+		s.Seed = SeedAt(spec.Seed, i)
 		if o := e.repObs(i); o != nil {
 			s.Obs = o
 		}

@@ -17,11 +17,11 @@ import (
 )
 
 func TestSeedAtMatchesHistoricalStride(t *testing.T) {
-	if seedAt(7, 0) != 7 {
-		t.Fatalf("seedAt(7,0) = %d", seedAt(7, 0))
+	if SeedAt(7, 0) != 7 {
+		t.Fatalf("SeedAt(7,0) = %d", SeedAt(7, 0))
 	}
-	if got, want := seedAt(7, 3), uint64(7+3*1000003); got != want {
-		t.Fatalf("seedAt(7,3) = %d, want %d", got, want)
+	if got, want := SeedAt(7, 3), uint64(7+3*1000003); got != want {
+		t.Fatalf("SeedAt(7,3) = %d, want %d", got, want)
 	}
 }
 
@@ -362,7 +362,7 @@ func TestStudyCellProgress(t *testing.T) {
 			mu.Unlock()
 		}},
 	}
-	if _, err := st.Run(); err != nil {
+	if _, err := st.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	want := len(Models) * len(mitigate.Columns())
@@ -377,7 +377,7 @@ func TestStudyCellProgress(t *testing.T) {
 // TestRunSeriesZeroReps preserves the historical empty-series behaviour.
 func TestRunSeriesZeroReps(t *testing.T) {
 	p := tinyPlatform(t)
-	times, traces, err := RunSeries(Spec{
+	times, traces, err := Executor{}.Series(context.Background(), Spec{
 		Platform: p, Workload: tinyWorkload(t, "nbody"),
 		Model: "omp", Strategy: mitigate.Rm, Seed: 1,
 	}, 0)

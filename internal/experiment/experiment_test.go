@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -94,7 +95,7 @@ func TestRunOnceErrors(t *testing.T) {
 
 func TestRunSeriesVaries(t *testing.T) {
 	p := tinyPlatform(t)
-	times, traces, err := RunSeries(Spec{
+	times, traces, err := Executor{}.Series(context.Background(), Spec{
 		Platform: p, Workload: tinyWorkload(t, "nbody"),
 		Model: "omp", Strategy: mitigate.Rm, Seed: 5, Tracing: true,
 	}, 5)
@@ -125,7 +126,7 @@ func TestPipelineProducesConfig(t *testing.T) {
 		CollectRuns: 12,
 		Improved:    true,
 	}
-	pr, err := pl.Run()
+	pr, err := pl.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestPipelineProducesConfig(t *testing.T) {
 }
 
 func TestPipelineRejectsTooFewRuns(t *testing.T) {
-	if _, err := (Pipeline{CollectRuns: 1}).Run(); err == nil {
+	if _, err := (Pipeline{CollectRuns: 1}).RunContext(context.Background()); err == nil {
 		t.Fatal("pipeline must require >= 2 runs")
 	}
 }
@@ -193,7 +194,7 @@ func TestInjectionReducesToBaselineWithEmptyConfig(t *testing.T) {
 
 func TestBaselineStudyShape(t *testing.T) {
 	p := tinyPlatform(t)
-	res, err := BaselineStudy{Platform: p, Workload: "nbody", Reps: 3, Seed: 1}.Run()
+	res, err := BaselineStudy{Platform: p, Workload: "nbody", Reps: 3, Seed: 1}.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestBaselineStudyShape(t *testing.T) {
 
 func TestTracingOverheadPositiveAndSmall(t *testing.T) {
 	p := tinyPlatform(t)
-	rows, err := TracingOverhead(p, []string{"nbody"}, 4, 11)
+	rows, err := TracingOverheadExec(context.Background(), Executor{}, p, []string{"nbody"}, 4, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestInjectionStudyStructure(t *testing.T) {
 		Seed:      2,
 		Improved:  true,
 	}
-	res, err := st.Run()
+	res, err := st.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestInjectionStudySMTRows(t *testing.T) {
 		Reps:      RepCounts{Collect: 8, Baseline: 2, Inject: 2},
 		Seed:      3,
 	}
-	res, err := st.Run()
+	res, err := st.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func TestAccuracyStudyTiny(t *testing.T) {
 		Cases: cases,
 		Reps:  RepCounts{Collect: 15, Inject: 5},
 		Seed:  4,
-	}.Run()
+	}.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,14 +411,14 @@ func TestConfigSourceLabel(t *testing.T) {
 }
 
 func TestSeedForDistinct(t *testing.T) {
-	a := seedFor(1, "x", "y")
-	b := seedFor(1, "x", "z")
-	c := seedFor(2, "x", "y")
+	a := SeedFor(1, "x", "y")
+	b := SeedFor(1, "x", "z")
+	c := SeedFor(2, "x", "y")
 	if a == b || a == c {
-		t.Fatal("seedFor should separate phases and bases")
+		t.Fatal("SeedFor should separate phases and bases")
 	}
-	if a != seedFor(1, "x", "y") {
-		t.Fatal("seedFor must be deterministic")
+	if a != SeedFor(1, "x", "y") {
+		t.Fatal("SeedFor must be deterministic")
 	}
 }
 

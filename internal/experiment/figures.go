@@ -34,15 +34,10 @@ func systemLabel(name string) string {
 	}
 }
 
-// Figure1 reproduces the schedbench motivation figure: execution-time
+// Figure1Exec reproduces the schedbench motivation figure: execution-time
 // distributions across schedule×chunk combinations (x labels in the paper's
 // "xy:number" format) on the A64FX with and without firmware-reserved OS
 // cores.
-func Figure1(reps int, seed uint64) ([]FigureSeries, error) {
-	return Figure1Exec(context.Background(), Executor{}, reps, seed)
-}
-
-// Figure1Exec is Figure1 under an explicit executor and context.
 func Figure1Exec(ctx context.Context, e Executor, reps int, seed uint64) ([]FigureSeries, error) {
 	type combo struct {
 		sched parmodel.Schedule
@@ -75,7 +70,7 @@ func Figure1Exec(ctx context.Context, e Executor, reps int, seed uint64) ([]Figu
 			cfg.Chunk = c.chunk
 			spec := Spec{
 				Platform: p, Workload: w, Model: "omp", Strategy: mitigate.Rm,
-				Seed: seedFor(seed, "fig1", pname, c.label),
+				Seed: SeedFor(seed, "fig1", pname, c.label),
 				OMP:  &cfg,
 			}
 			times, _, err := e.Series(ctx, spec, reps)
@@ -100,15 +95,10 @@ func Figure1Exec(ctx context.Context, e Executor, reps int, seed uint64) ([]Figu
 	return out, nil
 }
 
-// Figure2 reproduces the Babelstream dot-kernel motivation figure:
+// Figure2Exec reproduces the Babelstream dot-kernel motivation figure:
 // execution-time distributions across thread counts on the two A64FX
 // systems. Without reserved cores, variability blows up once all 48 cores
 // are occupied by the workload and nothing is left to absorb OS activity.
-func Figure2(reps int, seed uint64) ([]FigureSeries, error) {
-	return Figure2Exec(context.Background(), Executor{}, reps, seed)
-}
-
-// Figure2Exec is Figure2 under an explicit executor and context.
 func Figure2Exec(ctx context.Context, e Executor, reps int, seed uint64) ([]FigureSeries, error) {
 	threadCounts := []int{8, 16, 24, 32, 40, 48}
 	var out []FigureSeries
@@ -137,7 +127,7 @@ func Figure2Exec(ctx context.Context, e Executor, reps int, seed uint64) ([]Figu
 			}
 			sp := Spec{
 				Platform: p, Workload: spec, Model: "omp",
-				Seed: seedFor(seed, "fig2", pname, fmt.Sprint(threads)),
+				Seed: SeedFor(seed, "fig2", pname, fmt.Sprint(threads)),
 			}
 			times, err := e.seriesWithPlan(ctx, sp, plan, reps)
 			if err != nil {

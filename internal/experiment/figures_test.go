@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 )
 
@@ -10,7 +11,7 @@ import (
 // aggregate), not statistical magnitudes.
 
 func TestFigure1Structure(t *testing.T) {
-	series, err := Figure1(3, 1)
+	series, err := Figure1Exec(context.Background(), Executor{}, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestFigure1Structure(t *testing.T) {
 }
 
 func TestFigure2Structure(t *testing.T) {
-	series, err := Figure2(3, 1)
+	series, err := Figure2Exec(context.Background(), Executor{}, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

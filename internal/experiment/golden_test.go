@@ -178,7 +178,7 @@ func runGoldenCase(t *testing.T, c goldenCase, parallelism int, reg *obs.Registr
 	exec := Executor{Parallelism: parallelism, Worlds: pool}
 	runOne := poolRunner(pool)
 	if c.Inject {
-		pr, err := Pipeline{Spec: spec, CollectRuns: 6, Improved: true, Exec: exec}.Run()
+		pr, err := Pipeline{Spec: spec, CollectRuns: 6, Improved: true, Exec: exec}.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func runGoldenCase(t *testing.T, c goldenCase, parallelism int, reg *obs.Registr
 	var traces []*trace.Trace
 	err := exec.run(context.Background(), c.Reps, func(i int) (*obs.Recorder, error) {
 		s := spec
-		s.Seed = seedAt(spec.Seed, i)
+		s.Seed = SeedAt(spec.Seed, i)
 		res, err := runOne(s)
 		if err != nil {
 			return nil, err
@@ -213,7 +213,7 @@ func runGoldenCase(t *testing.T, c goldenCase, parallelism int, reg *obs.Registr
 		// Re-run traced sequentially so trace order is rep order.
 		for i := 0; i < c.Reps; i++ {
 			s := spec
-			s.Seed = seedAt(spec.Seed, i)
+			s.Seed = SeedAt(spec.Seed, i)
 			res, err := runOne(s)
 			if err != nil {
 				t.Fatal(err)

@@ -45,14 +45,9 @@ type PipelineResult struct {
 	UpperOutliers int
 }
 
-// Run executes collection, averaging, worst-case selection, refinement and
-// config generation.
-func (p Pipeline) Run() (*PipelineResult, error) {
-	return p.RunContext(context.Background())
-}
-
-// RunContext executes the pipeline under ctx; the collection stage fans
-// its traced runs over the executor's worker pool.
+// RunContext executes collection, averaging, worst-case selection,
+// refinement and config generation under ctx; the collection stage fans its
+// traced runs over the executor's worker pool.
 func (p Pipeline) RunContext(ctx context.Context) (*PipelineResult, error) {
 	if p.CollectRuns <= 1 {
 		return nil, fmt.Errorf("experiment: pipeline needs at least 2 collection runs")

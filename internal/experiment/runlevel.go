@@ -44,12 +44,8 @@ type RunlevelStudy struct {
 	Exec Executor
 }
 
-// Run measures each (workload, strategy) at both runlevels.
-func (st RunlevelStudy) Run() ([]RunlevelRow, error) {
-	return st.RunContext(context.Background())
-}
-
-// RunContext executes the study under ctx.
+// RunContext measures each (workload, strategy) at both runlevels under
+// ctx.
 func (st RunlevelStudy) RunContext(ctx context.Context) ([]RunlevelRow, error) {
 	st.Exec = st.Exec.withWorlds()
 	if st.Model == "" {
@@ -69,7 +65,7 @@ func (st RunlevelStudy) RunContext(ctx context.Context) ([]RunlevelRow, error) {
 			spec := Spec{
 				Platform: st.Platform, Workload: w, Model: st.Model,
 				Strategy: strat, Tracing: true,
-				Seed: seedFor(st.Seed, "runlevel", wname, strat.Name()),
+				Seed: SeedFor(st.Seed, "runlevel", wname, strat.Name()),
 			}
 			rl5, _, err := st.Exec.Series(ctx, spec, st.Reps)
 			if err != nil {

@@ -5,7 +5,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -167,12 +166,4 @@ func publishRunCounters(reg *obs.Registry, eng *sim.Engine, sched *cpusched.Sche
 		"Fresh timer/task materializations on first write (pool misses).").Add(cowCopies)
 	reg.Counter("repro_sim_batched_reps_total",
 		"Reps executed in a reused warm world.").Add(batchedReps)
-}
-
-// RunSeries executes reps runs with index-derived seeds and returns the
-// execution times (and traces when tracing). It delegates to the default
-// Executor, fanning reps over a worker pool; see Executor for the
-// determinism guarantees and the parallelism knobs.
-func RunSeries(spec Spec, reps int) ([]sim.Time, []*trace.Trace, error) {
-	return Executor{}.Series(context.Background(), spec, reps)
 }

@@ -44,11 +44,6 @@ func (r RepCounts) Scale(f float64) RepCounts {
 // bottleneck analysis) derive per-cell seeds on the same schedule the
 // studies do.
 func SeedFor(base uint64, tags ...string) uint64 {
-	return seedFor(base, tags...)
-}
-
-// seedFor derives a deterministic sub-seed for a named study phase.
-func seedFor(base uint64, tags ...string) uint64 {
 	h := base ^ 0x9e3779b97f4a7c15
 	for _, t := range tags {
 		for i := 0; i < len(t); i++ {
@@ -96,11 +91,6 @@ func Key(model string, strat mitigate.Strategy) string {
 	return model + "/" + strat.Name()
 }
 
-// Run executes the study.
-func (b BaselineStudy) Run() (*BaselineResult, error) {
-	return b.RunContext(context.Background())
-}
-
 // RunContext executes the study under ctx; cancellation stops the series
 // in flight and surfaces the context error.
 func (b BaselineStudy) RunContext(ctx context.Context) (*BaselineResult, error) {
@@ -128,7 +118,7 @@ func (b BaselineStudy) RunContext(ctx context.Context) (*BaselineResult, error) 
 				Workload: w,
 				Model:    model,
 				Strategy: strat,
-				Seed:     seedFor(b.Seed, "baseline", b.Workload, model, strat.Name()),
+				Seed:     SeedFor(b.Seed, "baseline", b.Workload, model, strat.Name()),
 				Tracing:  true,
 			}
 			times, _, err := b.Exec.Series(ctx, spec, b.Reps)
@@ -170,14 +160,8 @@ func (c ConfigSource) Label() string {
 	return name + "-" + model
 }
 
-// BuildConfig hunts a worst case for the given source configuration and
-// generates its injection config.
-func BuildConfig(p *platform.Platform, workload string, src ConfigSource,
-	collectRuns int, improved bool, seed uint64) (*core.Config, *PipelineResult, error) {
-	return BuildConfigExec(context.Background(), Executor{}, p, workload, src, collectRuns, improved, seed)
-}
-
-// BuildConfigExec is BuildConfig under an explicit executor and context.
+// BuildConfigExec hunts a worst case for the given source configuration
+// under e and ctx, and generates its injection config.
 func BuildConfigExec(ctx context.Context, e Executor, p *platform.Platform, workload string,
 	src ConfigSource, collectRuns int, improved bool, seed uint64) (*core.Config, *PipelineResult, error) {
 	w, err := p.WorkloadSpec(workload)
@@ -190,7 +174,7 @@ func BuildConfigExec(ctx context.Context, e Executor, p *platform.Platform, work
 			Workload: w,
 			Model:    src.Model,
 			Strategy: src.Strategy,
-			Seed:     seedFor(seed, "collect", workload, src.Model, src.Strategy.Name(), fmt.Sprint(src.ID)),
+			Seed:     SeedFor(seed, "collect", workload, src.Model, src.Strategy.Name(), fmt.Sprint(src.ID)),
 		},
 		CollectRuns: collectRuns,
 		Improved:    improved,
@@ -285,11 +269,6 @@ func (st InjectionStudy) cellCount() int {
 	return total
 }
 
-// Run executes the study.
-func (st InjectionStudy) Run() (*InjectionResult, error) {
-	return st.RunContext(context.Background())
-}
-
 // RunContext executes the study under ctx.
 func (st InjectionStudy) RunContext(ctx context.Context) (*InjectionResult, error) {
 	st.Exec = st.Exec.withWorlds()
@@ -358,7 +337,7 @@ func (st InjectionStudy) injectRow(ctx context.Context, prog *cellTracker, p *pl
 		}
 		baseSpec := Spec{
 			Platform: p, Workload: wl, Model: model, Strategy: strat,
-			Seed:    seedFor(st.Seed, "ibase", st.Workload, model, strat.Name()),
+			Seed:    SeedFor(st.Seed, "ibase", st.Workload, model, strat.Name()),
 			Tracing: true,
 		}
 		baseTimes, _, err := st.Exec.Series(ctx, baseSpec, st.Reps.Baseline)
@@ -368,7 +347,7 @@ func (st InjectionStudy) injectRow(ctx context.Context, prog *cellTracker, p *pl
 		injSpec := baseSpec
 		injSpec.Tracing = false
 		injSpec.Inject = cfg
-		injSpec.Seed = seedFor(st.Seed, "inj", st.Workload, model, strat.Name(), fmt.Sprint(cfgID))
+		injSpec.Seed = SeedFor(st.Seed, "inj", st.Workload, model, strat.Name(), fmt.Sprint(cfgID))
 		injTimes, _, err := st.Exec.Series(ctx, injSpec, st.Reps.Inject)
 		if err != nil {
 			return nil, err
@@ -398,14 +377,8 @@ type OverheadRow struct {
 	IncreasePct float64
 }
 
-// TracingOverhead measures baseline executions with tracing off and on
+// TracingOverheadExec measures baseline executions with tracing off and on
 // (OMP, roaming), reproducing Table 1.
-func TracingOverhead(p *platform.Platform, workloadNames []string, reps int, seed uint64) ([]OverheadRow, error) {
-	return TracingOverheadExec(context.Background(), Executor{}, p, workloadNames, reps, seed)
-}
-
-// TracingOverheadExec is TracingOverhead under an explicit executor and
-// context.
 func TracingOverheadExec(ctx context.Context, e Executor, p *platform.Platform,
 	workloadNames []string, reps int, seed uint64) ([]OverheadRow, error) {
 	var rows []OverheadRow
@@ -417,7 +390,7 @@ func TracingOverheadExec(ctx context.Context, e Executor, p *platform.Platform,
 		}
 		spec := Spec{
 			Platform: p, Workload: w, Model: "omp", Strategy: mitigate.Rm,
-			Seed: seedFor(seed, "overhead", name),
+			Seed: SeedFor(seed, "overhead", name),
 		}
 		off, _, err := e.Series(ctx, spec, reps)
 		if err != nil {
@@ -500,13 +473,8 @@ type AccuracyStudy struct {
 	Exec Executor
 }
 
-// Run builds each case's config and replays it under the same workload
-// configuration it was captured from.
-func (st AccuracyStudy) Run() ([]AccuracyEntry, error) {
-	return st.RunContext(context.Background())
-}
-
-// RunContext executes the study under ctx.
+// RunContext builds each case's config and replays it under the same
+// workload configuration it was captured from.
 func (st AccuracyStudy) RunContext(ctx context.Context) ([]AccuracyEntry, error) {
 	st.Exec = st.Exec.withWorlds()
 	var out []AccuracyEntry
@@ -543,7 +511,7 @@ func (st AccuracyStudy) runCase(ctx context.Context, p *platform.Platform, c Acc
 	}
 	spec := Spec{
 		Platform: p, Workload: w, Model: c.Source.Model, Strategy: c.Source.Strategy,
-		Seed:   seedFor(st.Seed, "acc", c.Workload, c.Source.Label()),
+		Seed:   SeedFor(st.Seed, "acc", c.Workload, c.Source.Label()),
 		Inject: cfg,
 	}
 	times, _, err := st.Exec.Series(ctx, spec, st.Reps.Inject)

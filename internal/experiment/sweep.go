@@ -42,12 +42,8 @@ type IntensitySweep struct {
 	Exec Executor
 }
 
-// Run executes the sweep. Points are ordered factor-major, strategy-minor.
-func (sw IntensitySweep) Run() ([]IntensityPoint, error) {
-	return sw.RunContext(context.Background())
-}
-
-// RunContext executes the sweep under ctx.
+// RunContext executes the sweep under ctx. Points are ordered
+// factor-major, strategy-minor.
 func (sw IntensitySweep) RunContext(ctx context.Context) ([]IntensityPoint, error) {
 	if len(sw.Factors) == 0 || len(sw.Strategies) == 0 {
 		return nil, fmt.Errorf("experiment: intensity sweep needs factors and strategies")
@@ -76,7 +72,7 @@ func (sw IntensitySweep) RunContext(ctx context.Context) ([]IntensityPoint, erro
 	for _, strat := range sw.Strategies {
 		times, _, err := sw.Exec.Series(ctx, Spec{
 			Platform: sw.Platform, Workload: w, Model: sw.Model, Strategy: strat,
-			Seed: seedFor(sw.Seed, "sweepbase", strat.Name()), Tracing: true,
+			Seed: SeedFor(sw.Seed, "sweepbase", strat.Name()), Tracing: true,
 		}, sw.Reps.Baseline)
 		if err != nil {
 			return nil, err
@@ -94,7 +90,7 @@ func (sw IntensitySweep) RunContext(ctx context.Context) ([]IntensityPoint, erro
 		for _, strat := range sw.Strategies {
 			times, _, err := sw.Exec.Series(ctx, Spec{
 				Platform: sw.Platform, Workload: w, Model: sw.Model, Strategy: strat,
-				Seed:   seedFor(sw.Seed, "sweepinj", strat.Name(), fmt.Sprint(f)),
+				Seed:   SeedFor(sw.Seed, "sweepinj", strat.Name(), fmt.Sprint(f)),
 				Inject: amp,
 			}, sw.Reps.Inject)
 			if err != nil {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/machine"
@@ -17,7 +18,7 @@ func TestIntensitySweep(t *testing.T) {
 		Factors:    []float64{1, 8},
 		Reps:       RepCounts{Collect: 12, Baseline: 3, Inject: 3},
 		Seed:       9,
-	}.Run()
+	}.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestIntensitySweep(t *testing.T) {
 
 func TestIntensitySweepValidation(t *testing.T) {
 	p := platform.MustNew(machine.TinyTest)
-	if _, err := (IntensitySweep{Platform: p, Workload: "nbody"}).Run(); err == nil {
+	if _, err := (IntensitySweep{Platform: p, Workload: "nbody"}).RunContext(context.Background()); err == nil {
 		t.Fatal("sweep without factors/strategies should error")
 	}
 }
@@ -74,7 +75,7 @@ func TestRunlevelStudy(t *testing.T) {
 		Workloads: []string{"nbody"},
 		Reps:      4,
 		Seed:      3,
-	}.Run()
+	}.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

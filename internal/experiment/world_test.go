@@ -31,7 +31,7 @@ func batchTestSpec(t *testing.T) Spec {
 // (FreshWorlds, every rep builds its own) and through pooled worlds (at
 // parallelism 1 and 8) and demands identical times and identical traces,
 // event for event. This is the end-to-end form of the snapshot-safety
-// guarantee: every seedAt-derived per-rep RNG stream drawn in a reset world
+// guarantee: every SeedAt-derived per-rep RNG stream drawn in a reset world
 // reproduces the from-scratch sequence.
 func TestBatchedSeriesMatchesLegacy(t *testing.T) {
 	spec := batchTestSpec(t)
@@ -67,7 +67,7 @@ func TestBatchedSeriesMatchesLegacy(t *testing.T) {
 // TestForkedRepMatchesFreshWorld is the narrow unit form of snapshot
 // safety: a rep run in a world warmed by other seeds produces exactly the
 // result a fresh world produces for the same seed — the per-rep RNG stream
-// (seedAt-derived) is rebuilt from the seed inside the rep, so warm state
+// (SeedAt-derived) is rebuilt from the seed inside the rep, so warm state
 // cannot leak into it.
 func TestForkedRepMatchesFreshWorld(t *testing.T) {
 	spec := batchTestSpec(t)
@@ -81,7 +81,7 @@ func TestForkedRepMatchesFreshWorld(t *testing.T) {
 	warm := newWorld(key)
 	for i := 1; i <= 3; i++ {
 		s := spec
-		s.Seed = seedAt(spec.Seed, i)
+		s.Seed = SeedAt(spec.Seed, i)
 		if _, err := warm.run(s, plan); err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestForkedRepMatchesFreshWorld(t *testing.T) {
 	}
 
 	s := spec
-	s.Seed = seedAt(spec.Seed, 0)
+	s.Seed = SeedAt(spec.Seed, 0)
 	got, err := warm.run(s, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -190,9 +190,10 @@ func TestWorldPoolKeying(t *testing.T) {
 }
 
 // TestSeriesRejectsInvalidSpecs checks that every series entry point
-// validates its spec once, before any world or shell is built: a spec
-// missing its platform or workload (or an invalid cluster spec) returns the
-// validation error, at any rep count, instead of panicking.
+// validates its spec and rep count once, before any world or shell is
+// built: a spec missing its platform or workload (or an invalid cluster
+// spec) returns the validation error, at any rep count, and a negative rep
+// count returns an error, instead of panicking.
 func TestSeriesRejectsInvalidSpecs(t *testing.T) {
 	valid := batchTestSpec(t)
 	plan, err := mitigate.Apply(valid.Strategy, valid.Platform.Topo)
@@ -210,7 +211,17 @@ func TestSeriesRejectsInvalidSpecs(t *testing.T) {
 		t.Fatal("cluster spec with an unknown policy validated")
 	}
 	ctx := context.Background()
-	for _, reps := range []int{1, 8} {
+	const wantReps = "experiment: negative rep count -1"
+	if _, _, err := (Executor{}).Series(ctx, valid, -1); err == nil || err.Error() != wantReps {
+		t.Errorf("Series(reps=-1) = %v, want %q", err, wantReps)
+	}
+	if _, err := (Executor{}).seriesWithPlan(ctx, valid, plan, -1); err == nil || err.Error() != wantReps {
+		t.Errorf("seriesWithPlan(reps=-1) = %v, want %q", err, wantReps)
+	}
+	if _, err := (Executor{}).ClusterSeries(ctx, cluster.StragglerStudySpec(), 1, -1); err == nil || err.Error() != wantReps {
+		t.Errorf("ClusterSeries(reps=-1) = %v, want %q", err, wantReps)
+	}
+	for _, reps := range []int{-1, 1, 8} {
 		for name, spec := range map[string]Spec{"nil platform": noPlatform, "nil workload": noWorkload} {
 			if _, _, err := (Executor{}).Series(ctx, spec, reps); err == nil || err.Error() != wantSpec {
 				t.Errorf("Series(%s, reps=%d) = %v, want %q", name, reps, err, wantSpec)

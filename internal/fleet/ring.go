@@ -6,7 +6,7 @@
 // streams aggregated progress as server-sent events.
 //
 // The whole design rides one fact (DESIGN.md §7, §11): a rep is a pure
-// function of (ModelVersion, spec, seedAt(i)). Sharding therefore cannot
+// function of (ModelVersion, spec, SeedAt(i)). Sharding therefore cannot
 // change results — it can only change where the bytes are computed and
 // cached — and every claim in this package ships with a test that would
 // catch its violation.

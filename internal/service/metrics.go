@@ -3,17 +3,10 @@ package service
 import (
 	"fmt"
 	"io"
-	"sort"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/rescache"
-	"repro/internal/stats"
 )
-
-// latencyWindow bounds the per-job latency samples kept for the /metrics
-// quantiles; older samples are overwritten ring-buffer style.
-const latencyWindow = 4096
 
 // latencyBounds are the histogram bucket boundaries (seconds) for the
 // registry's job-latency histogram.
@@ -24,10 +17,6 @@ var latencyBounds = []float64{0.001, 0.01, 0.1, 0.5, 1, 5, 30, 120}
 // instead of the ad-hoc struct it used to carry. The registry is the source
 // of truth; Snapshot and the text render read the live values. Cache-tier
 // counters live in rescache and are merged into the rendered output.
-//
-// The latency ring is kept alongside the histogram because the /metrics
-// contract exposes exact p50/p99 over the recent window, which a fixed-bucket
-// histogram cannot reproduce.
 type metrics struct {
 	reg *obs.Registry
 
@@ -40,10 +29,6 @@ type metrics struct {
 	cacheHits  *obs.Counter
 	inflight   *obs.Gauge
 	latency    *obs.Histogram
-
-	mu      sync.Mutex
-	latSecs []float64
-	latNext int
 }
 
 // newMetrics registers the service families on reg (a fresh registry when
@@ -78,8 +63,8 @@ type Snapshot struct {
 	Executions, CacheHits uint64
 	InFlight              int
 	QueueDepth            int
-	// LatencyP50 and LatencyP99 are seconds over the recent window; 0
-	// when no job finished yet.
+	// LatencyP50 and LatencyP99 are seconds, interpolated within the
+	// job-latency histogram's buckets; 0 when no job finished yet.
 	LatencyP50, LatencyP99 float64
 	Cache                  rescache.Stats
 }
@@ -105,29 +90,28 @@ func (m *metrics) jobFinished(state JobState, cached bool, latencySecs float64) 
 		m.cacheHits.Inc()
 	}
 	m.latency.Observe(latencySecs)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.latSecs) < latencyWindow {
-		m.latSecs = append(m.latSecs, latencySecs)
-	} else {
-		m.latSecs[m.latNext] = latencySecs
-		m.latNext = (m.latNext + 1) % latencyWindow
-	}
 }
 
-// quantiles computes p50/p99 over a sorted COPY of the latency ring. The
-// ring itself must never be sorted in place: it is insertion-ordered, and
-// sorting it would corrupt the overwrite position (latNext) so the window
-// would stop being "most recent".
-func (m *metrics) quantiles() (p50, p99 float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.latSecs) == 0 {
-		return 0, 0
+// histQuantile estimates the q-quantile of a histogram's samples by linear
+// interpolation within the bucket holding rank q*count, taking the first
+// bucket to start at 0. A rank in the +Inf bucket yields the highest finite
+// bound. An empty histogram yields 0.
+func histQuantile(h obs.HistSnapshot, q float64) float64 {
+	if h.Count == 0 {
+		return 0
 	}
-	sorted := append([]float64(nil), m.latSecs...)
-	sort.Float64s(sorted)
-	return stats.Quantile(sorted, 0.50), stats.Quantile(sorted, 0.99)
+	rank := q * float64(h.Count)
+	var below uint64
+	lower := 0.0
+	for i, upper := range h.Bounds {
+		n := h.Counts[i]
+		if float64(below+n) >= rank && n > 0 {
+			return lower + (upper-lower)*(rank-float64(below))/float64(n)
+		}
+		below += n
+		lower = upper
+	}
+	return lower
 }
 
 // snapshot merges the service counters with the cache tier's.
@@ -138,7 +122,8 @@ func (m *metrics) snapshot(queueDepth int, cache rescache.Stats) Snapshot {
 		Executions: m.executions.Value(), CacheHits: m.cacheHits.Value(),
 		InFlight: int(m.inflight.Value()), QueueDepth: queueDepth, Cache: cache,
 	}
-	s.LatencyP50, s.LatencyP99 = m.quantiles()
+	lat := m.latency.Snapshot()
+	s.LatencyP50, s.LatencyP99 = histQuantile(lat, 0.50), histQuantile(lat, 0.99)
 	return s
 }
 
@@ -174,7 +159,7 @@ func (s Snapshot) render(w io.Writer) {
 	p("noiselabd_cache_corrupt_total %d\n", s.Cache.Corrupt)
 	p("noiselabd_cache_evictions_total %d\n", s.Cache.Evictions)
 	p("noiselabd_cache_mem_entries %d\n", s.Cache.MemEntries)
-	p("# HELP noiselabd_job_latency_seconds Recent job wall latency quantiles.\n")
+	p("# HELP noiselabd_job_latency_seconds Job wall latency quantiles, interpolated within noiselabd_job_latency_hist_seconds buckets.\n")
 	p("# TYPE noiselabd_job_latency_seconds summary\n")
 	p("noiselabd_job_latency_seconds{quantile=\"0.5\"} %.9f\n", s.LatencyP50)
 	p("noiselabd_job_latency_seconds{quantile=\"0.99\"} %.9f\n", s.LatencyP99)

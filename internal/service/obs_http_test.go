@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"testing"
 	"time"
@@ -203,32 +204,35 @@ func TestInflightNeverNegative(t *testing.T) {
 	}
 }
 
-// TestQuantilesDoNotMutateRing is the regression test for the sort-in-place
-// bug: computing p50/p99 must sort a copy of the latency ring, never the
-// ring itself — sorting in place corrupts the overwrite cursor so the
-// window stops being "most recent".
-func TestQuantilesDoNotMutateRing(t *testing.T) {
+// TestLatencyQuantilesInterpolateHistogram pins Snapshot's p50/p99: they
+// are read off the job-latency histogram by linear interpolation within the
+// bucket holding the quantile's rank, and snapshots do not disturb them.
+func TestLatencyQuantilesInterpolateHistogram(t *testing.T) {
 	m := newMetrics(nil)
-	samples := []float64{0.9, 0.1, 0.5, 0.3, 0.7}
-	for _, s := range samples {
+	if snap := m.snapshot(0, rescache.Stats{}); snap.LatencyP50 != 0 || snap.LatencyP99 != 0 {
+		t.Fatalf("no jobs: p50 %v p99 %v, want 0", snap.LatencyP50, snap.LatencyP99)
+	}
+	// Four samples in (0.01, 0.1], four in (0.1, 0.5], two in (1, 5]: rank 5
+	// of 10 is the first of the (0.1, 0.5] bucket's four, rank 9.9 lies 1.9
+	// of 2 into the (1, 5] bucket.
+	for _, s := range []float64{0.05, 0.3, 2, 0.05, 0.3, 0.05, 2, 0.3, 0.05, 0.3} {
 		m.jobStarted()
 		m.jobFinished(StateDone, false, s)
 	}
+	near := func(got, want float64) bool { return math.Abs(got-want) < 1e-12 }
 	snap := m.snapshot(0, rescache.Stats{})
-	if snap.LatencyP50 != 0.5 {
-		t.Fatalf("p50 = %v, want 0.5", snap.LatencyP50)
+	if !near(snap.LatencyP50, 0.2) || !near(snap.LatencyP99, 4.8) {
+		t.Fatalf("p50 %v p99 %v, want 0.2 and 4.8", snap.LatencyP50, snap.LatencyP99)
 	}
-	m.mu.Lock()
-	got := append([]float64(nil), m.latSecs...)
-	m.mu.Unlock()
-	for i, s := range samples {
-		if got[i] != s {
-			t.Fatalf("snapshot mutated the latency ring: %v (insertion order was %v)", got, samples)
-		}
-	}
-	// A second snapshot sees the same quantiles (idempotent reads).
 	if again := m.snapshot(0, rescache.Stats{}); again.LatencyP50 != snap.LatencyP50 || again.LatencyP99 != snap.LatencyP99 {
 		t.Fatalf("snapshot not idempotent: %+v vs %+v", again, snap)
+	}
+	// A rank in the +Inf bucket reads as the highest finite bound.
+	for i := 0; i < 10; i++ {
+		m.jobFinished(StateDone, false, 500)
+	}
+	if p99 := m.snapshot(0, rescache.Stats{}).LatencyP99; p99 != latencyBounds[len(latencyBounds)-1] {
+		t.Fatalf("p99 past the last bound = %v, want %v", p99, latencyBounds[len(latencyBounds)-1])
 	}
 }
 

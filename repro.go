@@ -10,8 +10,8 @@
 //
 //	p, _ := repro.NewPlatform(repro.Intel9700KF)
 //	w, _ := p.WorkloadSpec("babelstream")
-//	cfg, pipeline, _ := repro.BuildConfig(p, "babelstream",
-//	    repro.ConfigSource{Model: "omp", Strategy: repro.Rm, ID: 1}, 200, true, 1)
+//	cfg, pipeline, _ := repro.BuildConfigExec(context.Background(), repro.Executor{},
+//	    p, "babelstream", repro.ConfigSource{Model: "omp", Strategy: repro.Rm, ID: 1}, 200, true, 1)
 //	res, _ := repro.RunOnce(repro.Spec{
 //	    Platform: p, Workload: w, Model: "omp", Strategy: repro.RmHK,
 //	    Seed: 7, Inject: cfg,
@@ -82,7 +82,8 @@ type (
 	// independent (spec, seed) reps of a series over a bounded worker
 	// pool with output bit-identical to sequential execution. The zero
 	// value uses REPRO_PARALLEL or GOMAXPROCS workers; Parallelism: 1
-	// forces sequential. Every study type carries one in its Exec field.
+	// forces sequential. Executor.Series runs one series; every study type
+	// carries one in its Exec field.
 	Executor = experiment.Executor
 	// ProgressFunc receives study-cell completion updates (Executor.OnCell).
 	ProgressFunc = experiment.ProgressFunc
@@ -127,29 +128,10 @@ func WorkloadNames() []string { return workloads.Names() }
 // RunOnce executes one simulated run.
 func RunOnce(spec Spec) (Result, error) { return experiment.RunOnce(spec) }
 
-// RunSeries executes reps runs with derived seeds, returning execution
-// times and (when tracing) traces. Reps fan out over the default
-// Executor's worker pool; results are bit-identical to sequential
-// execution. Use an explicit Executor (RunSeriesExec) to bound or disable
-// the parallelism, cancel mid-series, or observe progress.
-func RunSeries(spec Spec, reps int) ([]Time, []*Trace, error) {
-	return experiment.RunSeries(spec, reps)
-}
-
-// RunSeriesExec is RunSeries under an explicit executor and context.
-func RunSeriesExec(ctx context.Context, e Executor, spec Spec, reps int) ([]Time, []*Trace, error) {
-	return e.Series(ctx, spec, reps)
-}
-
-// BuildConfig runs injector stages 1+2: collect traces under the source
-// configuration, select the worst case, subtract the average noise, and
-// generate the injection config (improved or original merge).
-func BuildConfig(p *Platform, workload string, src ConfigSource,
-	collectRuns int, improved bool, seed uint64) (*Config, *PipelineResult, error) {
-	return experiment.BuildConfig(p, workload, src, collectRuns, improved, seed)
-}
-
-// BuildConfigExec is BuildConfig under an explicit executor and context.
+// BuildConfigExec runs injector stages 1+2 under e and ctx: collect traces
+// under the source configuration, select the worst case, subtract the
+// average noise, and generate the injection config (improved or original
+// merge).
 func BuildConfigExec(ctx context.Context, e Executor, p *Platform, workload string,
 	src ConfigSource, collectRuns int, improved bool, seed uint64) (*Config, *PipelineResult, error) {
 	return experiment.BuildConfigExec(ctx, e, p, workload, src, collectRuns, improved, seed)
@@ -250,13 +232,7 @@ func StragglerStudySpec() ClusterSpec { return cluster.StragglerStudySpec() }
 // 1000/1000/200).
 func DefaultReps() RepCounts { return experiment.DefaultReps() }
 
-// TracingOverhead measures Table 1.
-func TracingOverhead(p *Platform, workloadNames []string, reps int, seed uint64) ([]OverheadRow, error) {
-	return experiment.TracingOverhead(p, workloadNames, reps, seed)
-}
-
-// TracingOverheadExec is TracingOverhead under an explicit executor and
-// context.
+// TracingOverheadExec measures Table 1 under e and ctx.
 func TracingOverheadExec(ctx context.Context, e Executor, p *Platform,
 	workloadNames []string, reps int, seed uint64) ([]OverheadRow, error) {
 	return experiment.TracingOverheadExec(ctx, e, p, workloadNames, reps, seed)
@@ -273,18 +249,14 @@ func AggregateChange(tables []*InjectionResult) map[string][]float64 {
 // MeanAccuracy averages absolute accuracy across Table-7 entries.
 func MeanAccuracy(entries []AccuracyEntry) float64 { return experiment.MeanAccuracy(entries) }
 
-// Figure1 regenerates the schedbench motivation figure series.
-func Figure1(reps int, seed uint64) ([]FigureSeries, error) { return experiment.Figure1(reps, seed) }
-
-// Figure2 regenerates the Babelstream-dot motivation figure series.
-func Figure2(reps int, seed uint64) ([]FigureSeries, error) { return experiment.Figure2(reps, seed) }
-
-// Figure1Exec is Figure1 under an explicit executor and context.
+// Figure1Exec regenerates the schedbench motivation figure series under e
+// and ctx.
 func Figure1Exec(ctx context.Context, e Executor, reps int, seed uint64) ([]FigureSeries, error) {
 	return experiment.Figure1Exec(ctx, e, reps, seed)
 }
 
-// Figure2Exec is Figure2 under an explicit executor and context.
+// Figure2Exec regenerates the Babelstream-dot motivation figure series
+// under e and ctx.
 func Figure2Exec(ctx context.Context, e Executor, reps int, seed uint64) ([]FigureSeries, error) {
 	return experiment.Figure2Exec(ctx, e, reps, seed)
 }

@@ -5,6 +5,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestFacadeEndToEndPipeline(t *testing.T) {
 	}
 
 	// Baseline.
-	times, traces, err := RunSeries(Spec{
+	times, traces, err := Executor{}.Series(context.Background(), Spec{
 		Platform: p, Workload: w, Model: "omp", Strategy: Rm,
 		Seed: 1, Tracing: true,
 	}, 8)
@@ -96,15 +97,15 @@ func TestFacadeBuildConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// BuildConfig resolves the platform-sized workload internally; use the
-	// tiny platform where sizes are the defaults.
-	cfg, pr, err := BuildConfig(p, "schedbench",
+	// BuildConfigExec resolves the platform-sized workload internally; use
+	// the tiny platform where sizes are the defaults.
+	cfg, pr, err := BuildConfigExec(context.Background(), Executor{}, p, "schedbench",
 		ConfigSource{Model: "omp", Strategy: TP, ID: 1}, 6, true, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Validate() != nil || pr.Worst == nil {
-		t.Fatal("BuildConfig artifacts incomplete")
+		t.Fatal("BuildConfigExec artifacts incomplete")
 	}
 }
 
