@@ -303,9 +303,6 @@ func (e Executor) Series(ctx context.Context, spec Spec, reps int) ([]sim.Time, 
 	if err := spec.validate(); err != nil {
 		return nil, nil, err
 	}
-	if err := checkReps(reps); err != nil {
-		return nil, nil, err
-	}
 	plan, err := mitigate.Apply(spec.Strategy, spec.Platform.Topo)
 	if err != nil {
 		return nil, nil, err
@@ -319,9 +316,6 @@ func (e Executor) seriesWithPlan(ctx context.Context, spec Spec, plan *mitigate.
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	if err := checkReps(reps); err != nil {
-		return nil, err
-	}
 	times, _, err := e.series(ctx, spec, plan, reps)
 	return times, err
 }
@@ -333,6 +327,9 @@ func (e Executor) seriesWithPlan(ctx context.Context, spec Spec, plan *mitigate.
 // warm world is indistinguishable from a fresh one.
 func (e Executor) series(ctx context.Context, spec Spec, plan *mitigate.Plan,
 	reps int) ([]sim.Time, []*trace.Trace, error) {
+	if err := checkReps(reps); err != nil {
+		return nil, nil, err
+	}
 	times := make([]sim.Time, reps)
 	traces := make([]*trace.Trace, reps)
 	pool := e.withWorlds().Worlds
