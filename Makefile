@@ -47,8 +47,10 @@ test-fleet:
 # determinism suite (golden fixture at parallelism 1 vs 8, pooled/fresh
 # worlds, obs attached vs not) plus the service/fleet analysis e2e must hold under
 # -race. 3x because the e2e exercises queue/cache/SSE timing windows.
+# internal/obs rides along: each cell's region fold (obs.Options.OnEvent)
+# runs on a worker goroutine and is read after the series returns.
 test-analyze:
-	$(GO) test -race -count=3 ./internal/analyze/ ./internal/advisor/ ./internal/stats/
+	$(GO) test -race -count=3 ./internal/analyze/ ./internal/advisor/ ./internal/stats/ ./internal/obs/
 	$(GO) test -race -count=3 -run 'TestAnalysis' ./internal/service/
 	$(GO) test -race -count=3 -run 'TestFleetAnalysis' ./internal/fleet/
 

@@ -20,6 +20,9 @@ func cmdAdvise(args []string) error {
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
+	if err := c.rejectDeadline(); err != nil {
+		return err
+	}
 	p, _, _, err := c.resolve()
 	if err != nil {
 		return err

@@ -39,6 +39,9 @@ func cmdAnalyze(args []string) error {
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
+	if err := c.rejectDeadline(); err != nil {
+		return err
+	}
 	spec := analyze.Spec{
 		Platform: *c.platform, Workload: *c.workload, Size: *size,
 		Model: *c.model, Strategy: *c.strategy,

@@ -62,7 +62,7 @@ func cmdSubmit(args []string) error {
 	st, err := cl.Submit(ctx, service.JobSpec{
 		Platform: *c.platform, Workload: *c.workload, Model: *c.model,
 		Strategy: *c.strategy, Seed: *c.seed, Reps: *reps, Size: *size,
-		Tracing: *tracing,
+		Tracing: *tracing, DLRuntimeNs: *c.dlRuntime, DLPeriodNs: *c.dlPeriod,
 	})
 	if err != nil {
 		return err

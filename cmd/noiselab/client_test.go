@@ -142,6 +142,17 @@ func TestClientCommands(t *testing.T) {
 		t.Fatalf("get printed %q, want %q", out, exp)
 	}
 
+	// The -dl-* flags reach the job spec: the job is the deadline-class run.
+	dl := spec(14)
+	dl.DLRuntimeNs, dl.DLPeriodNs = 400_000, 1_000_000
+	hashDL, wantDL := directPayload(t, dl)
+	out = captureStdout(t, func() error {
+		return cmdSubmit(jobFlags("14", "-wait", "-dl-runtime-ns", "400000", "-dl-period-ns", "1000000"))
+	})
+	if rest := splitFirstLine(t, out, "job", "j000004", hashDL, false); rest != summaryLine(t, wantDL) {
+		t.Fatalf("deadline submit printed %q after the job line", rest)
+	}
+
 	// Canceling a finished job is a no-op that reports its state.
 	out = captureStdout(t, func() error { return cmdCancel([]string{"-server", base, "-job", "j000001"}) })
 	if exp := "job j000001 done\n"; out != exp {

@@ -82,6 +82,18 @@ func newExec() repro.Executor {
 	return e
 }
 
+// collectExec is newExec for the commands that hunt a worst case: under -v
+// it also reports each collected rep ("collect k/N") to stderr.
+func collectExec() repro.Executor {
+	e := newExec()
+	if gVerbose {
+		e.OnRep = func(done, total int) {
+			fmt.Fprintf(os.Stderr, "collect %d/%d\n", done, total)
+		}
+	}
+	return e
+}
+
 // commonFlags bundles the run-configuration flags shared by several
 // subcommands.
 type commonFlags struct {
@@ -122,6 +134,15 @@ func (c *commonFlags) applyDeadline(spec *repro.Spec) error {
 	}
 	spec.DLRuntime = sim.Time(*c.dlRuntime)
 	spec.DLPeriod = sim.Time(*c.dlPeriod)
+	return nil
+}
+
+// rejectDeadline fails when the -dl-* flags are set on a subcommand that
+// has no single run spec to apply them to, instead of ignoring them.
+func (c *commonFlags) rejectDeadline() error {
+	if *c.dlRuntime != 0 || *c.dlPeriod != 0 {
+		return fmt.Errorf("-dl-runtime-ns/-dl-period-ns are not supported here (run, baseline, inject, fig3 and submit apply them)")
+	}
 	return nil
 }
 
@@ -249,17 +270,14 @@ func cmdGenConfig(args []string) error {
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
+	if err := c.rejectDeadline(); err != nil {
+		return err
+	}
 	p, _, strat, err := c.resolve()
 	if err != nil {
 		return err
 	}
-	exec := newExec()
-	if gVerbose {
-		exec.OnRep = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "collect %d/%d\n", done, total)
-		}
-	}
-	cfg, pr, err := repro.BuildConfigExec(context.Background(), exec, p, *c.workload,
+	cfg, pr, err := repro.BuildConfigExec(context.Background(), collectExec(), p, *c.workload,
 		repro.ConfigSource{Model: *c.model, Strategy: strat, ID: 1},
 		*collect, !*original, *c.seed)
 	if err != nil {

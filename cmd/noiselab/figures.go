@@ -28,10 +28,14 @@ func cmdFig3(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := repro.RunOnce(repro.Spec{
+	spec := repro.Spec{
 		Platform: p, Workload: w, Model: *c.model, Strategy: strat,
 		Seed: *c.seed, Tracing: true,
-	})
+	}
+	if err := c.applyDeadline(&spec); err != nil {
+		return err
+	}
+	res, err := repro.RunOnce(spec)
 	if err != nil {
 		return err
 	}
@@ -107,11 +111,14 @@ func cmdFig5(args []string) error {
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
+	if err := c.rejectDeadline(); err != nil {
+		return err
+	}
 	p, _, strat, err := c.resolve()
 	if err != nil {
 		return err
 	}
-	cfg, _, err := repro.BuildConfigExec(context.Background(), repro.Executor{}, p, *c.workload,
+	cfg, _, err := repro.BuildConfigExec(context.Background(), collectExec(), p, *c.workload,
 		repro.ConfigSource{Model: *c.model, Strategy: strat, ID: 1},
 		*collect, true, *c.seed)
 	if err != nil {

@@ -15,12 +15,19 @@ import (
 // what it printed.
 func captureStdout(t *testing.T, fn func() error) string {
 	t.Helper()
-	old := os.Stdout
+	return capture(t, &os.Stdout, fn)
+}
+
+// capture runs fn with *f redirected to a pipe and returns what fn wrote
+// to it.
+func capture(t *testing.T, f **os.File, fn func() error) string {
+	t.Helper()
+	old := *f
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*f = w
 	outCh := make(chan string, 1)
 	go func() {
 		data, _ := io.ReadAll(r)
@@ -28,7 +35,7 @@ func captureStdout(t *testing.T, fn func() error) string {
 	}()
 	cmdErr := fn()
 	w.Close()
-	os.Stdout = old
+	*f = old
 	out := <-outCh
 	r.Close()
 	if cmdErr != nil {
@@ -241,6 +248,60 @@ func TestCmdFig5Structure(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fig5 output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestCmdFig5HonorsGlobalFlags: fig5 runs through the shared executor, so
+// -v reports its collection progress on stderr.
+func TestCmdFig5HonorsGlobalFlags(t *testing.T) {
+	gVerbose = true
+	t.Cleanup(func() { gVerbose = false })
+	var stdout string
+	stderr := capture(t, &os.Stderr, func() error {
+		stdout = captureStdout(t, func() error {
+			return cmdFig5([]string{"-workload", "schedbench", "-collect", "4"})
+		})
+		return nil
+	})
+	if !strings.Contains(stderr, "collect 4/4") {
+		t.Fatalf("fig5 -v stderr lacks collect progress:\n%s", stderr)
+	}
+	if !strings.Contains(stdout, "Figure 5") || strings.Contains(stdout, "collect ") {
+		t.Fatalf("fig5 -v stdout:\n%s", stdout)
+	}
+}
+
+// TestCmdDeadlineFlags: every subcommand that registers -dl-runtime-ns and
+// -dl-period-ns either applies them or rejects them; none ignores them.
+// fig3 applies them, so its trace differs from the fair-class run and an
+// invalid pair fails as it does for baseline.
+func TestCmdDeadlineFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		cmd  func([]string) error
+		args []string
+	}{
+		{"gen-config", cmdGenConfig, []string{"-o", filepath.Join(dir, "c.json")}},
+		{"fig5", cmdFig5, nil},
+		{"advise", cmdAdvise, nil},
+		{"runlevel", cmdRunlevel, nil},
+		{"analyze", cmdAnalyze, nil},
+		{"fig3", cmdFig3, nil},
+	} {
+		args := append([]string{"-workload", "schedbench", "-dl-runtime-ns", "5", "-dl-period-ns", "0"}, c.args...)
+		if err := c.cmd(args); err == nil || !strings.Contains(err.Error(), "dl-") {
+			t.Errorf("%s -dl-runtime-ns 5 -dl-period-ns 0: err %v, want a -dl-* error", c.name, err)
+		}
+	}
+
+	fig3 := func(extra ...string) string {
+		return captureStdout(t, func() error {
+			return cmdFig3(append([]string{"-workload", "logwriter", "-platform", "tiny-test", "-n", "40"}, extra...))
+		})
+	}
+	if fig3() == fig3("-dl-runtime-ns", "200000", "-dl-period-ns", "1000000") {
+		t.Fatal("fig3 ignored -dl-runtime-ns/-dl-period-ns")
 	}
 }
 

@@ -19,6 +19,9 @@ func cmdRunlevel(args []string) error {
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}
+	if err := c.rejectDeadline(); err != nil {
+		return err
+	}
 	p, err := repro.NewPlatform(*c.platform)
 	if err != nil {
 		return err

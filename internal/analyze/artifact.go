@@ -24,13 +24,15 @@ type SweepPoint struct {
 	MeanMs   float64 `json:"mean_ms"`
 	MeanLoMs float64 `json:"mean_lo_ms"`
 	MeanHiMs float64 `json:"mean_hi_ms"`
-	// RegionsMs breaks rep 0's timeline into region CPU time (ms): compute
-	// (workload spans), barrier (barrier waits), irq/softirq (interrupt
-	// handlers), os, and noise (noise + injector threads). encoding/json
-	// sorts map keys, so the encoding is canonical.
+	// RegionsMs breaks rep 0's timeline events, folded as they are
+	// emitted, into region CPU time (ms): compute (workload spans), barrier
+	// (barrier waits), irq/softirq (interrupt handlers), os, and noise
+	// (noise + injector threads). encoding/json sorts map keys, so the
+	// encoding is canonical.
 	RegionsMs map[string]float64 `json:"regions_ms,omitempty"`
-	// TimelineEvents counts rep 0's recorded timeline events — metadata
-	// for the evidence reference, deterministic like everything else.
+	// TimelineEvents counts rep 0's timeline events (those the timeline
+	// window admits, stored or not) — metadata for the evidence reference,
+	// deterministic like everything else.
 	TimelineEvents int `json:"timeline_events,omitempty"`
 }
 

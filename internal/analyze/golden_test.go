@@ -126,8 +126,8 @@ func TestGoldenAnalyzeTimelines(t *testing.T) {
 }
 
 // TestRunNoTimelineExport: with Timeline off the artifact carries no
-// references and no evidence is exported, but the region breakdown (which
-// records internally) is still present.
+// references and no evidence is exported, but the region breakdown (folded
+// from rep 0's events, not from a stored timeline) is still present.
 func TestRunNoTimelineExport(t *testing.T) {
 	spec := goldenSpec()
 	spec.Timeline = false

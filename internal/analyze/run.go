@@ -28,10 +28,10 @@ type Outcome struct {
 //
 // Executor handling: OnRep is re-based to aggregate progress across all
 // cells (done out of Spec.TotalReps()); Obs.Ring/Reg/FlightSink/OnFlight
-// are honored per rep, but the timeline recording of rep 0 is always
-// forced on internally — the region breakdown needs it — so attaching or
-// detaching caller observability never changes the artifact bytes.
-// Timeline evidence export is controlled by spec.Timeline alone.
+// are honored per rep. Each cell's region breakdown is folded from rep 0's
+// events as they are emitted, whatever the caller's observability, so
+// attaching or detaching it never changes the artifact bytes. Only
+// spec.Timeline stores rep 0's timeline, for the evidence export.
 func Run(ctx context.Context, exec experiment.Executor, spec Spec) (*Outcome, error) {
 	hash, err := SpecHash(&spec) // normalizes in place
 	if err != nil {
@@ -74,7 +74,9 @@ func Run(ctx context.Context, exec experiment.Executor, spec Spec) (*Outcome, er
 			if callerOnRep != nil {
 				e.OnRep = func(done, total int) { callerOnRep(done0+done, totalReps) }
 			}
-			o := experiment.ObsOptions{Timeline: true, OnTimeline: func(r *obs.Recorder) { rec0 = r }}
+			fold := &regionFold{regions: make(map[string]float64)}
+			o := experiment.ObsOptions{Timeline: spec.Timeline, OnEvent: fold.add,
+				OnTimeline: func(r *obs.Recorder) { rec0 = r }}
 			if exec.Obs != nil {
 				o.Ring = exec.Obs.Ring
 				o.Reg = exec.Obs.Reg
@@ -88,7 +90,7 @@ func Run(ctx context.Context, exec experiment.Executor, spec Spec) (*Outcome, er
 				return nil, fmt.Errorf("analyze: %s x%s: %w", src, FormatFactor(f), err)
 			}
 			repsDone += spec.Reps
-			points = append(points, buildPoint(f, cell.Seed, times, rec0))
+			points = append(points, buildPoint(f, cell.Seed, times, fold))
 			evidence = rec0 // ladder is ascending: the last one is the top point
 		}
 		curve, err := fitCurve(src, ladder, points)
@@ -111,8 +113,9 @@ func Run(ctx context.Context, exec experiment.Executor, spec Spec) (*Outcome, er
 	return &Outcome{Artifact: art, Timelines: timelines}, nil
 }
 
-// buildPoint folds one cell's series into a sweep point.
-func buildPoint(factor float64, seed uint64, times []sim.Time, rec *obs.Recorder) SweepPoint {
+// buildPoint folds one cell's series and its rep-0 region fold into a
+// sweep point.
+func buildPoint(factor float64, seed uint64, times []sim.Time, fold *regionFold) SweepPoint {
 	p := SweepPoint{Factor: factor, Seed: seed, TimesNs: make([]int64, len(times))}
 	ms := make([]float64, len(times))
 	for i, t := range times {
@@ -120,11 +123,26 @@ func buildPoint(factor float64, seed uint64, times []sim.Time, rec *obs.Recorder
 		ms[i] = float64(t) / 1e6
 	}
 	p.MeanMs, p.MeanLoMs, p.MeanHiMs = stats.MeanCI(ms, 0.95)
-	if rec != nil {
-		p.RegionsMs = regionBreakdown(rec.Events())
-		p.TimelineEvents = len(rec.Events())
-	}
+	p.RegionsMs = fold.regions
+	p.TimelineEvents = fold.events
 	return p
+}
+
+// regionFold sums one rep's span durations (ms) by region as its timeline
+// events are emitted, and counts the events.
+type regionFold struct {
+	regions map[string]float64
+	events  int
+}
+
+func (f *regionFold) add(ev obs.Event) {
+	f.events++
+	if ev.Dur <= 0 {
+		return
+	}
+	if r := regionCategory(ev.Cat); r != "" {
+		f.regions[r] += float64(ev.Dur) / 1e6
+	}
 }
 
 // regionCategory maps a timeline span category to an analysis region:
@@ -151,23 +169,6 @@ func regionCategory(cat string) string {
 		return "noise"
 	}
 	return ""
-}
-
-// regionBreakdown sums span durations (ms) by region over one rep's
-// timeline.
-func regionBreakdown(events []obs.Event) map[string]float64 {
-	out := make(map[string]float64)
-	for _, ev := range events {
-		if ev.Dur <= 0 {
-			continue
-		}
-		r := regionCategory(ev.Cat)
-		if r == "" {
-			continue
-		}
-		out[r] += float64(ev.Dur) / 1e6
-	}
-	return out
 }
 
 // fitCurve fits the source's overall sensitivity (mean time vs factor) and

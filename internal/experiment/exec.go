@@ -61,8 +61,8 @@ type Executor struct {
 	// OnCell, when non-nil, receives study-level progress: one call per
 	// completed experiment cell (a series, pipeline, or case).
 	OnCell ProgressFunc
-	// Obs, when non-nil, attaches observability to every rep the executor
-	// runs (flight ring always; timeline for rep 0 when requested).
+	// Obs, when non-nil, attaches an obs recorder to each rep whose
+	// output something reads (see ObsOptions); other reps run unobserved.
 	Obs *ObsOptions
 	// Worlds, when non-nil, is the pool series draw their warm worlds
 	// from, letting sweeps and repeated series share construction across
@@ -76,12 +76,20 @@ type Executor struct {
 	claimed func(i int)
 }
 
-// ObsOptions configures per-rep observability for an Executor.
+// ObsOptions configures per-rep observability for an Executor. A rep gets
+// a recorder (and with it a flight ring) only when one of these fields
+// reads it: Timeline or OnEvent for rep 0, Reg, FlightSink or OnFlight for
+// every rep.
 type ObsOptions struct {
 	// Timeline records the full event timeline of rep 0 of each series
 	// (one representative run; recording every rep would multiply memory
 	// for no analysis gain — reps differ only by seed).
 	Timeline bool
+	// OnEvent, when non-nil, receives each event of rep 0's timeline
+	// window as it is emitted, whether or not Timeline stores it. It runs
+	// on the goroutine that runs rep 0; state it builds may be read once
+	// the series returns.
+	OnEvent func(obs.Event)
 	// Ring is the per-rep flight-ring size (0 = obs.DefaultRing).
 	Ring int
 	// Reg, when non-nil, receives every rep's kernel counters (counter
@@ -244,19 +252,25 @@ func (e Executor) run(ctx context.Context, n int, rep func(i int) (*obs.Recorder
 	return nil
 }
 
-// repObs returns rep i's observability options (nil when the executor
-// observes nothing). The recorder is passive, so enabling it cannot change
-// the series' times — only rep 0 keeps a full timeline (reps differ only by
-// seed; recording every rep would multiply memory for no analysis gain).
+// repObs returns rep i's observability options, nil when nothing would
+// read its recorder. The recorder is passive, so attaching it or not cannot
+// change the series' times. Only rep 0 keeps a timeline or feeds OnEvent
+// (reps differ only by seed); every rep is observed when its counters or
+// its flight ring have a reader.
 func (e Executor) repObs(i int) *obs.Options {
-	if e.Obs == nil {
+	o := e.Obs
+	if o == nil {
 		return nil
 	}
-	return &obs.Options{
-		Timeline: e.Obs.Timeline && i == 0,
-		Ring:     e.Obs.Ring,
-		Reg:      e.Obs.Reg,
+	rep0 := i == 0 && (o.Timeline || o.OnEvent != nil)
+	if !rep0 && o.Reg == nil && o.FlightSink == nil && o.OnFlight == nil {
+		return nil
 	}
+	opt := &obs.Options{Ring: o.Ring, Reg: o.Reg}
+	if i == 0 {
+		opt.Timeline, opt.OnEvent = o.Timeline, o.OnEvent
+	}
+	return opt
 }
 
 // flightMu serializes flight-recorder dumps across all executors; failures

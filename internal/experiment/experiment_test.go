@@ -9,6 +9,7 @@ import (
 	"repro/internal/cpusched"
 	"repro/internal/machine"
 	"repro/internal/mitigate"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -267,6 +268,50 @@ func TestInjectionStudyStructure(t *testing.T) {
 	}
 	if !strings.Contains(sec.Rows[0].Label, "#1") {
 		t.Fatalf("label %q should carry config id", sec.Rows[0].Label)
+	}
+}
+
+// TestInjectionStudyBaselineOncePerStrategy: a baseline series does not
+// depend on the config, so a study with two configs runs each (model,
+// strategy) baseline once and both configs' rows report the same mean.
+func TestInjectionStudyBaselineOncePerStrategy(t *testing.T) {
+	p := platform.MustNew(machine.TinySMTTest)
+	reg := obs.NewRegistry()
+	reps := RepCounts{Collect: 4, Baseline: 2, Inject: 2}
+	st := InjectionStudy{
+		Platforms: []*platform.Platform{p}, Workload: "nbody", Reps: reps, Seed: 3,
+		ConfigsPerPlatform: map[string]int{p.Name: 2},
+		Exec:               Executor{Obs: &ObsOptions{Reg: reg}},
+	}
+	res, err := st.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per config: one collection; per (model, SMT mode, column): one
+	// baseline series for the study and one injected series per config.
+	cols := len(Models) * 2 * len(mitigate.Columns())
+	want := 2*reps.Collect + cols*reps.Baseline + 2*cols*reps.Inject
+	if got := reg.Counter("repro_runs_total", "").Value(); got != uint64(want) {
+		t.Fatalf("study ran %d reps, want %d", got, want)
+	}
+	rows := res.Sections[0].Rows
+	if len(rows) != 8 {
+		t.Fatalf("rows = %d, want 8", len(rows))
+	}
+	// Rows 0-3 belong to config #1 and rows 4-7 to config #2, in the same
+	// (model, SMT) order; row 1 is the SMT twin of row 0.
+	differs := false
+	for i := 0; i < 4; i++ {
+		for j, c := range rows[i].Cells {
+			if other := rows[i+4].Cells[j]; other.BaseSec != c.BaseSec {
+				t.Fatalf("%s and %s: column %d baselines %v vs %v",
+					rows[i].Label, rows[i+4].Label, j, c.BaseSec, other.BaseSec)
+			}
+			differs = differs || rows[1].Cells[j].BaseSec != rows[0].Cells[j].BaseSec
+		}
+	}
+	if !differs {
+		t.Fatal("SMT and non-SMT rows share every baseline: the memo conflates them")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -192,5 +193,90 @@ func TestSeriesObsTimelineAndFlight(t *testing.T) {
 	}
 	if !strings.Contains(flight.Err, "unknown model") {
 		t.Fatalf("flight err = %q", flight.Err)
+	}
+}
+
+// TestRepObsAttachesOnlyWhereRead: a rep gets a recorder only when
+// something reads it. Rep 0 is read by a timeline or OnEvent; every rep is
+// read by a registry or a flight sink; with no reader no rep is observed.
+func TestRepObsAttachesOnlyWhereRead(t *testing.T) {
+	onEvent := func(obs.Event) {}
+	cases := []struct {
+		name string
+		o    *ObsOptions
+		rep0 bool // rep 0 observed
+		rest bool // reps > 0 observed
+	}{
+		{"nil", nil, false, false},
+		{"empty", &ObsOptions{Ring: 64}, false, false},
+		{"timeline", &ObsOptions{Timeline: true}, true, false},
+		{"on-event", &ObsOptions{OnEvent: onEvent}, true, false},
+		{"reg", &ObsOptions{Reg: obs.NewRegistry()}, true, true},
+		{"flight-sink", &ObsOptions{FlightSink: new(bytes.Buffer)}, true, true},
+		{"on-flight", &ObsOptions{OnFlight: func(obs.Flight) {}}, true, true},
+	}
+	for _, c := range cases {
+		e := Executor{Obs: c.o}
+		for i := 0; i < 3; i++ {
+			o := e.repObs(i)
+			want := c.rest
+			if i == 0 {
+				want = c.rep0
+			}
+			if (o != nil) != want {
+				t.Fatalf("%s: repObs(%d) = %+v, want observed=%v", c.name, i, o, want)
+			}
+			if o != nil && i > 0 && (o.Timeline || o.OnEvent != nil) {
+				t.Fatalf("%s: rep %d keeps a timeline or feeds OnEvent", c.name, i)
+			}
+		}
+	}
+
+	// Through a real series: a registry counts every rep, and OnEvent sees
+	// exactly rep 0's timeline.
+	p := tinyPlatform(t)
+	spec := Spec{Platform: p, Workload: tinyWorkload(t, "nbody"), Model: "omp", Strategy: mitigate.Rm, Seed: 5}
+	reg := obs.NewRegistry()
+	events := 0
+	var tl *obs.Recorder
+	e := Executor{Parallelism: 2, Obs: &ObsOptions{Reg: reg, Timeline: true,
+		OnEvent: func(obs.Event) { events++ }, OnTimeline: func(r *obs.Recorder) { tl = r }}}
+	if _, _, err := e.Series(context.Background(), spec, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("repro_runs_total", "").Value(); got != 3 {
+		t.Fatalf("registry counted %d runs, want 3", got)
+	}
+	if tl == nil || events == 0 || events != len(tl.Events()) {
+		t.Fatalf("OnEvent saw %d events, rep 0's timeline holds %d", events, len(tl.Events()))
+	}
+}
+
+// TestFlightDumpFromRepAboveZero: with a flight sink attached, a rep above
+// 0 that fails still carries a recorder, and its ring is the one dumped.
+func TestFlightDumpFromRepAboveZero(t *testing.T) {
+	var sink bytes.Buffer
+	e := Executor{Parallelism: 1, Obs: &ObsOptions{FlightSink: &sink}}
+	err := e.run(context.Background(), 3, func(i int) (*obs.Recorder, error) {
+		o := e.repObs(i)
+		if o == nil {
+			return nil, nil
+		}
+		rec := obs.NewRecorder(*o)
+		rec.Instant(0, "step", "sched", "", 0)
+		if i == 1 {
+			return rec, errors.New("boom")
+		}
+		return nil, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "rep 1:") {
+		t.Fatalf("series error %v, want rep 1's", err)
+	}
+	var flight obs.Flight
+	if err := json.Unmarshal(sink.Bytes(), &flight); err != nil {
+		t.Fatalf("no flight dump for rep 1: %v\n%s", err, sink.String())
+	}
+	if flight.Label != "rep 1" || flight.Err != "boom" || len(flight.Events) != 1 {
+		t.Fatalf("flight dump = %+v, want rep 1's ring with one event", flight)
 	}
 }

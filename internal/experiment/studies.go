@@ -301,10 +301,13 @@ func (st InjectionStudy) RunContext(ctx context.Context) (*InjectionResult, erro
 		if p.HasSMT {
 			smtModes = append(smtModes, true)
 		}
+		// A baseline series depends on the platform, model and strategy
+		// but not on the config, so every config's row shares it.
+		baseMs := make(map[string]float64)
 		for id, cfg := range cfgs {
 			for _, model := range Models {
 				for _, smt := range smtModes {
-					row, err := st.injectRow(ctx, prog, p, model, smt, id+1, cfg)
+					row, err := st.injectRow(ctx, prog, p, model, smt, id+1, cfg, baseMs)
 					if err != nil {
 						return nil, err
 					}
@@ -317,7 +320,11 @@ func (st InjectionStudy) RunContext(ctx context.Context) (*InjectionResult, erro
 	return out, nil
 }
 
-func (st InjectionStudy) injectRow(ctx context.Context, prog *cellTracker, p *platform.Platform, model string, smt bool, cfgID int, cfg *core.Config) (*InjectRow, error) {
+// injectRow runs one row's strategy columns. baseMs memoizes the
+// platform's baseline means by Key(model, strategy): the first row that
+// needs a baseline series runs it, and later configs' rows reuse its mean.
+func (st InjectionStudy) injectRow(ctx context.Context, prog *cellTracker, p *platform.Platform, model string, smt bool,
+	cfgID int, cfg *core.Config, baseMs map[string]float64) (*InjectRow, error) {
 	wl, err := p.WorkloadSpec(st.Workload)
 	if err != nil {
 		return nil, err
@@ -340,9 +347,15 @@ func (st InjectionStudy) injectRow(ctx context.Context, prog *cellTracker, p *pl
 			Seed:    SeedFor(st.Seed, "ibase", st.Workload, model, strat.Name()),
 			Tracing: true,
 		}
-		baseTimes, _, err := st.Exec.Series(ctx, baseSpec, st.Reps.Baseline)
-		if err != nil {
-			return nil, err
+		key := Key(model, strat)
+		base, ok := baseMs[key]
+		if !ok {
+			baseTimes, _, err := st.Exec.Series(ctx, baseSpec, st.Reps.Baseline)
+			if err != nil {
+				return nil, err
+			}
+			base = stats.SummarizeTimes(baseTimes).Mean
+			baseMs[key] = base
 		}
 		injSpec := baseSpec
 		injSpec.Tracing = false
@@ -352,12 +365,11 @@ func (st InjectionStudy) injectRow(ctx context.Context, prog *cellTracker, p *pl
 		if err != nil {
 			return nil, err
 		}
-		base := stats.SummarizeTimes(baseTimes)
 		inj := stats.SummarizeTimes(injTimes)
 		row.Cells = append(row.Cells, InjectCell{
 			MeanSec:   inj.Mean / 1000,
-			BaseSec:   base.Mean / 1000,
-			ChangePct: stats.RelChange(base.Mean, inj.Mean),
+			BaseSec:   base / 1000,
+			ChangePct: stats.RelChange(base, inj.Mean),
 			SD:        inj.SD,
 		})
 		prog.finish(fmt.Sprintf("inject %s %s %s %s", p.Name, st.Workload, label, strat.Name()))

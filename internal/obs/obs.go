@@ -58,13 +58,19 @@ const (
 // Options configures a Recorder.
 type Options struct {
 	// Timeline keeps the full event stream for Chrome-trace export. When
-	// false only the flight ring is maintained.
+	// false no event is stored beyond the flight ring.
 	Timeline bool
 	// Ring is the flight-recorder capacity in events (0 = DefaultRing).
 	Ring int
-	// MaxEvents caps the timeline buffer; excess events are counted in
-	// Dropped instead of stored (0 = DefaultMaxEvents).
+	// MaxEvents caps the timeline window: the first MaxEvents events are
+	// admitted, and excess events are counted in Dropped instead
+	// (0 = DefaultMaxEvents).
 	MaxEvents int
+	// OnEvent, when non-nil, receives every event the timeline window
+	// admits, in emission order, whether or not Timeline stores it. It
+	// lets a consumer fold a run's events as they are emitted instead of
+	// keeping them. It runs on the simulation's thread.
+	OnEvent func(Event)
 	// Reg, when non-nil, is the registry run-level counters are published
 	// to; a Recorder created with a nil Reg gets its own.
 	Reg *Registry
@@ -78,7 +84,9 @@ type Options struct {
 type Recorder struct {
 	timeline  []Event
 	keep      bool
+	onEvent   func(Event)
 	maxEvents int
+	kept      int // events admitted to the timeline window
 	dropped   uint64
 
 	ring     []Event
@@ -115,6 +123,7 @@ func NewRecorder(opt Options) *Recorder {
 	}
 	return &Recorder{
 		keep:      opt.Timeline,
+		onEvent:   opt.OnEvent,
 		maxEvents: maxEv,
 		ring:      make([]Event, ring),
 		reg:       reg,
@@ -194,20 +203,27 @@ func (r *Recorder) add(ev Event) {
 	if r.ringLen < len(r.ring) {
 		r.ringLen++
 	}
-	if !r.keep {
+	if !r.keep && r.onEvent == nil {
 		return
 	}
-	if len(r.timeline) >= r.maxEvents {
+	if r.kept >= r.maxEvents {
 		r.dropped++
 		return
 	}
-	r.timeline = append(r.timeline, ev)
+	r.kept++
+	if r.keep {
+		r.timeline = append(r.timeline, ev)
+	}
+	if r.onEvent != nil {
+		r.onEvent(ev)
+	}
 }
 
 // Total returns how many events were emitted to the recorder.
 func (r *Recorder) Total() uint64 { return r.self().total }
 
-// Dropped returns how many timeline events were discarded by MaxEvents.
+// Dropped returns how many events fell outside the timeline window
+// (MaxEvents); it counts only when a timeline or OnEvent is set.
 func (r *Recorder) Dropped() uint64 { return r.self().dropped }
 
 // Events returns the recorded timeline in emission order (empty unless

@@ -73,6 +73,37 @@ func TestRecorderMaxEventsDrops(t *testing.T) {
 	}
 }
 
+// TestRecorderOnEventWindow: OnEvent sees exactly the events the timeline
+// window admits (the first MaxEvents, in emission order), whether or not
+// Timeline stores them, and events emitted through a lane reach it with
+// the lane's CPU offset.
+func TestRecorderOnEventWindow(t *testing.T) {
+	for _, keep := range []bool{false, true} {
+		var seen []sim.Time
+		r := NewRecorder(Options{Timeline: keep, MaxEvents: 5,
+			OnEvent: func(ev Event) { seen = append(seen, ev.Start) }})
+		for i := 0; i < 9; i++ {
+			r.Instant(0, "e", "sched", "", sim.Time(i))
+		}
+		if want := []sim.Time{0, 1, 2, 3, 4}; fmt.Sprint(seen) != fmt.Sprint(want) {
+			t.Fatalf("timeline=%v: OnEvent saw %v, want %v", keep, seen, want)
+		}
+		if r.Dropped() != 4 {
+			t.Fatalf("timeline=%v: dropped = %d, want 4", keep, r.Dropped())
+		}
+		if wantKept := map[bool]int{false: 0, true: 5}[keep]; len(r.Events()) != wantKept {
+			t.Fatalf("timeline=%v: stored %d events, want %d", keep, len(r.Events()), wantKept)
+		}
+	}
+
+	var cpus []int
+	r := NewRecorder(Options{OnEvent: func(ev Event) { cpus = append(cpus, ev.CPU) }})
+	r.Lane(4).Span(1, "t", "workload", "", 0, 3)
+	if fmt.Sprint(cpus) != "[5]" {
+		t.Fatalf("lane event reached OnEvent on CPUs %v, want [5]", cpus)
+	}
+}
+
 func TestWriteChromeJSON(t *testing.T) {
 	r := NewRecorder(Options{Timeline: true})
 	r.Span(1, "w0", "workload", "policy=fifo", 2000, 5000)
