@@ -58,8 +58,8 @@ test-analyze:
 # cpusched block/wake + EDF/CBS unit suite, the I/O workload shapes, the
 # experiment-layer golden fixture (the six I/O+deadline cases ride the
 # ordinary golden kernel tests), and the fleet/service byte-identity e2e
-# for an I/O+deadline job. 3x under -race: pooled worlds fork scheduler
-# snapshots across a worker pool, so any nondeterminism in device-queue or
+# for an I/O+deadline job. 3x under -race: pooled worlds reset their
+# schedulers across a worker pool, so any nondeterminism in device-queue or
 # CBS-timer replay only surfaces across repeats.
 test-io:
 	$(GO) test -race -count=3 ./internal/cpusched/ ./internal/workloads/
@@ -70,7 +70,7 @@ test-io:
 # Short deterministic-budget fuzz smoke of eight targets: the trace codec
 # round trip (FuzzTraceCodecRoundTrip), cache-key canonicalization
 # (FuzzSpecHashCanonical), pooled-vs-fresh reps (FuzzBatchEqualsFresh),
-# the scheduler fork with pending BlockOn/IRQ timers
+# the scheduler Reset with pending BlockOn/IRQ timers
 # (FuzzBlockOnForkDeterminism), ring placement (FuzzRingPlacement), the
 # analysis spec hash (FuzzAnalysisSpecHash), the analysis-artifact codec
 # (FuzzArtifactRoundTrip), and Timer.Reset against Cancel+At

@@ -13,8 +13,8 @@ package repro
 //
 // Repetitions fan out over the deterministic parallel execution layer
 // (experiment.Executor): results are bit-identical at any worker count.
-// Set REPRO_PARALLEL (e.g. "8") to bound the pool; it defaults to
-// GOMAXPROCS. BenchmarkParallelSpeedup reports the measured
+// The pool defaults to GOMAXPROCS (set the GOMAXPROCS env var to bound
+// it). BenchmarkParallelSpeedup reports the measured
 // sequential-vs-parallel ratio on this machine.
 
 import (
@@ -430,7 +430,7 @@ func BenchmarkAblationBalancer(b *testing.B) {
 
 // BenchmarkParallelSpeedup measures the wall-clock of one baseline series
 // sequentially (parallelism 1) and over the default worker pool
-// (REPRO_PARALLEL or GOMAXPROCS), verifies the outputs are bit-identical,
+// (GOMAXPROCS workers), verifies the outputs are bit-identical,
 // and reports the speedup. On an N-core machine the ratio approaches the
 // worker count; on a single core it stays ~1.
 func BenchmarkParallelSpeedup(b *testing.B) {
@@ -502,15 +502,15 @@ func BenchmarkSimulatedRun(b *testing.B) {
 		}
 		last = res
 	}
-	// Kernel counters of one run: task requests served and dispatches
-	// performed.
+	// Kernel counters of one run: dispatches performed and task requests
+	// returned (the requests keep the unit name BENCH_kernel.json records).
 	b.ReportMetric(float64(last.ContextSwitches), "ctxsw/run")
-	b.ReportMetric(float64(last.InlineDispatches), "inline/run")
+	b.ReportMetric(float64(last.Requests), "inline/run")
 }
 
 // BenchmarkSimulatedRunBatch is BenchmarkSimulatedRun through a pooled
-// world: one warm world whose engine and scheduler are reset to their
-// construction snapshots between reps, instead of a fresh pair per run.
+// world: one warm world whose engine and scheduler are reset between reps,
+// instead of a fresh pair per run.
 // The ns/op gap to BenchmarkSimulatedRun is the per-rep construction cost
 // pooling saves; outputs are byte-identical (the setup re-verifies one seed
 // against RunOnce, the golden fixtures pin the full matrix).

@@ -49,9 +49,22 @@ func writeTimelineOut(rec *obs.Recorder) {
 	})
 }
 
+// runOnce is repro.RunOnce for the single-run subcommands, honoring the
+// global -obs and -timeline-out flags.
+func runOnce(spec repro.Spec) (repro.Result, error) {
+	if gObs || gTimelineOut != "" {
+		spec.Obs = &obs.Options{Timeline: gTimelineOut != "", Reg: obsRegistry()}
+	}
+	res, err := repro.RunOnce(spec)
+	if err == nil && gTimelineOut != "" {
+		writeTimelineOut(res.Obs)
+	}
+	return res, err
+}
+
 // gWorlds is the process-wide warm-world pool: every study-running
 // subcommand's executor shares it, so worlds built for one series are
-// forked and reused by the next (lazily created like the obs registry).
+// reset and reused by the next (lazily created like the obs registry).
 var (
 	gWorldsOnce sync.Once
 	gWorlds     *repro.WorldPool
@@ -199,22 +212,14 @@ func cmdRun(args []string) error {
 	if err := c.applyDeadline(&spec); err != nil {
 		return err
 	}
-	if gObs || gTimelineOut != "" {
-		spec.Obs = &obs.Options{Timeline: gTimelineOut != "", Reg: obsRegistry()}
-	}
-	res, err := repro.RunOnce(spec)
+	res, err := runOnce(spec)
 	if err != nil {
 		return err
 	}
-	if res.Obs != nil && gTimelineOut != "" {
-		writeTimelineOut(res.Obs)
-	}
 	fmt.Printf("exec time: %.6f s\n", res.ExecTime.Seconds())
 	if gVerbose {
-		fmt.Printf("kernel: ctxswitches=%d inline-dispatches=%d\n",
-			res.ContextSwitches, res.InlineDispatches)
-		fmt.Printf("batch: snapshots/run=%d cow-copies/run=%d batched-reps/run=%d\n",
-			res.Snapshots, res.CowCopies, res.BatchedReps)
+		fmt.Printf("kernel: ctxswitches=%d requests=%d pool-misses=%d\n",
+			res.ContextSwitches, res.Requests, res.PoolMisses)
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)

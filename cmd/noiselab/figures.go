@@ -35,7 +35,7 @@ func cmdFig3(args []string) error {
 	if err := c.applyDeadline(&spec); err != nil {
 		return err
 	}
-	res, err := repro.RunOnce(spec)
+	res, err := runOnce(spec)
 	if err != nil {
 		return err
 	}

@@ -64,7 +64,7 @@ func run() int {
 	global := flag.NewFlagSet("noiselab", flag.ExitOnError)
 	global.Usage = usage
 	global.IntVar(&gParallel, "parallel", 0,
-		"worker-pool size for repetitions (0 = REPRO_PARALLEL or GOMAXPROCS; 1 = sequential)")
+		"worker-pool size for repetitions (0 = GOMAXPROCS; 1 = sequential)")
 	global.BoolVar(&gVerbose, "v", false, "report study progress (cell k/N) to stderr")
 	global.BoolVar(&gObs, "obs", false,
 		"attach the passive observability recorder and print its counter registry to stderr on exit")
@@ -219,12 +219,11 @@ func usage() {
 
 Global flags (before the subcommand):
   -parallel N   worker-pool size for repetitions; every study fans its reps
-                over the pool with bit-identical results (0 = REPRO_PARALLEL
-                env or GOMAXPROCS, 1 = sequential)
+                over the pool with bit-identical results (0 = GOMAXPROCS,
+                1 = sequential)
   -v            report study progress (cell k/N) to stderr; 'run' also
-                prints the scheduler kernel counters (context switches,
-                inline dispatches) and the batch counters (snapshots/run,
-                cow-copies/run, batched-reps/run)
+                prints the kernel counters (context switches, requests,
+                pool misses)
   -obs          attach the passive observability recorder to every run and
                 print the accumulated counter registry (Prometheus text) to
                 stderr on exit; failed reps dump their flight ring to stderr

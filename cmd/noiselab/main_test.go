@@ -182,6 +182,84 @@ func TestCmdTimeline(t *testing.T) {
 	}
 }
 
+// setTimelineOut points -timeline-out at path for the rest of the test.
+func setTimelineOut(t *testing.T, path string) {
+	gTimelineOut, timelineOnce = path, sync.Once{}
+	t.Cleanup(func() { gTimelineOut, timelineOnce = "", sync.Once{} })
+}
+
+// TestCmdTimelineOutEverySubcommand: every subcommand that simulates
+// locally, through the shared executor or a single run, honors the global
+// -timeline-out flag. Run at its smallest flags, each writes a non-empty
+// Chrome trace file.
+func TestCmdTimelineOutEverySubcommand(t *testing.T) {
+	dir := t.TempDir()
+	cfg := filepath.Join(dir, "cfg.json")
+	tiny := []string{"-platform", "tiny-test", "-workload", "schedbench"}
+	with := func(extra ...string) []string { return append(append([]string{}, tiny...), extra...) }
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"run", func() error { return cmdRun(tiny) }},
+		{"fig3", func() error { return cmdFig3(tiny) }},
+		{"baseline", func() error { return cmdBaseline(with("-reps", "2")) }},
+		{"gen-config", func() error { return cmdGenConfig(with("-collect", "4", "-o", cfg)) }},
+		{"inject", func() error { return cmdInject(with("-config", cfg, "-reps", "2")) }},
+		{"fig1", func() error { return cmdFig([]string{"-reps", "2"}, 1) }},
+		{"fig2", func() error { return cmdFig([]string{"-reps", "2"}, 2) }},
+		{"fig5", func() error { return cmdFig5(with("-collect", "4")) }},
+		{"table1", func() error { return cmdTable1([]string{"-scale", "0.02"}) }},
+		{"advise", func() error { return cmdAdvise(with("-collect", "4", "-reps", "2")) }},
+		{"runlevel", func() error { return cmdRunlevel(with("-reps", "2", "-workloads", "schedbench")) }},
+		{"cluster", func() error {
+			return cmdCluster([]string{"-reps", "1", "-policies", "random", "-tenants", "1", "-jobs", "1"})
+		}},
+		{"analyze", func() error {
+			return cmdAnalyze([]string{"-platform", "tiny-test", "-workload", "nbody", "-size", "small",
+				"-sources", "irq", "-ladder", "1,2", "-reps", "2"})
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(dir, c.name+"-tl.json")
+			setTimelineOut(t, path)
+			captureStdout(t, c.run)
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatalf("%s -timeline-out wrote no file: %v", c.name, err)
+			}
+			if fi.Size() == 0 {
+				t.Fatalf("%s -timeline-out wrote an empty file", c.name)
+			}
+		})
+	}
+}
+
+// TestCmdAnalyzeTimelineOutKeepsArtifact: recording -timeline-out is
+// passive, so analyze -o writes the same artifact bytes with and without
+// it.
+func TestCmdAnalyzeTimelineOutKeepsArtifact(t *testing.T) {
+	dir := t.TempDir()
+	artifact := func(name string) []byte {
+		out := filepath.Join(dir, name)
+		captureStdout(t, func() error {
+			return cmdAnalyze([]string{"-platform", "tiny-test", "-workload", "nbody", "-size", "small",
+				"-sources", "irq", "-ladder", "1,2", "-reps", "2", "-o", out})
+		})
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	plain := artifact("plain.json")
+	setTimelineOut(t, filepath.Join(dir, "tl.json"))
+	if recorded := artifact("recorded.json"); string(recorded) != string(plain) {
+		t.Fatalf("analyze -o artifact changed under -timeline-out:\n%s\nvs\n%s", recorded, plain)
+	}
+}
+
 func TestCmdTable1TinyScale(t *testing.T) {
 	dir := t.TempDir()
 	csv := filepath.Join(dir, "t1.csv")

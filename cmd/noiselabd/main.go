@@ -41,7 +41,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "noiselab-cache", "on-disk result store (empty = memory-only)")
 	queue := flag.Int("queue", 64, "bounded job-queue size")
 	workers := flag.Int("workers", 1, "jobs executed concurrently")
-	parallel := flag.Int("parallel", 0, "per-job executor pool size (0 = REPRO_PARALLEL or GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0, "per-job executor pool size (0 = GOMAXPROCS)")
 	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "per-job execution timeout")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound on SIGTERM")
 	memEntries := flag.Int("mem-entries", 256, "in-memory cache entries (LRU)")

@@ -29,7 +29,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Deterministic parallel repetitions (REPRO_PARALLEL bounds the pool).
+	// Deterministic parallel repetitions over GOMAXPROCS workers.
 	ctx := context.Background()
 	exec := repro.Executor{}
 

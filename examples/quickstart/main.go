@@ -8,7 +8,7 @@
 //
 // Repetitions fan out over repro.Executor's worker pool — results are
 // bit-identical to sequential runs at any worker count. Set
-// REPRO_PARALLEL=1 to force sequential execution.
+// Executor.Parallelism to 1 to force sequential execution.
 //
 // Run: go run ./examples/quickstart
 package main
@@ -49,7 +49,7 @@ func main() {
 	fmt.Printf("== %s / %s / omp on %s ==\n", workload, "Rm", p.Name)
 
 	// All repetitions below run through one Executor: parallel across
-	// GOMAXPROCS workers (or REPRO_PARALLEL), deterministic regardless.
+	// GOMAXPROCS workers, deterministic regardless.
 	ctx := context.Background()
 	exec := repro.Executor{}
 

@@ -22,16 +22,17 @@ type Outcome struct {
 }
 
 // Run executes the full sweep: for every (source, factor) cell it runs a
-// Reps-long series through the executor — batched-world eligible, reps
+// Reps-long series through the executor — in pooled worlds, reps
 // parallel within a cell, per-rep seeds via SeedAt — fits the sensitivity
 // slopes, and assembles the artifact.
 //
 // Executor handling: OnRep is re-based to aggregate progress across all
-// cells (done out of Spec.TotalReps()); Obs.Ring/Reg/FlightSink/OnFlight
-// are honored per rep. Each cell's region breakdown is folded from rep 0's
-// events as they are emitted, whatever the caller's observability, so
-// attaching or detaching it never changes the artifact bytes. Only
-// spec.Timeline stores rep 0's timeline, for the evidence export.
+// cells (done out of Spec.TotalReps()); every other Obs field is honored,
+// with OnEvent and OnTimeline called per cell (see cellObs). Each cell's
+// region breakdown is folded from rep 0's events as they are emitted,
+// whatever the caller's observability, so attaching or detaching it never
+// changes the artifact bytes. Rep 0's timeline is stored when spec.Timeline
+// asks for evidence or the caller sets Obs.Timeline.
 func Run(ctx context.Context, exec experiment.Executor, spec Spec) (*Outcome, error) {
 	hash, err := SpecHash(&spec) // normalizes in place
 	if err != nil {
@@ -75,15 +76,7 @@ func Run(ctx context.Context, exec experiment.Executor, spec Spec) (*Outcome, er
 				e.OnRep = func(done, total int) { callerOnRep(done0+done, totalReps) }
 			}
 			fold := &regionFold{regions: make(map[string]float64)}
-			o := experiment.ObsOptions{Timeline: spec.Timeline, OnEvent: fold.add,
-				OnTimeline: func(r *obs.Recorder) { rec0 = r }}
-			if exec.Obs != nil {
-				o.Ring = exec.Obs.Ring
-				o.Reg = exec.Obs.Reg
-				o.FlightSink = exec.Obs.FlightSink
-				o.OnFlight = exec.Obs.OnFlight
-			}
-			e.Obs = &o
+			e.Obs = cellObs(exec.Obs, spec.Timeline, fold, &rec0)
 
 			times, _, err := e.Series(ctx, cell, spec.Reps)
 			if err != nil {
@@ -111,6 +104,31 @@ func Run(ctx context.Context, exec experiment.Executor, spec Spec) (*Outcome, er
 		return nil, err
 	}
 	return &Outcome{Artifact: art, Timelines: timelines}, nil
+}
+
+// cellObs returns one cell's observability: the caller's options, plus
+// the region fold fed from rep 0's events and, when evidence is on, rep
+// 0's stored timeline landing in *rec0. The caller's OnEvent sees the same
+// events after the fold; its OnTimeline runs only when the caller itself
+// asked for timelines, so a caller without Timeline never buffers one per
+// cell.
+func cellObs(caller *experiment.ObsOptions, evidence bool, fold *regionFold,
+	rec0 **obs.Recorder) *experiment.ObsOptions {
+	keep := func(r *obs.Recorder) { *rec0 = r }
+	if caller == nil {
+		return &experiment.ObsOptions{Timeline: evidence, OnEvent: fold.add, OnTimeline: keep}
+	}
+	o := *caller
+	o.Timeline = evidence || caller.Timeline
+	o.OnEvent = fold.add
+	if on := caller.OnEvent; on != nil {
+		o.OnEvent = func(ev obs.Event) { fold.add(ev); on(ev) }
+	}
+	o.OnTimeline = keep
+	if on := caller.OnTimeline; on != nil && caller.Timeline {
+		o.OnTimeline = func(r *obs.Recorder) { keep(r); on(r) }
+	}
+	return &o
 }
 
 // buildPoint folds one cell's series and its rep-0 region fold into a

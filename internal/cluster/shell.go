@@ -13,8 +13,8 @@ import (
 
 // Shell is the seed-independent construction prefix of a cluster world: the
 // cluster topology, the node platform, one shared engine, and one scheduler
-// per node, all built once and forked back to their construction snapshots
-// after every rep. Everything seed-dependent — per-node noise generators,
+// per node, all built once and reset to their post-construction state after
+// every rep. Everything seed-dependent — per-node noise generators,
 // the placement policy, the tenants — is built per rep by build, so a rep
 // run in a warm shell is byte-identical to one in a fresh shell (scheduler
 // construction touches no engine state, which is why pre-building the
@@ -23,13 +23,11 @@ import (
 // A shell is single-threaded like the engine it wraps: one rep at a time.
 // Parallel cluster series use one shell per in-flight rep.
 type Shell struct {
-	spec    Spec // validated, defaults applied
-	mc      *machine.Cluster
-	p       *platform.Platform
-	eng     *sim.Engine
-	engSnap sim.Snapshot
-	scheds  []*cpusched.Scheduler
-	snaps   []cpusched.Snapshot
+	spec   Spec // validated, defaults applied
+	mc     *machine.Cluster
+	p      *platform.Platform
+	eng    *sim.Engine
+	scheds []*cpusched.Scheduler
 }
 
 // NewShell builds the shared prefix for a cluster spec.
@@ -47,11 +45,9 @@ func NewShell(spec Spec) (*Shell, error) {
 		return nil, err
 	}
 	eng := sim.NewEngine()
-	sh := &Shell{spec: spec, mc: mc, p: p, eng: eng, engSnap: eng.Snapshot()}
+	sh := &Shell{spec: spec, mc: mc, p: p, eng: eng}
 	for _, n := range mc.Nodes {
-		sched := cpusched.New(eng, n.Topo, p.SchedOpt)
-		sh.scheds = append(sh.scheds, sched)
-		sh.snaps = append(sh.snaps, sched.Snapshot())
+		sh.scheds = append(sh.scheds, cpusched.New(eng, n.Topo, p.SchedOpt))
 	}
 	return sh, nil
 }
@@ -113,15 +109,14 @@ func (sh *Shell) build(seed uint64, rec *obs.Recorder) *World {
 }
 
 // Run executes one rep in the shell: build the rep's world, run it, then
-// fork every scheduler and the shared engine back to their construction
-// snapshots — on every exit path, so an erroring rep can never leak state
-// into the next one. rec may be nil.
+// reset every scheduler and the shared engine — on every exit path, so an
+// erroring rep can never leak state into the next one. rec may be nil.
 func (sh *Shell) Run(seed uint64, rec *obs.Recorder) (*Result, error) {
 	res, err := sh.build(seed, rec).Run()
-	for i, s := range sh.scheds {
-		s.Fork(sh.snaps[i])
+	for _, s := range sh.scheds {
+		s.Reset()
 	}
-	sh.eng.Fork(sh.engSnap)
+	sh.eng.Reset()
 	return res, err
 }
 

@@ -11,7 +11,7 @@ import (
 
 // FuzzBlockOnForkDeterminism drives the block/wake machinery with arbitrary
 // opcode sequences and checks the tentpole invariant the golden fixtures pin
-// for real workloads: a forked scheduler replays any program — however
+// for real workloads: a reset scheduler replays any program — however
 // hostile its interleaving of BlockOn, compute, memory, and sleep across
 // policies — with byte-identical outcomes to a fresh engine. The fuzz bytes
 // decode into up to four tasks (fair, FIFO, or deadline, optionally pinned)
@@ -100,7 +100,7 @@ func decodeBlockOnProgs(data []byte) []fuzzProg {
 	return progs
 }
 
-// runBlockOnProgs registers the two devices (per-rep state: Fork discards
+// runBlockOnProgs registers the two devices (per-rep state: Reset discards
 // them), spawns the decoded programs, runs to completion, and fingerprints
 // every observable outcome a golden record would: finish time, dispatch
 // count, per-task completion times and CPU time, per-device counters.
@@ -173,18 +173,16 @@ func FuzzBlockOnForkDeterminism(f *testing.F) {
 		fresh.Shutdown()
 
 		eng := sim.NewEngine()
-		engSnap := eng.Snapshot()
 		s := New(eng, topo, noBalance())
-		snap := s.Snapshot()
 		for round := 0; round < 2; round++ {
 			got := runBlockOnProgs(s, progs)
 			if got != want {
-				t.Fatalf("forked round %d diverged from fresh engine:\nfresh: %s\nfork:  %s",
+				t.Fatalf("reset round %d diverged from fresh engine:\nfresh: %s\nreset: %s",
 					round, want, got)
 			}
 			s.Shutdown()
-			s.Fork(snap)
-			eng.Fork(engSnap)
+			s.Reset()
+			eng.Reset()
 		}
 	})
 }

@@ -80,8 +80,8 @@ type Device struct {
 }
 
 // AddDevice registers a device on the scheduler, replacing any previous
-// device with the same name. Devices are per-rep state: Scheduler.Fork
-// discards all registrations, so batched worlds re-register in every rep
+// device with the same name. Devices are per-rep state: Scheduler.Reset
+// discards all registrations, so reused worlds re-register in every rep
 // body exactly as they re-spawn tasks.
 func (s *Scheduler) AddDevice(spec DeviceSpec) *Device {
 	if spec.Name == "" {

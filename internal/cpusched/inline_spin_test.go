@@ -32,8 +32,8 @@ func TestInlineSpinnerPreemptedByFIFO(t *testing.T) {
 	// Spin split: 0-10ms and 30-50ms on CPU, not the 20ms spent preempted.
 	within(t, spinner.CPUTime, 30*sim.Millisecond, 0.001, "spinner CPU time")
 	within(t, noise.CPUTime, 20*sim.Millisecond, 0.001, "noise CPU time")
-	if s.InlineDispatches == 0 {
-		t.Fatal("InlineDispatches = 0, want > 0")
+	if s.Requests == 0 {
+		t.Fatal("Requests = 0, want > 0")
 	}
 	s.Shutdown()
 }

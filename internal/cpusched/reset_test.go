@@ -7,9 +7,9 @@ import (
 	"repro/internal/sim"
 )
 
-// forkScenario runs a small mixed workload to completion and returns its
+// resetScenario runs a small mixed workload to completion and returns its
 // observable outcome: finish time plus the scheduler counters.
-func forkScenario(s *Scheduler) (sim.Time, uint64) {
+func resetScenario(s *Scheduler) (sim.Time, uint64) {
 	a := s.SpawnSeq(TaskSpec{Name: "a"}, ReqCompute(3e8))
 	b := s.SpawnSeq(TaskSpec{Name: "b", Policy: PolicyFIFO, RTPrio: 10,
 		Affinity: machine.SetOf(0)}, ReqCompute(1e8))
@@ -18,7 +18,7 @@ func forkScenario(s *Scheduler) (sim.Time, uint64) {
 	return s.eng.Now(), s.ContextSwitches
 }
 
-// TestSchedulerForkByteIdentical proves a forked scheduler replays a
+// TestSchedulerForkByteIdentical proves a reset scheduler replays a
 // workload with exactly the outcome of a fresh one: same finish time, same
 // dispatch counts, same task IDs — the unit-level form of the golden
 // pooled-vs-fresh guarantee.
@@ -26,24 +26,22 @@ func TestSchedulerForkByteIdentical(t *testing.T) {
 	topo := machine.MustPreset(machine.TinyTest)
 
 	fresh := New(sim.NewEngine(), topo, noBalance())
-	ft, fc := forkScenario(fresh)
+	ft, fc := resetScenario(fresh)
 	fresh.Shutdown()
 
 	eng := sim.NewEngine()
-	engSnap := eng.Snapshot()
 	s := New(eng, topo, noBalance())
-	snap := s.Snapshot()
 	for round := 0; round < 3; round++ {
-		gt, gc := forkScenario(s)
+		gt, gc := resetScenario(s)
 		if gt != ft || gc != fc {
 			t.Fatalf("round %d diverged: time=%v switches=%d, fresh time=%v switches=%d",
 				round, gt, gc, ft, fc)
 		}
 		s.Shutdown()
-		s.Fork(snap)
-		eng.Fork(engSnap)
+		s.Reset()
+		eng.Reset()
 		if s.nextID != 0 || len(s.tasks) != 0 || s.liveTasks != 0 {
-			t.Fatalf("round %d: fork left state: nextID=%d tasks=%d live=%d",
+			t.Fatalf("round %d: reset left state: nextID=%d tasks=%d live=%d",
 				round, s.nextID, len(s.tasks), s.liveTasks)
 		}
 		if eng.Now() != 0 || eng.Pending() != 0 {
@@ -55,25 +53,24 @@ func TestSchedulerForkByteIdentical(t *testing.T) {
 
 // TestForkAfterShutdownKeepsLiveEvent pins that Shutdown drops its
 // balance-timer handle: a cancelled timer's struct is recycled at once, so
-// a stale handle cancelled again by Fork would remove whichever live event
+// a stale handle cancelled again by Reset would remove whichever live event
 // reused the struct.
 func TestForkAfterShutdownKeepsLiveEvent(t *testing.T) {
 	eng := sim.NewEngine()
 	s := New(eng, machine.MustPreset(machine.TinyTest), Defaults())
-	snap := s.Snapshot()
 	s.SpawnSeq(TaskSpec{Name: "a"}, ReqCompute(9e9))
 	eng.RunUntil(sim.Millisecond) // the balance timer is armed and pending
 	s.Shutdown()
 	fired := false
 	eng.After(sim.Millisecond, func() { fired = true })
-	s.Fork(snap)
+	s.Reset()
 	eng.Run()
 	if !fired {
-		t.Fatal("Fork after Shutdown cancelled an unrelated live event")
+		t.Fatal("Reset after Shutdown cancelled an unrelated live event")
 	}
 }
 
-// TestForkEmptiesMemGroup forks while memory streams are mid-segment: the
+// TestForkEmptiesMemGroup resets while memory streams are mid-segment: the
 // kill cascade must leave the stream group empty and its timer dropped,
 // and the next rep must replay like a fresh scheduler.
 func TestForkEmptiesMemGroup(t *testing.T) {
@@ -88,84 +85,65 @@ func TestForkEmptiesMemGroup(t *testing.T) {
 	want := rep(fresh)
 
 	eng := sim.NewEngine()
-	engSnap := eng.Snapshot()
 	s := New(eng, topo, noBalance())
-	snap := s.Snapshot()
 	for i := 0; i < topo.NumCPUs(); i++ {
 		s.SpawnSeq(TaskSpec{Name: "stream", Affinity: machine.SetOf(i)}, ReqMemory(1e12))
 	}
 	eng.RunUntil(sim.Millisecond)
 	if len(s.memGroup) != topo.NumCPUs() || s.memTimer == nil {
-		t.Fatalf("before fork: %d members, timer %v; want %d members and a timer",
+		t.Fatalf("before reset: %d members, timer %v; want %d members and a timer",
 			len(s.memGroup), s.memTimer, topo.NumCPUs())
 	}
-	s.Fork(snap)
+	s.Reset()
 	if len(s.memGroup) != 0 || s.memTimer != nil {
-		t.Fatalf("after fork: %d members, timer %v; want none", len(s.memGroup), s.memTimer)
+		t.Fatalf("after reset: %d members, timer %v; want none", len(s.memGroup), s.memTimer)
 	}
-	eng.Fork(engSnap)
+	eng.Reset()
 	if got := rep(s); got != want {
-		t.Fatalf("rep after fork ended at %v, fresh at %v", got, want)
+		t.Fatalf("rep after reset ended at %v, fresh at %v", got, want)
 	}
 }
 
-// TestSchedulerForkMidRun kills an unfinished workload via Fork and checks
+// TestSchedulerForkMidRun kills an unfinished workload via Reset and checks
 // the next rep still matches a fresh scheduler — the erroring-rep teardown
 // path of a pooled world.
 func TestSchedulerForkMidRun(t *testing.T) {
 	topo := machine.MustPreset(machine.TinyTest)
 
 	fresh := New(sim.NewEngine(), topo, noBalance())
-	ft, fc := forkScenario(fresh)
+	ft, fc := resetScenario(fresh)
 	fresh.Shutdown()
 
 	eng := sim.NewEngine()
-	engSnap := eng.Snapshot()
 	s := New(eng, topo, noBalance())
-	snap := s.Snapshot()
 	// Abort a run mid-flight: tasks are still queued or running.
 	s.SpawnSeq(TaskSpec{Name: "doomed"}, ReqCompute(9e9))
 	s.SpawnSeq(TaskSpec{Name: "doomed2", Affinity: machine.SetOf(1)}, ReqCompute(9e9))
 	eng.RunUntil(sim.Millisecond)
 	s.Shutdown()
-	s.Fork(snap)
-	eng.Fork(engSnap)
+	s.Reset()
+	eng.Reset()
 
-	gt, gc := forkScenario(s)
+	gt, gc := resetScenario(s)
 	if gt != ft || gc != fc {
 		t.Fatalf("post-abort rep diverged: time=%v switches=%d, fresh time=%v switches=%d",
 			gt, gc, ft, fc)
 	}
 }
 
-// TestSchedulerSnapshotAfterSpawnPanics pins the pristine-only contract.
-func TestSchedulerSnapshotAfterSpawnPanics(t *testing.T) {
-	s := newTiny(noBalance())
-	s.SpawnSeq(TaskSpec{Name: "w"}, ReqCompute(1e6))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Snapshot after Spawn did not panic")
-		}
-		s.Shutdown()
-	}()
-	s.Snapshot()
-}
-
 // TestTaskPoolRecyclesProgramTasks verifies inline-program task structs are
-// recycled across forks: the second rep materializes no fresh tasks.
+// recycled across resets: the second rep materializes no fresh tasks.
 func TestTaskPoolRecyclesProgramTasks(t *testing.T) {
 	topo := machine.MustPreset(machine.TinyTest)
 	eng := sim.NewEngine()
-	engSnap := eng.Snapshot()
 	s := New(eng, topo, noBalance())
-	snap := s.Snapshot()
 
 	runProg := func() {
 		tk := s.SpawnSeq(TaskSpec{Name: "p"}, ReqCompute(3e6))
 		s.eng.RunWhile(func() bool { return !tk.Done() })
 		s.Shutdown()
-		s.Fork(snap)
-		eng.Fork(engSnap)
+		s.Reset()
+		eng.Reset()
 	}
 	runProg()
 	allocs := s.TaskAllocs
@@ -176,23 +154,22 @@ func TestTaskPoolRecyclesProgramTasks(t *testing.T) {
 	}
 }
 
-// TestForkResetsMemStreams forks a scheduler while tasks stream memory and
+// TestForkResetsMemStreams resets a scheduler while tasks stream memory and
 // checks the stream bookkeeping returns to its post-New value.
 func TestForkResetsMemStreams(t *testing.T) {
 	eng := sim.NewEngine()
 	s := New(eng, machine.MustPreset(machine.TinySMTTest), noBalance())
-	snap := s.Snapshot()
 	for i := 0; i < 3; i++ {
 		s.SpawnSeq(TaskSpec{Name: "m"}, ReqMemory(1e12))
 	}
 	eng.RunUntil(sim.Millisecond)
 	if s.memStreams != 3 {
-		t.Fatalf("memStreams = %d before fork, want 3", s.memStreams)
+		t.Fatalf("memStreams = %d before reset, want 3", s.memStreams)
 	}
 	checkMemStreams(t, s)
-	s.Fork(snap)
+	s.Reset()
 	checkMemStreams(t, s)
 	if !s.memCPUs.Empty() || s.memStreams != 0 {
-		t.Fatalf("fork left streams: memCPUs=%v memStreams=%d", s.memCPUs, s.memStreams)
+		t.Fatalf("reset left streams: memCPUs=%v memStreams=%d", s.memCPUs, s.memStreams)
 	}
 }

@@ -116,7 +116,7 @@ type Scheduler struct {
 	tasks []*Task
 
 	// devices are the registered I/O devices, by name. Per-rep state:
-	// Fork clears the map (batched reps re-register in their body).
+	// Reset clears the map (each rep re-registers in its body).
 	devices map[string]*Device
 
 	tracer Hook
@@ -183,10 +183,10 @@ type Scheduler struct {
 	// another barrier from within processRequests).
 	barScratch []*barrierScratch
 
-	// taskPool recycles finished tasks across Fork cycles: a Program task
+	// taskPool recycles finished tasks across Reset cycles: a Program task
 	// holds no state outside its struct, so it is quiescent the moment it
-	// is done. TaskAllocs counts pool misses — the scheduler-side "copy on
-	// first write" count of a forked rep.
+	// is done. TaskAllocs counts Task structs allocated because the pool
+	// was empty: the scheduler's pool misses.
 	taskPool   []*Task
 	TaskAllocs uint64
 
@@ -199,8 +199,9 @@ type Scheduler struct {
 
 	// ContextSwitches counts dispatches, for diagnostics.
 	ContextSwitches uint64
-	// InlineDispatches counts requests served by task Programs.
-	InlineDispatches uint64
+	// Requests counts the requests task Programs returned (empty demands
+	// excluded).
+	Requests uint64
 }
 
 // New creates a scheduler for the given machine.
@@ -344,7 +345,7 @@ func (s *Scheduler) newTask(spec TaskSpec) *Task {
 	} else {
 		t = &Task{sched: s}
 		// Bound once per struct: the callbacks close over the task pointer,
-		// so a pooled task carries them across Fork cycles.
+		// so a pooled task carries them across Reset cycles.
 		t.segDoneFn = func() { s.onSegmentDone(t) }
 		t.wakeFn = func() {
 			t.wakeTimer = nil
@@ -453,7 +454,7 @@ func (s *Scheduler) fetchNext(t *Task) request {
 			req.kind = reqSleepUntil
 			req.until += s.eng.Now()
 		}
-		s.InlineDispatches++
+		s.Requests++
 		return req
 	}
 }

@@ -25,7 +25,7 @@ func (e Executor) ClusterSeries(ctx context.Context, spec cluster.Spec, seed uin
 	// Shells are spec-specific, so the pool is per series; under
 	// FreshWorlds no shell is reused.
 	var shells freeList[cluster.Spec, *cluster.Shell]
-	recycle := e.Worlds == nil || !e.Worlds.fresh
+	recycle := e.Worlds.recycles()
 	results := make([]*cluster.Result, reps)
 	var rec0 *obs.Recorder
 	err := e.run(ctx, reps, func(i int) (*obs.Recorder, error) {

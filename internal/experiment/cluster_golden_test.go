@@ -139,7 +139,7 @@ func TestGoldenCluster(t *testing.T) {
 
 // TestGoldenClusterBatch re-runs the cluster golden matrix through pooled
 // shells — every rep after a shell's first runs in the multi-node world
-// reset to its construction snapshot instead of rebuilt — at parallelism 1
+// reset instead of rebuilt — at parallelism 1
 // and 8, with and without the observability recorder, and demands the
 // fixture still matches byte for byte.
 func TestGoldenClusterBatch(t *testing.T) {

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 
 	"repro/internal/mitigate"
@@ -50,9 +48,8 @@ type ProgressFunc func(done, total int, label string)
 //
 // The zero value is ready to use and runs with Workers() parallelism.
 type Executor struct {
-	// Parallelism bounds the worker pool. 0 consults REPRO_PARALLEL and
-	// falls back to runtime.GOMAXPROCS(0); negative values mean 1
-	// (strictly sequential).
+	// Parallelism bounds the worker pool. 0 means runtime.GOMAXPROCS(0);
+	// negative values mean 1 (strictly sequential).
 	Parallelism int
 	// OnRep, when non-nil, is called after each rep of a series
 	// completes, with the count of completed reps and the series total.
@@ -108,42 +105,6 @@ type ObsOptions struct {
 	OnFlight func(obs.Flight)
 }
 
-// parallelEnv is the cached REPRO_PARALLEL resolution. The env var is read
-// and validated once per process instead of on every Workers call; invalid
-// values produce a single stderr warning instead of silently changing the
-// parallelism. Tests reset the Once and swap warnOut.
-var (
-	parallelEnvOnce sync.Once
-	parallelEnvVal  int
-	warnOut         io.Writer = os.Stderr
-)
-
-// parseParallelEnv validates a REPRO_PARALLEL value. It returns the pool
-// size (0 when unset or invalid) and a warning message for invalid values
-// ("" when the value is empty or valid).
-func parseParallelEnv(v string) (n int, warning string) {
-	if v == "" {
-		return 0, ""
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n <= 0 {
-		return 0, fmt.Sprintf(
-			"repro: ignoring invalid REPRO_PARALLEL=%q (want a positive integer); using GOMAXPROCS", v)
-	}
-	return n, ""
-}
-
-func parallelFromEnv() int {
-	parallelEnvOnce.Do(func() {
-		n, warning := parseParallelEnv(os.Getenv("REPRO_PARALLEL"))
-		if warning != "" {
-			fmt.Fprintln(warnOut, warning)
-		}
-		parallelEnvVal = n
-	})
-	return parallelEnvVal
-}
-
 // Workers resolves the effective worker-pool size.
 func (e Executor) Workers() int {
 	if e.Parallelism > 0 {
@@ -151,9 +112,6 @@ func (e Executor) Workers() int {
 	}
 	if e.Parallelism < 0 {
 		return 1
-	}
-	if n := parallelFromEnv(); n > 0 {
-		return n
 	}
 	return runtime.GOMAXPROCS(0)
 }

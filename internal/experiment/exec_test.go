@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -25,89 +24,15 @@ func TestSeedAtMatchesHistoricalStride(t *testing.T) {
 	}
 }
 
-// resetParallelEnv clears the cached REPRO_PARALLEL resolution so a test
-// can exercise a fresh read (the production path resolves it once per
-// process).
-func resetParallelEnv() {
-	parallelEnvOnce = sync.Once{}
-	parallelEnvVal = 0
-}
-
 func TestExecutorWorkersResolution(t *testing.T) {
-	defer resetParallelEnv()
 	if w := (Executor{Parallelism: 3}).Workers(); w != 3 {
 		t.Fatalf("explicit parallelism: %d", w)
 	}
 	if w := (Executor{Parallelism: -1}).Workers(); w != 1 {
 		t.Fatalf("negative parallelism should mean sequential: %d", w)
 	}
-	t.Setenv("REPRO_PARALLEL", "5")
-	resetParallelEnv()
-	if w := (Executor{}).Workers(); w != 5 {
-		t.Fatalf("REPRO_PARALLEL: %d", w)
-	}
-	t.Setenv("REPRO_PARALLEL", "bogus")
-	resetParallelEnv()
-	if w := (Executor{}).Workers(); w < 1 {
-		t.Fatalf("fallback workers: %d", w)
-	}
-}
-
-// TestParseParallelEnvTable pins the validation of REPRO_PARALLEL values:
-// empty means unset (no warning); zero, negatives, and garbage are invalid
-// (warned, fall back); positive integers are used.
-func TestParseParallelEnvTable(t *testing.T) {
-	cases := []struct {
-		in       string
-		want     int
-		wantWarn bool
-	}{
-		{"", 0, false},
-		{"0", 0, true},
-		{"-3", 0, true},
-		{"abc", 0, true},
-		{"5", 5, false},
-		{"2.5", 0, true},
-	}
-	for _, c := range cases {
-		n, warning := parseParallelEnv(c.in)
-		if n != c.want {
-			t.Errorf("parseParallelEnv(%q) = %d, want %d", c.in, n, c.want)
-		}
-		if (warning != "") != c.wantWarn {
-			t.Errorf("parseParallelEnv(%q) warning = %q, wantWarn %v", c.in, warning, c.wantWarn)
-		}
-		if warning != "" && !strings.Contains(warning, c.in) {
-			t.Errorf("warning %q does not name the offending value %q", warning, c.in)
-		}
-	}
-}
-
-// TestWorkersInvalidEnvWarnsOnce: an invalid REPRO_PARALLEL must surface
-// exactly one stderr diagnostic, and the env var must be read once, not on
-// every Workers call.
-func TestWorkersInvalidEnvWarnsOnce(t *testing.T) {
-	t.Setenv("REPRO_PARALLEL", "abc")
-	resetParallelEnv()
-	var buf bytes.Buffer
-	oldOut := warnOut
-	warnOut = &buf
-	defer func() { warnOut = oldOut; resetParallelEnv() }()
-
-	want := runtime.GOMAXPROCS(0)
-	for i := 0; i < 3; i++ {
-		if w := (Executor{}).Workers(); w != want {
-			t.Fatalf("Workers() = %d, want GOMAXPROCS %d", w, want)
-		}
-	}
-	if n := strings.Count(buf.String(), "REPRO_PARALLEL"); n != 1 {
-		t.Fatalf("warning emitted %d times, want once:\n%s", n, buf.String())
-	}
-	// The resolution is cached: changing the env without a reset must not
-	// change the outcome (no per-call env read).
-	t.Setenv("REPRO_PARALLEL", "7")
-	if w := (Executor{}).Workers(); w != want {
-		t.Fatalf("Workers() re-read the env: got %d", w)
+	if w, want := (Executor{}).Workers(), runtime.GOMAXPROCS(0); w != want {
+		t.Fatalf("zero parallelism: %d workers, want GOMAXPROCS %d", w, want)
 	}
 }
 

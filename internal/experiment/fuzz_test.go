@@ -54,11 +54,11 @@ func FuzzSeedAt(f *testing.F) {
 	})
 }
 
-// FuzzBatchEqualsFresh fuzzes the snapshot/fork contract: for a random
+// FuzzBatchEqualsFresh fuzzes the world-reset contract: for a random
 // small spec, a rep executed in a world warmed by a different-seed rep must
 // produce exactly the result of a fresh world — execution time, scheduler
-// counters, and the full trace. Any divergence means forked state leaked
-// into a scheduling decision, which would silently poison every pooled
+// counters, and the full trace. Any divergence means state that survived
+// the reset leaked into a scheduling decision, which would silently poison every pooled
 // series (and the rescache content keys built on their determinism).
 func FuzzBatchEqualsFresh(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint64(1), true, 0.0, false)
@@ -117,10 +117,10 @@ func FuzzBatchEqualsFresh(f *testing.F) {
 			t.Fatalf("exec time diverged: warm %v, fresh %v", got.ExecTime, fresh.ExecTime)
 		}
 		if got.ContextSwitches != fresh.ContextSwitches ||
-			got.InlineDispatches != fresh.InlineDispatches {
+			got.Requests != fresh.Requests {
 			t.Fatalf("counters diverged: warm %d/%d, fresh %d/%d",
-				got.ContextSwitches, got.InlineDispatches,
-				fresh.ContextSwitches, fresh.InlineDispatches)
+				got.ContextSwitches, got.Requests,
+				fresh.ContextSwitches, fresh.Requests)
 		}
 		if spec.Tracing {
 			gh, gn := fingerprintTraces([]*trace.Trace{got.Trace})

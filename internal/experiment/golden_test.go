@@ -84,7 +84,7 @@ func goldenCases() []goldenCase {
 		{Name: "tiny-logwriter-omp-inject-throttle", Platform: "tiny-test", Workload: "logwriter",
 			Small: true, Model: "omp", Strategy: "Rm", Inject: true, Throttle: true, Reps: 2, Seed: 34},
 		// SCHED_DEADLINE: EDF dispatch, CBS budget timers, and throttle/
-		// replenish cycles across snapshot/fork and executor parallelism.
+		// replenish cycles across world resets and executor parallelism.
 		{Name: "tiny-svcloop-omp-deadline", Platform: "tiny-test", Workload: "svcloop", Small: true,
 			Model: "omp", Strategy: "Rm", Tracing: true, Reps: 2, Seed: 35,
 			DLRuntimeNs: 400_000, DLPeriodNs: 1_000_000},
@@ -329,7 +329,7 @@ func TestGoldenKernelObs(t *testing.T) {
 // of a sub-test, so worlds cross spec boundaries (different workloads,
 // models, seeds, injection configs reuse the same reset world whenever
 // topology and scheduler options agree) — the strongest practical exercise
-// of the fork path. Sequentially, every case with more than one rep must
+// of the reset path. Sequentially, every case with more than one rep must
 // count batched reps, so this axis provably differs from the fresh one.
 func TestGoldenKernelBatch(t *testing.T) {
 	if os.Getenv("REPRO_UPDATE_GOLDEN") != "" {

@@ -88,20 +88,14 @@ type Result struct {
 	// cores absorbed. Zero unless Spec.Inject was set.
 	InjectorCPUTime    sim.Time
 	InjectorOnWorkload sim.Time
-	// Scheduler kernel counters (noiselab -v prints them): ContextSwitches
-	// is dispatches, InlineDispatches requests served by task programs.
-	ContextSwitches  uint64
-	InlineDispatches uint64
-	// Batch-execution counters (noiselab -v prints them): Snapshots is 1
-	// when this rep built a fresh world (engine + scheduler constructed and
-	// snapshotted), BatchedReps is 1 when it reused a warm pooled world,
-	// and CowCopies counts the fresh materializations — timer and task
-	// structs allocated because the world's pools had no recycled struct to
-	// hand out, i.e. the copies performed on first write. A warm world runs
-	// a rep with CowCopies near zero.
-	Snapshots   uint64
-	CowCopies   uint64
-	BatchedReps uint64
+	// Kernel counters (noiselab -v prints them): ContextSwitches is
+	// dispatches, Requests the requests task programs returned, and
+	// PoolMisses the timer and task structs allocated because the world's
+	// free pools were empty. A warm world runs a rep with PoolMisses near
+	// zero.
+	ContextSwitches uint64
+	Requests        uint64
+	PoolMisses      uint64
 	// Obs is the run's observability recorder (nil unless Spec.Obs). On a
 	// deadlock failure it is returned alongside the error so callers can
 	// dump the flight ring.
@@ -141,9 +135,10 @@ func RunOnce(spec Spec) (Result, error) {
 
 // publishRunCounters publishes the run's kernel counters to the shared obs
 // registry — the one export path for engine, scheduler, noise, and recorder
-// counters (noiselab -obs and the daemon both render it).
+// counters (noiselab -obs and the daemon both render it). reused reports
+// whether the rep ran in a world an earlier rep had used.
 func publishRunCounters(reg *obs.Registry, eng *sim.Engine, sched *cpusched.Scheduler,
-	gen *noise.Generator, rec *obs.Recorder, snapshots, cowCopies, batchedReps uint64) {
+	gen *noise.Generator, rec *obs.Recorder, reused bool, poolMisses uint64) {
 	reg.Counter("repro_runs_total", "Completed simulation runs.").Inc()
 	st := eng.Stats()
 	reg.Counter("repro_sim_steps_total", "Engine events processed.").Add(st.Steps)
@@ -152,7 +147,7 @@ func publishRunCounters(reg *obs.Registry, eng *sim.Engine, sched *cpusched.Sche
 		"Memory-stream completions re-rated (walk refreshes plus flush re-keys).").Add(sched.MemRerates)
 	reg.Counter("repro_sched_context_switches_total", "Task dispatches.").Add(sched.ContextSwitches)
 	reg.Counter("repro_sched_inline_dispatches_total",
-		"Requests served by task programs on the engine thread.").Add(sched.InlineDispatches)
+		"Requests returned by task programs.").Add(sched.Requests)
 	reg.Counter("repro_sched_preemptions_total", "Involuntary context switches.").Add(sched.TotalPreemptions())
 	reg.Counter("repro_sched_migrations_total", "Cross-CPU task migrations.").Add(sched.TotalMigrations())
 	reg.Counter("repro_noise_tasks_spawned_total", "Noise tasks spawned.").Add(uint64(gen.Spawned))
@@ -160,10 +155,16 @@ func publishRunCounters(reg *obs.Registry, eng *sim.Engine, sched *cpusched.Sche
 	reg.Counter("repro_obs_events_total", "Observability events recorded.").Add(rec.Total())
 	reg.Counter("repro_obs_events_dropped_total",
 		"Timeline events dropped by the buffer cap.").Add(rec.Dropped())
+	// The three world families keep their historical names (benchmark
+	// reports read them by name).
+	built := uint64(1)
+	if reused {
+		built = 0
+	}
 	reg.Counter("repro_sim_snapshots_total",
-		"World construction snapshots captured (cold reps).").Add(snapshots)
+		"Reps that ran in a newly built world.").Add(built)
 	reg.Counter("repro_sim_cow_copies_total",
-		"Fresh timer/task materializations on first write (pool misses).").Add(cowCopies)
+		"Timer and task structs allocated because a world's free pools were empty.").Add(poolMisses)
 	reg.Counter("repro_sim_batched_reps_total",
-		"Reps executed in a reused warm world.").Add(batchedReps)
+		"Reps that ran in a reused world.").Add(1 - built)
 }

@@ -65,8 +65,8 @@ func (l *freeList[K, V]) put(k K, v V) {
 // letting repeated series — sweep points, refinement iterations,
 // config-candidate hunts — share the construction prefix instead of
 // rebuilding it per rep. Worlds are pristine when obtained: a world is
-// reset to its construction snapshots when it returns to the pool. Safe for
-// concurrent use; at most one world per in-flight rep is ever live.
+// reset when it returns to the pool. Safe for concurrent use; at most one
+// world per in-flight rep is ever live.
 type WorldPool struct {
 	worlds freeList[worldKey, *world]
 	// fresh makes the pool drop every returned world (FreshWorlds).
@@ -91,9 +91,14 @@ func (p *WorldPool) get(k worldKey) *world {
 	return newWorld(k)
 }
 
+// recycles reports whether worlds and shells are kept for later reps: the
+// one reuse rule behind kernel worlds and cluster shells. A nil pool (a
+// series' transient pool) recycles; FreshWorlds does not.
+func (p *WorldPool) recycles() bool { return p == nil || !p.fresh }
+
 // put resets a world after its rep and keeps it for the next one.
 func (p *WorldPool) put(w *world) {
-	if p.fresh {
+	if !p.recycles() {
 		return
 	}
 	w.reset()
@@ -101,41 +106,32 @@ func (p *WorldPool) put(w *world) {
 }
 
 // world is one reusable simulation universe: an engine and a scheduler for
-// one (topology, options) pair, plus their construction snapshots.
-// Everything seed-dependent — noise attachment, the replayer, the runtime,
-// the workload body — is built per rep inside run, so a rep executed in a
-// warm world is byte-identical to one in a fresh world: the reset restores
-// every counter and clock the construction snapshots cover, and pooled
-// storage (timer structs, task structs, heap arrays) never influences a
-// scheduling decision.
+// one (topology, options) pair. Everything seed-dependent — noise
+// attachment, the replayer, the runtime, the workload body — is built per
+// rep inside run, so a rep executed in a warm world is byte-identical to
+// one in a fresh world: the reset returns every counter and clock to its
+// post-construction value, and pooled storage (timer structs, task
+// structs, heap arrays) never influences a scheduling decision.
 type world struct {
-	key       worldKey
-	eng       *sim.Engine
-	engSnap   sim.Snapshot
-	sched     *cpusched.Scheduler
-	schedSnap cpusched.Snapshot
+	key   worldKey
+	eng   *sim.Engine
+	sched *cpusched.Scheduler
 	// tracer is lazily created on the first traced rep and reused (reset
 	// detaches its buffer, which the rep's result owns, and re-arms it
 	// right-sized).
 	tracer      *trace.Tracer
 	dirtyTracer bool
-	warm        bool // a rep already ran here; the next one counts as batched
-	// Pool-miss baselines, captured at run entry, for the cow-copies
-	// counters.
+	reused      bool // a rep already ran here
+	// Pool-miss baselines, captured at run entry.
 	timerAllocs0 uint64
 	taskAllocs0  uint64
 }
 
-// newWorld builds a world and captures its construction snapshots. The
-// engine is snapshotted before the scheduler is built; scheduler
-// construction schedules no events, so the engine snapshot stays
-// quiescent.
+// newWorld builds a world. Scheduler construction schedules no events, so
+// the engine stays at its post-NewEngine state until the first rep.
 func newWorld(k worldKey) *world {
 	eng := sim.NewEngine()
-	w := &world{key: k, eng: eng, engSnap: eng.Snapshot()}
-	w.sched = cpusched.New(eng, k.topo, k.opt)
-	w.schedSnap = w.sched.Snapshot()
-	return w
+	return &world{key: k, eng: eng, sched: cpusched.New(eng, k.topo, k.opt)}
 }
 
 // run executes one rep in this world: attach noise and replayer, start the
@@ -150,7 +146,7 @@ func (w *world) run(spec Spec, plan *mitigate.Plan) (Result, error) {
 	return res, err
 }
 
-// reset forks scheduler and engine back to their construction snapshots so
+// reset returns scheduler and engine to their post-construction state so
 // the world is pristine for the next rep. The last rep's trace is the
 // tracer's internal buffer; Detach hands it to that rep's result for good
 // and re-arms the tracer with a fresh one.
@@ -159,9 +155,9 @@ func (w *world) reset() {
 		w.tracer.Detach()
 		w.dirtyTracer = false
 	}
-	w.sched.Fork(w.schedSnap)
-	w.eng.Fork(w.engSnap)
-	w.warm = true
+	w.sched.Reset()
+	w.eng.Reset()
+	w.reused = true
 }
 
 // body is the rep itself, between world construction and shutdown.
@@ -243,13 +239,9 @@ func (w *world) body(spec Spec, plan *mitigate.Plan) (Result, error) {
 	}
 
 	eng.RunWhile(func() bool { return !done.Done() })
-	snapshots, batched := uint64(1), uint64(0)
-	if w.warm {
-		snapshots, batched = 0, 1
-	}
-	cowCopies := (eng.TimerAllocs - w.timerAllocs0) + (sched.TaskAllocs - w.taskAllocs0)
+	poolMisses := (eng.TimerAllocs - w.timerAllocs0) + (sched.TaskAllocs - w.taskAllocs0)
 	if rec != nil {
-		publishRunCounters(rec.Registry(), eng, sched, gen, rec, snapshots, cowCopies, batched)
+		publishRunCounters(rec.Registry(), eng, sched, gen, rec, w.reused, poolMisses)
 	}
 	if !done.Done() {
 		// Hand the recorder back with the error: the flight ring holds the
@@ -258,13 +250,11 @@ func (w *world) body(spec Spec, plan *mitigate.Plan) (Result, error) {
 		return Result{Obs: rec}, fmt.Errorf("experiment: workload deadlocked (event queue drained)")
 	}
 	res := Result{
-		ExecTime:         eng.Now(),
-		ContextSwitches:  sched.ContextSwitches,
-		InlineDispatches: sched.InlineDispatches,
-		Snapshots:        snapshots,
-		CowCopies:        cowCopies,
-		BatchedReps:      batched,
-		Obs:              rec,
+		ExecTime:        eng.Now(),
+		ContextSwitches: sched.ContextSwitches,
+		Requests:        sched.Requests,
+		PoolMisses:      poolMisses,
+		Obs:             rec,
 	}
 	if replayer != nil {
 		res.InjectedAll = replayer.Done()

@@ -30,7 +30,7 @@ func batchTestSpec(t *testing.T) Spec {
 // TestBatchedSeriesMatchesLegacy runs the same series through fresh worlds
 // (FreshWorlds, every rep builds its own) and through pooled worlds (at
 // parallelism 1 and 8) and demands identical times and identical traces,
-// event for event. This is the end-to-end form of the snapshot-safety
+// event for event. This is the end-to-end form of the reset-safety
 // guarantee: every SeedAt-derived per-rep RNG stream drawn in a reset world
 // reproduces the from-scratch sequence.
 func TestBatchedSeriesMatchesLegacy(t *testing.T) {
@@ -64,7 +64,7 @@ func TestBatchedSeriesMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestForkedRepMatchesFreshWorld is the narrow unit form of snapshot
+// TestForkedRepMatchesFreshWorld is the narrow unit form of reset
 // safety: a rep run in a world warmed by other seeds produces exactly the
 // result a fresh world produces for the same seed — the per-rep RNG stream
 // (SeedAt-derived) is rebuilt from the seed inside the rep, so warm state
@@ -90,17 +90,20 @@ func TestForkedRepMatchesFreshWorld(t *testing.T) {
 
 	s := spec
 	s.Seed = SeedAt(spec.Seed, 0)
+	warmReg, freshReg := obs.NewRegistry(), obs.NewRegistry()
+	s.Obs = &obs.Options{Reg: warmReg}
 	got, err := warm.run(s, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Obs = &obs.Options{Reg: freshReg}
 	fresh, err := newWorld(key).run(s, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.ExecTime != fresh.ExecTime ||
 		got.ContextSwitches != fresh.ContextSwitches ||
-		got.InlineDispatches != fresh.InlineDispatches {
+		got.Requests != fresh.Requests {
 		t.Fatalf("warm-world rep diverged: %+v vs fresh %+v", got, fresh)
 	}
 	gh, gn := fingerprintTraces([]*trace.Trace{got.Trace})
@@ -108,16 +111,20 @@ func TestForkedRepMatchesFreshWorld(t *testing.T) {
 	if gh != fh || gn != fn {
 		t.Fatalf("warm-world trace diverged: %s (%d events) vs fresh %s (%d events)", gh, gn, fh, fn)
 	}
-	if got.BatchedReps != 1 || got.Snapshots != 0 {
-		t.Fatalf("warm world miscounted: snapshots=%d batched=%d", got.Snapshots, got.BatchedReps)
+	built := func(reg *obs.Registry) (uint64, uint64) {
+		return reg.Counter("repro_sim_snapshots_total", "").Value(),
+			reg.Counter("repro_sim_batched_reps_total", "").Value()
 	}
-	if fresh.Snapshots != 1 || fresh.BatchedReps != 0 {
-		t.Fatalf("fresh world miscounted: snapshots=%d batched=%d", fresh.Snapshots, fresh.BatchedReps)
+	if b, r := built(warmReg); r != 1 || b != 0 {
+		t.Fatalf("warm world miscounted: built=%d reused=%d", b, r)
+	}
+	if b, r := built(freshReg); b != 1 || r != 0 {
+		t.Fatalf("fresh world miscounted: built=%d reused=%d", b, r)
 	}
 }
 
 // TestBatchCountersReachRegistry checks the obs registry exposes the world
-// reuse counters and that warm reps drive cow-copies toward zero.
+// reuse counters and that warm reps drive pool misses toward zero.
 func TestBatchCountersReachRegistry(t *testing.T) {
 	spec := batchTestSpec(t)
 	spec.Tracing = false
@@ -136,23 +143,23 @@ func TestBatchCountersReachRegistry(t *testing.T) {
 	if got := find("repro_sim_batched_reps_total"); got != reps-1 {
 		t.Errorf("batched reps = %d, want %d", got, reps-1)
 	}
-	// Warm reps reuse pooled timers and tasks: total fresh materializations
-	// must be far below reps * (first rep's allocations). The first rep
-	// necessarily allocates; later reps may allocate a handful when a rep
-	// needs more concurrent timers than any before it.
-	cow := find("repro_sim_cow_copies_total")
-	if cow == 0 {
-		t.Error("cow copies = 0, want > 0 (the first rep materializes everything)")
+	// Warm reps reuse pooled timers and tasks: total pool misses must be
+	// far below reps * (first rep's misses). The first rep necessarily
+	// allocates; later reps may allocate a handful when a rep needs more
+	// concurrent timers than any before it.
+	misses := find("repro_sim_cow_copies_total")
+	if misses == 0 {
+		t.Error("pool misses = 0, want > 0 (the first rep allocates everything)")
 	}
-	firstRep := cowForSingleRep(t, spec)
-	if cow > firstRep+firstRep/2 {
-		t.Errorf("cow copies = %d over %d reps, want near one rep's %d (pools not reused?)",
-			cow, reps, firstRep)
+	firstRep := poolMissesOfSingleRep(t, spec)
+	if misses > firstRep+firstRep/2 {
+		t.Errorf("pool misses = %d over %d reps, want near one rep's %d (pools not reused?)",
+			misses, reps, firstRep)
 	}
 }
 
-// cowForSingleRep measures the fresh materializations of one cold rep.
-func cowForSingleRep(t *testing.T, spec Spec) uint64 {
+// poolMissesOfSingleRep measures the pool misses of one cold rep.
+func poolMissesOfSingleRep(t *testing.T, spec Spec) uint64 {
 	t.Helper()
 	plan, err := mitigate.Apply(spec.Strategy, spec.Platform.Topo)
 	if err != nil {
@@ -162,7 +169,7 @@ func cowForSingleRep(t *testing.T, spec Spec) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.CowCopies
+	return res.PoolMisses
 }
 
 // TestWorldPoolKeying verifies worlds are only shared between specs with

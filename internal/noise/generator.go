@@ -200,7 +200,7 @@ func softirqOrder(m map[string]float64, durs map[string]sim.Time) []srcProb {
 // Per-CPU stream and source names recur identically every rep (a fresh
 // generator attaches per run); precomputing them keeps re-attachment from
 // re-formatting — and re-allocating — the same strings, which showed up
-// in batched-rep allocation profiles.
+// in allocation profiles of reps run in reused worlds.
 var (
 	timerStreamNames   = cpuNames("timer/%d")
 	kworkerStreamNames = cpuNames("kworker/%d")

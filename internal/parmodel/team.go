@@ -117,7 +117,7 @@ type labels struct {
 	order  string // region span arg; empty means the schedule name
 	// workers caches the recurring worker task names: teams are rebuilt
 	// every rep, and re-formatting identical names each time is measurable
-	// in batched series.
+	// in pooled series.
 	workers [64]string
 }
 

@@ -148,7 +148,7 @@ type Config struct {
 	// each job already fans its reps over the executor's pool).
 	Workers int
 	// Parallelism is the per-job executor pool size (0 = executor
-	// default: REPRO_PARALLEL or GOMAXPROCS).
+	// default: GOMAXPROCS).
 	Parallelism int
 	// JobTimeout bounds one job's execution (default 10 minutes).
 	JobTimeout time.Duration

@@ -99,8 +99,8 @@ type Engine struct {
 	// ResetKey), the queue work that moves an event without firing it.
 	Rekeys uint64
 	// TimerAllocs counts Timer structs allocated because the free pool was
-	// empty — the engine-side "copy on first write" count of a forked rep.
-	// A warm engine runs a rep without growing it.
+	// empty: the engine's pool misses. A warm engine runs a rep without
+	// growing it.
 	TimerAllocs uint64
 	// hooks are the pending BeforeAdvance hooks, in registration order.
 	hooks []func()
@@ -135,7 +135,7 @@ func (e *Engine) ReserveSeqs(n int) uint64 {
 // when the queue runs dry. A holder that defers work until an instant ends
 // flushes it there. The call is not an event: it counts no step and takes
 // no sequence number. Pending hooks run in the order they were registered
-// (several schedulers can share one engine); Fork drops them.
+// (several schedulers can share one engine); Reset drops them.
 func (e *Engine) BeforeAdvance(fn func()) { e.hooks = append(e.hooks, fn) }
 
 // settle runs the pending BeforeAdvance hooks once no event remains at the
@@ -219,34 +219,15 @@ func (e *Engine) Stats() Stats {
 		FreeTimers: len(e.free), TimerAllocs: e.TimerAllocs}
 }
 
-// Snapshot captures the engine's position — clock, scheduling sequence,
-// and step and re-key counts — so a later Fork can rewind to it. Only
-// quiescent positions (no pending events) are forkable: a pending callback
-// closes over simulation state the snapshot cannot reproduce, so Fork from
-// a non-quiescent snapshot panics.
-type Snapshot struct {
-	now     Time
-	seq     uint64
-	steps   uint64
-	rekeys  uint64
-	pending int
-}
-
-// Snapshot records the engine's current position.
-func (e *Engine) Snapshot() Snapshot {
-	return Snapshot{now: e.now, seq: e.seq, steps: e.Steps, rekeys: e.Rekeys, pending: e.Pending()}
-}
-
-// Fork rewinds the engine to a quiescent snapshot: every pending timer is
-// cancelled wholesale (the structs return to the free pool, so the next
-// rep's event flow starts warm and allocation-free), pending
-// BeforeAdvance hooks are dropped, and the clock, sequence counter, and
-// step and re-key counters are restored. Holders of *Timer handles must drop
-// them — the structs are recycled.
-func (e *Engine) Fork(s Snapshot) {
-	if s.pending != 0 {
-		panic("sim: Fork from a snapshot with pending events")
-	}
+// Reset returns the engine to its post-NewEngine state so the next rep
+// runs as in a fresh engine: every pending timer is cancelled wholesale
+// (the structs return to the free pool, so the next rep's event flow
+// starts warm and allocation-free), pending BeforeAdvance hooks are
+// dropped, and the clock, sequence counter, and step and re-key counters
+// return to zero. Holders of *Timer handles must drop them — the structs
+// are recycled. TimerAllocs and the free pool persist: they describe the
+// engine's storage, not the simulation.
+func (e *Engine) Reset() {
 	for _, h := range e.heap {
 		e.release(h.tm)
 	}
@@ -254,7 +235,7 @@ func (e *Engine) Fork(s Snapshot) {
 	e.heap = e.heap[:0]
 	clear(e.hooks)
 	e.hooks = e.hooks[:0]
-	e.now, e.seq, e.Steps, e.Rekeys = s.now, s.seq, s.steps, s.rekeys
+	e.now, e.seq, e.Steps, e.Rekeys = 0, 0, 0, 0
 }
 
 // release returns a fired or cancelled timer to the free list.

@@ -269,19 +269,18 @@ func TestBeforeAdvanceRunsEveryHook(t *testing.T) {
 	}
 }
 
-// TestBeforeAdvanceForkDrops checks that Fork drops a pending hook.
+// TestBeforeAdvanceForkDrops checks that Reset drops a pending hook.
 func TestBeforeAdvanceForkDrops(t *testing.T) {
 	e := NewEngine()
-	snap := e.Snapshot()
 	ran := false
 	e.At(1, func() { e.BeforeAdvance(func() { ran = true }) })
 	e.At(2, func() {})
 	e.Step()
-	e.Fork(snap)
+	e.Reset()
 	e.At(3, func() {})
 	e.Run()
 	if ran {
-		t.Fatal("hook survived Fork")
+		t.Fatal("hook survived Reset")
 	}
 }
 
@@ -304,10 +303,10 @@ func TestReserveSeqsEqualsNextSeq(t *testing.T) {
 	}
 }
 
-// TestEngineSnapshotFork proves a forked engine replays a schedule with the
-// same timestamps and the same (at, seq) ordering as the first run: the fork
-// rewinds clock, sequence counter, and step count to the marked values, so
-// the heap keys of the next run are identical to a fresh engine's.
+// TestEngineSnapshotFork proves a reset engine replays a schedule with the
+// same timestamps and the same (at, seq) ordering as the first run: the
+// reset rewinds clock, sequence counter, and step count to zero, so the
+// heap keys of the next run are identical to a fresh engine's.
 func TestEngineSnapshotFork(t *testing.T) {
 	runOnce := func(e *Engine) []Time {
 		var fired []Time
@@ -323,15 +322,14 @@ func TestEngineSnapshotFork(t *testing.T) {
 	fresh := runOnce(NewEngine())
 
 	e := NewEngine()
-	snap := e.Snapshot()
 	first := runOnce(e)
-	e.Fork(snap)
+	e.Reset()
 	if e.Now() != 0 || e.Steps != 0 {
-		t.Fatalf("fork did not rewind: now=%d steps=%d", e.Now(), e.Steps)
+		t.Fatalf("reset did not rewind: now=%d steps=%d", e.Now(), e.Steps)
 	}
 	second := runOnce(e)
 
-	for name, got := range map[string][]Time{"first": first, "forked": second} {
+	for name, got := range map[string][]Time{"first": first, "reset": second} {
 		if len(got) != len(fresh) {
 			t.Fatalf("%s run fired %d timers, fresh fired %d", name, len(got), len(fresh))
 		}
@@ -343,12 +341,11 @@ func TestEngineSnapshotFork(t *testing.T) {
 	}
 }
 
-// TestEngineForkRecyclesPending verifies forking with undelivered timers
+// TestEngineForkRecyclesPending verifies resetting with undelivered timers
 // recycles them into the free pool (they must never fire in the next run)
-// and that a post-fork run reuses the structs instead of allocating.
+// and that a post-reset run reuses the structs instead of allocating.
 func TestEngineForkRecyclesPending(t *testing.T) {
 	e := NewEngine()
-	snap := e.Snapshot()
 	leaked := false
 	for i := 0; i < 8; i++ {
 		e.At(Time(100+i), func() { leaked = true })
@@ -357,37 +354,23 @@ func TestEngineForkRecyclesPending(t *testing.T) {
 		t.Fatalf("pending = %d, want 8", e.Pending())
 	}
 	allocs := e.TimerAllocs
-	e.Fork(snap)
+	e.Reset()
 	if e.Pending() != 0 {
-		t.Fatalf("pending after fork = %d, want 0", e.Pending())
+		t.Fatalf("pending after reset = %d, want 0", e.Pending())
 	}
 	var n int
 	e.At(1, func() { n++ })
 	e.Run()
 	if leaked {
-		t.Fatal("a pre-fork timer fired after the fork")
+		t.Fatal("a pre-reset timer fired after the reset")
 	}
 	if n != 1 {
-		t.Fatalf("post-fork timer fired %d times, want 1", n)
+		t.Fatalf("post-reset timer fired %d times, want 1", n)
 	}
 	if e.TimerAllocs != allocs {
-		t.Fatalf("post-fork run allocated %d fresh timers, want 0 (free pool holds 8)",
+		t.Fatalf("post-reset run allocated %d fresh timers, want 0 (free pool holds 8)",
 			e.TimerAllocs-allocs)
 	}
-}
-
-// TestSnapshotForkMidRunPanics pins the contract that only a pristine
-// pending-free state is a valid fork target.
-func TestSnapshotForkMidRunPanics(t *testing.T) {
-	e := NewEngine()
-	e.At(5, func() {})
-	snap := e.Snapshot() // pending event captured
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Fork from a snapshot with pending events did not panic")
-		}
-	}()
-	e.Fork(snap)
 }
 
 // TestTimerAllocsCountsPoolMisses verifies TimerAllocs counts exactly the

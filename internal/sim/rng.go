@@ -30,9 +30,7 @@ func NewRNG(seed uint64) *RNG {
 }
 
 // Clone returns an independent copy of the generator: both copies continue
-// from the same state without perturbing each other. Snapshot/fork
-// execution uses it to hand a forked rep the same stream a from-scratch rep
-// would draw.
+// from the same state without perturbing each other.
 func (r *RNG) Clone() *RNG {
 	c := *r
 	return &c
@@ -41,8 +39,9 @@ func (r *RNG) Clone() *RNG {
 // Stream derives an independent generator for the named component. The same
 // (seed, name) pair always yields the same stream. Note that deriving a
 // stream advances the parent generator (it mixes in a fresh draw), so
-// stream derivation order is part of a run's determinism contract: a forked
-// rep must derive the same streams in the same order as a fresh one.
+// stream derivation order is part of a run's determinism contract: a rep in
+// a reused world must derive the same streams in the same order as a fresh
+// one.
 func (r *RNG) Stream(name string) *RNG {
 	// FNV-1a over the name, mixed with a fresh draw from r.
 	h := uint64(14695981039346656037)

@@ -194,8 +194,7 @@ func TestBoolProbability(t *testing.T) {
 }
 
 // TestRNGCloneSameSequence verifies a clone continues with exactly the
-// parent's future sequence and that the two then advance independently —
-// the property forked reps rely on.
+// parent's future sequence and that the two then advance independently.
 func TestRNGCloneSameSequence(t *testing.T) {
 	r := NewRNG(99)
 	r.Uint64() // advance past the seed state
@@ -219,7 +218,8 @@ func TestRNGCloneSameSequence(t *testing.T) {
 
 // TestRNGStreamDerivationAdvancesParent pins the documented contract that
 // Stream draws from the parent: deriving streams in a different order yields
-// different streams, so fork paths must re-derive in construction order.
+// different streams, so a rep in a reused world must re-derive in
+// construction order.
 func TestRNGStreamDerivationAdvancesParent(t *testing.T) {
 	seq := func(names ...string) []uint64 {
 		r := NewRNG(7)

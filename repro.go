@@ -81,7 +81,7 @@ type (
 	// Executor is the deterministic parallel execution layer: it fans the
 	// independent (spec, seed) reps of a series over a bounded worker
 	// pool with output bit-identical to sequential execution. The zero
-	// value uses REPRO_PARALLEL or GOMAXPROCS workers; Parallelism: 1
+	// value uses GOMAXPROCS workers; Parallelism: 1
 	// forces sequential. Executor.Series runs one series; every study type
 	// carries one in its Exec field.
 	Executor = experiment.Executor
