@@ -67,14 +67,15 @@ test-io:
 	$(GO) test -race -count=3 -run 'TestResultDeterminismIODeadline|TestValidateDeadlineFields' ./internal/service/
 	$(GO) test -race -count=3 -run 'TestFleetByteIdenticalIODeadline' ./internal/fleet/
 
-# Short deterministic-budget fuzz smoke of eight targets: the trace codec
+# Short deterministic-budget fuzz smoke of nine targets: the trace codec
 # round trip (FuzzTraceCodecRoundTrip), cache-key canonicalization
 # (FuzzSpecHashCanonical), pooled-vs-fresh reps (FuzzBatchEqualsFresh),
 # the scheduler Reset with pending BlockOn/IRQ timers
 # (FuzzBlockOnForkDeterminism), ring placement (FuzzRingPlacement), the
 # analysis spec hash (FuzzAnalysisSpecHash), the analysis-artifact codec
-# (FuzzArtifactRoundTrip), and Timer.Reset against Cancel+At
-# (FuzzEngineResetEquivalence). `go test -fuzz` accepts one target per
+# (FuzzArtifactRoundTrip), Timer.Reset against Cancel+At
+# (FuzzEngineResetEquivalence), and compiled chunk tables against the
+# per-claim walk (FuzzCompiledChunks). `go test -fuzz` accepts one target per
 # package invocation, hence the separate runs. FUZZTIME is overridable; 10s
 # each keeps CI wall clock bounded.
 FUZZTIME ?= 10s
@@ -87,6 +88,7 @@ fuzz-smoke:
 	$(GO) test ./internal/analyze -run xxx -fuzz 'FuzzAnalysisSpecHash$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/analyze -run xxx -fuzz 'FuzzArtifactRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run xxx -fuzz 'FuzzEngineResetEquivalence$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/parmodel -run xxx -fuzz 'FuzzCompiledChunks$$' -fuzztime $(FUZZTIME)
 
 # Run the daemon locally with a throwaway cache.
 serve:

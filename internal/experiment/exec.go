@@ -292,9 +292,10 @@ func (e Executor) seriesWithPlan(ctx context.Context, spec Spec, plan *mitigate.
 	return times, err
 }
 
-// series is the one rep loop behind Series and seriesWithPlan: each rep
-// draws a pristine world from the executor's pool (building one on a miss),
-// runs in it, and returns it to the pool for the next rep. Rep-to-world
+// series is the one rep loop behind Series and seriesWithPlan: it compiles
+// the runtime program once, then each rep draws a pristine world from the
+// executor's pool (building one on a miss), runs the shared program in it,
+// and returns the world to the pool for the next rep. Rep-to-world
 // assignment is arbitrary under parallelism — which is only sound because a
 // warm world is indistinguishable from a fresh one.
 func (e Executor) series(ctx context.Context, spec Spec, plan *mitigate.Plan,
@@ -306,6 +307,7 @@ func (e Executor) series(ctx context.Context, spec Spec, plan *mitigate.Plan,
 	traces := make([]*trace.Trace, reps)
 	pool := e.withWorlds().Worlds
 	key := worldKeyFor(spec)
+	prog := spec.compile(plan)
 	var rec0 *obs.Recorder
 	err := e.run(ctx, reps, func(i int) (*obs.Recorder, error) {
 		s := spec
@@ -314,7 +316,7 @@ func (e Executor) series(ctx context.Context, spec Spec, plan *mitigate.Plan,
 			s.Obs = o
 		}
 		w := pool.get(key)
-		res, err := w.run(s, plan)
+		res, err := w.run(s, plan, prog)
 		pool.put(w)
 		if err != nil {
 			return res.Obs, err

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/mitigate"
 	"repro/internal/obs"
 )
@@ -153,8 +154,8 @@ func TestSeriesLowestIndexErrorWins(t *testing.T) {
 	p := tinyPlatform(t)
 	spec := Spec{
 		Platform: p, Workload: tinyWorkload(t, "nbody"),
-		Model:    "tbb", // unknown model: every rep fails
-		Strategy: mitigate.Rm, Seed: 1,
+		Model: "omp", Strategy: mitigate.Rm, Seed: 1,
+		Inject: &core.Config{}, // zero window: every rep's replayer fails
 	}
 	_, _, err := (Executor{Parallelism: 8}).Series(context.Background(), spec, 8)
 	if err == nil {

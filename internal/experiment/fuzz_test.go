@@ -95,8 +95,9 @@ func FuzzBatchEqualsFresh(f *testing.F) {
 			t.Skip() // strategy not applicable to this topology
 		}
 		key := worldKeyFor(spec)
+		prog := spec.compile(plan)
 
-		fresh, err := newWorld(key).run(spec, plan)
+		fresh, err := newWorld(key).run(spec, plan, prog)
 		if err != nil {
 			t.Skip() // invalid spec fails identically either way
 		}
@@ -104,11 +105,11 @@ func FuzzBatchEqualsFresh(f *testing.F) {
 		warm := newWorld(key)
 		warmup := spec
 		warmup.Seed = seed + 1
-		if _, err := warm.run(warmup, plan); err != nil {
+		if _, err := warm.run(warmup, plan, prog); err != nil {
 			t.Fatal(err)
 		}
 		warm.reset()
-		got, err := warm.run(spec, plan)
+		got, err := warm.run(spec, plan, prog)
 		if err != nil {
 			t.Fatalf("warm rep failed where fresh succeeded: %v", err)
 		}

@@ -158,7 +158,7 @@ func poolRunner(pool *WorldPool) func(Spec) (Result, error) {
 			return Result{}, err
 		}
 		w := pool.get(worldKeyFor(s))
-		res, err := w.run(s, plan)
+		res, err := w.run(s, plan, s.compile(plan))
 		pool.put(w)
 		return res, err
 	}

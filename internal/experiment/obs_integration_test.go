@@ -175,12 +175,13 @@ func TestSeriesObsTimelineAndFlight(t *testing.T) {
 		t.Fatalf("series times changed with obs on:\nobs:   %v\nplain: %v", times, plainT)
 	}
 
-	// Failure path: every rep fails (unknown model) and rep 0's flight ring
-	// lands in the sink as a JSON document naming the rep and the error.
+	// Failure path: every rep fails (an injection config with no window)
+	// and rep 0's flight ring lands in the sink as a JSON document naming
+	// the rep and the error.
 	var sink bytes.Buffer
 	ef := Executor{Parallelism: 2, Obs: &ObsOptions{FlightSink: &sink}}
 	bad := spec
-	bad.Model = "tbb"
+	bad.Inject = &core.Config{}
 	if _, _, err := ef.Series(context.Background(), bad, 2); err == nil {
 		t.Fatal("expected series failure")
 	}
@@ -191,7 +192,7 @@ func TestSeriesObsTimelineAndFlight(t *testing.T) {
 	if !strings.HasPrefix(flight.Label, "rep ") {
 		t.Fatalf("flight label = %q", flight.Label)
 	}
-	if !strings.Contains(flight.Err, "unknown model") {
+	if !strings.Contains(flight.Err, "config window") {
 		t.Fatalf("flight err = %q", flight.Err)
 	}
 }

@@ -96,9 +96,9 @@ type Result struct {
 	ContextSwitches uint64
 	Requests        uint64
 	PoolMisses      uint64
-	// Obs is the run's observability recorder (nil unless Spec.Obs). On a
-	// deadlock failure it is returned alongside the error so callers can
-	// dump the flight ring.
+	// Obs is the run's observability recorder (nil unless Spec.Obs). When
+	// a rep fails (a deadlock, an injection config the replayer rejects) it
+	// is returned alongside the error so callers can dump the flight ring.
 	Obs *obs.Recorder
 }
 
@@ -117,7 +117,32 @@ func (s Spec) validate() error {
 	if s.Platform == nil || s.Workload == nil {
 		return fmt.Errorf("experiment: spec needs platform and workload")
 	}
-	return nil
+	switch s.Model {
+	case "omp", "sycl":
+		return nil
+	default:
+		return fmt.Errorf("experiment: unknown model %q", s.Model)
+	}
+}
+
+// compile builds the runtime program every rep of spec runs on plan: the
+// model's preset (or the Spec.OMP override of the OpenMP one), with the
+// deadline reservation applied, compiled for the plan's team size. The
+// program depends on no seed, so a series compiles it once.
+func (s Spec) compile(plan *mitigate.Plan) *parmodel.Program {
+	cfg := parmodel.OpenMP()
+	switch {
+	case s.Model == "sycl":
+		cfg = parmodel.SYCL()
+	case s.OMP != nil:
+		cfg = *s.OMP
+	}
+	if s.DLRuntime > 0 {
+		cfg.Policy = cpusched.PolicyDeadline
+		cfg.DLRuntime = s.DLRuntime
+		cfg.DLPeriod = s.DLPeriod
+	}
+	return parmodel.Compile(s.Workload.Body(), plan.Threads, cfg)
 }
 
 // RunOnce executes one simulated run in a world built for it and dropped
@@ -130,7 +155,7 @@ func RunOnce(spec Spec) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return newWorld(worldKeyFor(spec)).run(spec, plan)
+	return newWorld(worldKeyFor(spec)).run(spec, plan, spec.compile(plan))
 }
 
 // publishRunCounters publishes the run's kernel counters to the shared obs

@@ -134,14 +134,14 @@ func newWorld(k worldKey) *world {
 	return &world{key: k, eng: eng, sched: cpusched.New(eng, k.topo, k.opt)}
 }
 
-// run executes one rep in this world: attach noise and replayer, start the
-// runtime, drive the engine, collect, shut down. Shutdown runs with the
-// tracer still attached, so the kill cascade's final task spans land in the
-// returned trace.
-func (w *world) run(spec Spec, plan *mitigate.Plan) (Result, error) {
+// run executes one rep in this world: attach noise and replayer, start
+// prog, drive the engine, collect, shut down. prog must be spec.compile's
+// program for plan. Shutdown runs with the tracer still attached, so the
+// kill cascade's final task spans land in the returned trace.
+func (w *world) run(spec Spec, plan *mitigate.Plan, prog *parmodel.Program) (Result, error) {
 	w.timerAllocs0 = w.eng.TimerAllocs
 	w.taskAllocs0 = w.sched.TaskAllocs
-	res, err := w.body(spec, plan)
+	res, err := w.body(spec, plan, prog)
 	w.sched.Shutdown()
 	return res, err
 }
@@ -161,7 +161,7 @@ func (w *world) reset() {
 }
 
 // body is the rep itself, between world construction and shutdown.
-func (w *world) body(spec Spec, plan *mitigate.Plan) (Result, error) {
+func (w *world) body(spec Spec, plan *mitigate.Plan, prog *parmodel.Program) (Result, error) {
 	eng, sched := w.eng, w.sched
 
 	var tracer *trace.Tracer
@@ -197,7 +197,7 @@ func (w *world) body(spec Spec, plan *mitigate.Plan) (Result, error) {
 	if spec.Inject != nil {
 		r, err := core.NewReplayer(sched, spec.Inject)
 		if err != nil {
-			return Result{}, err
+			return Result{Obs: rec}, err
 		}
 		r.PinInjectors = spec.PinInjectors
 		replayer = r
@@ -212,24 +212,7 @@ func (w *world) body(spec Spec, plan *mitigate.Plan) (Result, error) {
 		}
 	}
 
-	var cfg parmodel.Config
-	switch spec.Model {
-	case "omp":
-		cfg = parmodel.OpenMP()
-		if spec.OMP != nil {
-			cfg = *spec.OMP
-		}
-	case "sycl":
-		cfg = parmodel.SYCL()
-	default:
-		return Result{Obs: rec}, fmt.Errorf("experiment: unknown model %q", spec.Model)
-	}
-	if spec.DLRuntime > 0 {
-		cfg.Policy = cpusched.PolicyDeadline
-		cfg.DLRuntime = spec.DLRuntime
-		cfg.DLPeriod = spec.DLPeriod
-	}
-	done := parmodel.Start(sched, plan, cfg, spec.Workload.Body())
+	done := parmodel.Start(sched, plan, prog)
 
 	if replayer != nil {
 		// Injector processes synchronize with workload start (Listing 1's

@@ -76,13 +76,14 @@ func TestForkedRepMatchesFreshWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := worldKeyFor(spec)
+	prog := spec.compile(plan)
 
 	// Warm a world with three different-seed reps.
 	warm := newWorld(key)
 	for i := 1; i <= 3; i++ {
 		s := spec
 		s.Seed = SeedAt(spec.Seed, i)
-		if _, err := warm.run(s, plan); err != nil {
+		if _, err := warm.run(s, plan, prog); err != nil {
 			t.Fatal(err)
 		}
 		warm.reset()
@@ -92,12 +93,12 @@ func TestForkedRepMatchesFreshWorld(t *testing.T) {
 	s.Seed = SeedAt(spec.Seed, 0)
 	warmReg, freshReg := obs.NewRegistry(), obs.NewRegistry()
 	s.Obs = &obs.Options{Reg: warmReg}
-	got, err := warm.run(s, plan)
+	got, err := warm.run(s, plan, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Obs = &obs.Options{Reg: freshReg}
-	fresh, err := newWorld(key).run(s, plan)
+	fresh, err := newWorld(key).run(s, plan, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func poolMissesOfSingleRep(t *testing.T, spec Spec) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := newWorld(worldKeyFor(spec)).run(spec, plan)
+	res, err := newWorld(worldKeyFor(spec)).run(spec, plan, spec.compile(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,5 +241,21 @@ func TestSeriesRejectsInvalidSpecs(t *testing.T) {
 		if _, err := (Executor{}).ClusterSeries(ctx, badCluster, 1, reps); err == nil || err.Error() != wantCluster.Error() {
 			t.Errorf("ClusterSeries(unknown policy, reps=%d) = %v, want %q", reps, err, wantCluster)
 		}
+	}
+	// An unknown model is a spec error too: rejected unwrapped, before any
+	// world is built, even when no rep would run.
+	noModel := valid
+	noModel.Model = "tbb"
+	const wantModel = `experiment: unknown model "tbb"`
+	for _, reps := range []int{0, 1, 8} {
+		if _, _, err := (Executor{}).Series(ctx, noModel, reps); err == nil || err.Error() != wantModel {
+			t.Errorf("Series(unknown model, reps=%d) = %v, want %q", reps, err, wantModel)
+		}
+		if _, err := (Executor{}).seriesWithPlan(ctx, noModel, plan, reps); err == nil || err.Error() != wantModel {
+			t.Errorf("seriesWithPlan(unknown model, reps=%d) = %v, want %q", reps, err, wantModel)
+		}
+	}
+	if _, err := RunOnce(noModel); err == nil || err.Error() != wantModel {
+		t.Errorf("RunOnce(unknown model) = %v, want %q", err, wantModel)
 	}
 }

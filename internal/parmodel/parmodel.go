@@ -1,13 +1,13 @@
 // Package parmodel defines the interface between workload cost models and
 // the parallel runtime model: a workload is a function of a Model, the
-// runtime records its calls as a phase list (Record), and one fork-join
-// team executes the phases as parallel loops of costed work units on the
-// simulated machine (Start). OpenMP and SYCL are presets of that team's
-// Config, and they differ exactly where the paper says the two runtimes
-// differ: work distribution policy (static vs dynamic work-groups),
-// synchronization style (spinning vs passive waits), and fixed runtime
-// overheads (fork vs kernel submission, chunk dispatch, codegen
-// efficiency).
+// runtime records its calls as a phase list and sums each parallel loop's
+// chunks once (Compile), and one fork-join team executes the compiled
+// phases as parallel loops of costed work units on the simulated machine
+// (Start). OpenMP and SYCL are presets of that team's Config, and they
+// differ exactly where the paper says the two runtimes differ: work
+// distribution policy (static vs dynamic work-groups), synchronization
+// style (spinning vs passive waits), and fixed runtime overheads (fork vs
+// kernel submission, chunk dispatch, codegen efficiency).
 package parmodel
 
 // Cost is the machine demand of one work unit: CPU cycles, bytes of memory
@@ -47,12 +47,13 @@ func (c Cost) Scale(f float64) Cost {
 }
 
 // Model is the interface a workload body describes its work against.
-// Start does not execute the body on the simulated machine: it records the
-// body once (Record) into a fixed phase list that the master/host thread
-// then executes. The model has no clock, so a body can
-// observe only Threads() and Name(); everything else it does must be a
-// fixed sequence of ParallelFor/Master* calls. Cost functions are called
-// later, while the phases run.
+// The body is not executed on the simulated machine: Compile records it
+// once (Record) into a fixed phase list that the master/host thread then
+// executes. The model has no clock, so a body can observe only Threads()
+// and Name(); everything else it does must be a fixed sequence of
+// ParallelFor/Master* calls. Cost functions are called once per iteration
+// by Compile, which sums them into the chunks the schedule hands out; the
+// running team only looks the sums up.
 type Model interface {
 	// ParallelFor executes n work units, unit i costing cost(i), across
 	// the team, then synchronizes (implicit end-of-region barrier /

@@ -117,7 +117,7 @@ func TestRecordObservesThreadsAndName(t *testing.T) {
 }
 
 // TestNegativeTripCountPanicsAtStart: both runtimes reject a negative
-// trip count when they record the body, before any task runs.
+// trip count when Compile records the body, before any task runs.
 func TestNegativeTripCountPanicsAtStart(t *testing.T) {
 	body := func(m parmodel.Model) {
 		m.ParallelFor(-1, func(int) parmodel.Cost { return parmodel.Cost{} })
@@ -132,7 +132,7 @@ func TestNegativeTripCountPanicsAtStart(t *testing.T) {
 					t.Errorf("%s: negative trip count did not panic", model)
 				}
 			}()
-			parmodel.Start(s, plan, cfg, body)
+			parmodel.Start(s, plan, parmodel.Compile(body, plan.Threads, cfg))
 		}()
 		if n := len(s.Tasks()); n != 0 {
 			t.Errorf("%s: %d tasks spawned before the panic", model, n)

@@ -143,10 +143,83 @@ func (l *labels) worker(i int) string {
 	return fmt.Sprintf("%s-worker-%d", l.name, i)
 }
 
-type loopState struct {
-	n    int
-	cost func(int) Cost
-	next int // shared claim cursor for dynamic/guided
+// Program is a body compiled for one team size and runtime config: its
+// recorded phases and, for every ParallelFor phase, the cost of each chunk
+// the phase's schedule hands out. Chunk boundaries depend only on the trip
+// count, the team size and the schedule, never on which thread claims a
+// chunk or when, so a Program holds nothing seed-dependent: one serves
+// every rep of a series, read-only.
+type Program struct {
+	cfg     Config
+	threads int
+	phases  []Phase
+	// chunks[i] is phase i's chunk costs in lo order, summed in iteration
+	// order and not yet scaled by CostFactor (nil for master phases). All
+	// of them are windows of one table.
+	chunks [][]Cost
+}
+
+// Compile records body (Record) for a team of threads and sums every
+// ParallelFor phase's chunks once. A static schedule with chunk 0 has one
+// contiguous range per thread; static chunked and dynamic schedules cut
+// the loop every max(Chunk, 1) iterations; a guided chunk starting at lo
+// takes max(ceil((n-lo)/(2*threads)), max(Chunk, 1)) iterations; SYCL's
+// work-groups are the dynamic schedule's chunks. It panics on a negative
+// trip count or an unknown schedule.
+func Compile(body Body, threads int, cfg Config) *Program {
+	if cfg.CostFactor <= 0 {
+		cfg.CostFactor = 1.0
+	}
+	lab := flavours[cfg.flavour]
+	if cfg.Schedule != Static && cfg.Schedule != Dynamic && cfg.Schedule != Guided {
+		panic(lab.pkg + ": unknown schedule")
+	}
+	p := &Program{cfg: cfg, threads: threads, phases: Record(body, threads, lab.name)}
+	p.chunks = make([][]Cost, len(p.phases))
+	size := 0
+	for _, ph := range p.phases {
+		if ph.Kind == PhaseParallelFor {
+			size += p.bounds(ph.N, func(int, int) {})
+		}
+	}
+	table := make([]Cost, size)
+	for i, ph := range p.phases {
+		if ph.Kind != PhaseParallelFor {
+			continue
+		}
+		k := 0
+		p.bounds(ph.N, func(lo, hi int) {
+			for it := lo; it < hi; it++ {
+				table[k] = table[k].Add(ph.Cost(it))
+			}
+			k++
+		})
+		p.chunks[i], table = table[:k:k], table[k:]
+	}
+	return p
+}
+
+// bounds calls f with every chunk [lo, hi) of an n-iteration region in lo
+// order and returns the chunk count.
+func (p *Program) bounds(n int, f func(lo, hi int)) int {
+	T, c := p.threads, max(p.cfg.Chunk, 1)
+	if p.cfg.Schedule == Static && p.cfg.Chunk <= 0 {
+		for k := 0; k < T; k++ {
+			f(k*n/T, (k+1)*n/T)
+		}
+		return T
+	}
+	k := 0
+	for lo := 0; lo < n; k++ {
+		size := c
+		if p.cfg.Schedule == Guided {
+			size = max((n-lo+2*T-1)/(2*T), c)
+		}
+		hi := min(lo+size, n)
+		f(lo, hi)
+		lo = hi
+	}
+	return k
 }
 
 // team is a fork-join thread team bound to a scheduler and a mitigation
@@ -159,8 +232,11 @@ type team struct {
 
 	startBar *cpusched.Barrier
 	endBar   *cpusched.Barrier
-	loop     loopState
-	stop     bool
+	// chunks is the current region's chunk table; next is its shared claim
+	// cursor (dynamic/guided), a chunk index.
+	chunks []Cost
+	next   int
+	stop   bool
 	// regions counts parallel regions for obs span naming (only advanced
 	// while an observer is attached).
 	regions int
@@ -168,21 +244,23 @@ type team struct {
 	cyclesPerNs float64
 }
 
-// Start records body (Record) and creates the team: workers are spawned
-// immediately as scheduler Programs, parking at the region barrier, and
-// the master (SYCL: host) thread executes the recorded phases, joining
-// each region as thread 0. It returns the master task, the workload's
-// completion handle; the caller drives the engine until it is done.
-func Start(s *cpusched.Scheduler, plan *mitigate.Plan, cfg Config, body Body) *cpusched.Task {
-	if cfg.CostFactor <= 0 {
-		cfg.CostFactor = 1.0
+// Start creates the team that runs prog: workers are spawned immediately
+// as scheduler Programs, parking at the region barrier, and the master
+// (SYCL: host) thread executes the compiled phases, joining each region as
+// thread 0. It returns the master task, the workload's completion handle;
+// the caller drives the engine until it is done. Start only reads prog, so
+// concurrent reps may share it. It panics when prog was compiled for a
+// team size other than plan.Threads.
+func Start(s *cpusched.Scheduler, plan *mitigate.Plan, prog *Program) *cpusched.Task {
+	lab := flavours[prog.cfg.flavour]
+	if prog.threads != plan.Threads {
+		panic(fmt.Sprintf("%s: program compiled for %d threads, plan has %d",
+			lab.pkg, prog.threads, plan.Threads))
 	}
-	lab := flavours[cfg.flavour]
-	phases := Record(body, plan.Threads, lab.name)
 	t := &team{
 		s:           s,
 		plan:        plan,
-		cfg:         cfg,
+		cfg:         prog.cfg,
 		lab:         lab,
 		startBar:    cpusched.NewBarrier(plan.Threads),
 		endBar:      cpusched.NewBarrier(plan.Threads),
@@ -193,7 +271,7 @@ func Start(s *cpusched.Scheduler, plan *mitigate.Plan, cfg Config, body Body) *c
 		s.SpawnProgram(t.spec(i, lab.worker(i)), &workerProgram{t: t, id: i})
 	}
 	return s.SpawnProgram(t.spec(0, lab.master),
-		&masterProgram{t: t, phases: phases, share: workerProgram{t: t}})
+		&masterProgram{t: t, prog: prog, share: workerProgram{t: t}})
 }
 
 func (t *team) spec(thread int, name string) cpusched.TaskSpec {
@@ -207,7 +285,7 @@ func (t *team) spec(thread int, name string) cpusched.TaskSpec {
 	}
 }
 
-// masterProgram is the master thread: it executes the recorded phases in
+// masterProgram is the master thread: it executes the compiled phases in
 // order. A parallel region (SYCL: a kernel submitted and immediately
 // waited for) costs ForkOverhead of master-side setup, then the master
 // runs thread 0's share through the same workerProgram walk the workers
@@ -217,7 +295,7 @@ func (t *team) spec(thread int, name string) cpusched.TaskSpec {
 // releasing the parked workers to exit.
 type masterProgram struct {
 	t        *team
-	phases   []Phase
+	prog     *Program
 	pc       int
 	share    workerProgram // thread 0's part of the current region
 	inRegion bool
@@ -244,18 +322,18 @@ func (m *masterProgram) Next(task *cpusched.Task) (cpusched.Request, bool) {
 		t.s.Observer().Span(task.CPU(), fmt.Sprintf(t.lab.region, t.regions),
 			t.lab.name, arg, m.regionStart, t.s.Now())
 	}
-	if m.pc == len(m.phases) {
+	if m.pc == len(m.prog.phases) {
 		if t.stop {
 			return cpusched.Request{}, false
 		}
 		t.stop = true
 		return cpusched.ReqBarrier(t.startBar, false), true
 	}
-	p := &m.phases[m.pc]
+	p, chunks := &m.prog.phases[m.pc], m.prog.chunks[m.pc]
 	m.pc++
 	switch p.Kind {
 	case PhaseParallelFor:
-		t.loop = loopState{n: p.N, cost: p.Cost}
+		t.chunks, t.next = chunks, 0
 		if t.s.Observer() != nil {
 			m.spanOpen, m.regionStart = true, t.s.Now()
 			t.regions++
@@ -274,15 +352,15 @@ func (m *masterProgram) Next(task *cpusched.Task) (cpusched.Request, bool) {
 // workerProgram is one team thread's part of every region: park at the
 // region start barrier, claim/execute this thread's chunks, wait at the
 // end barrier, repeat. Workers run it directly; the master runs it with id
-// 0 inside each region. Shared loop state (t.loop, l.next, t.stop) is read
-// and written inside Next, at the simulated instants the scheduler fetches
-// each thread's next request, so dynamic/guided claim races resolve in
-// fetch order.
+// 0 inside each region. Shared loop state (t.chunks, t.next, t.stop) is
+// read and written inside Next, at the simulated instants the scheduler
+// fetches each thread's next request, so dynamic/guided claim races resolve
+// in fetch order.
 type workerProgram struct {
 	t     *team
 	id    int
 	state int
-	base  int     // next chunk base (static chunked schedule)
+	k     int     // next chunk index (static schedule)
 	mem   float64 // memory half of the range whose compute was just yielded
 	io    float64 // I/O bytes of the current range (0 = no blocking phase)
 	iodev string  // device the I/O phase blocks on
@@ -291,7 +369,7 @@ type workerProgram struct {
 const (
 	wStartBar   = iota // arrive at the region start barrier
 	wBegin             // released: check stop, start this region's loop walk
-	wStaticNext        // static chunked: yield the next chunk's compute
+	wStaticNext        // static: yield the next chunk's compute
 	wDispatch          // dynamic/guided: yield the per-chunk dispatch cost
 	wClaim             // dynamic/guided: claim a chunk, yield its compute
 	wMemory            // yield the memory half of the current range
@@ -300,28 +378,19 @@ const (
 )
 
 // afterUnit is the state following a completed work unit (compute + memory
-// + optional I/O): the next chunk of the current schedule, or the region
-// end barrier.
+// + optional I/O): the next chunk of the current schedule.
 func (w *workerProgram) afterUnit() int {
 	if w.t.cfg.Schedule == Static {
-		if w.t.cfg.Chunk <= 0 {
-			return wEndBar
-		}
 		return wStaticNext
 	}
 	return wDispatch
 }
 
-// unit starts executing iterations [lo, hi): it sums and scales their
-// cost, keeps the memory and I/O halves for the states that follow, and
-// returns the compute cycles to yield now.
-func (w *workerProgram) unit(lo, hi int) float64 {
-	t := w.t
-	var total Cost
-	for i := lo; i < hi; i++ {
-		total = total.Add(t.loop.cost(i))
-	}
-	total = total.Scale(t.cfg.CostFactor)
+// unit starts executing chunk k of the current region: it scales the
+// chunk's compiled cost, keeps the memory and I/O halves for the states
+// that follow, and returns the compute cycles to yield now.
+func (w *workerProgram) unit(k int) float64 {
+	total := w.t.chunks[k].Scale(w.t.cfg.CostFactor)
 	w.mem, w.io, w.iodev = total.Bytes, total.IOBytes, total.IODev
 	w.state = wMemory
 	return total.Cycles
@@ -329,7 +398,6 @@ func (w *workerProgram) unit(lo, hi int) float64 {
 
 func (w *workerProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 	t := w.t
-	l := &t.loop
 	for {
 		switch w.state {
 		case wStartBar:
@@ -339,27 +407,20 @@ func (w *workerProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 			if t.stop {
 				return cpusched.Request{}, false
 			}
-			switch t.cfg.Schedule {
-			case Static:
-				if t.cfg.Chunk <= 0 {
-					lo, hi := w.id*l.n/t.plan.Threads, (w.id+1)*l.n/t.plan.Threads
-					return cpusched.ReqCompute(w.unit(lo, hi)), true
-				}
-				w.base = w.id * t.cfg.Chunk
-				w.state = wStaticNext
-			case Dynamic, Guided:
+			// A static thread takes chunks id, id+T, ... (with chunk 0 there
+			// are T chunks, one per thread); dynamic and guided claim.
+			w.k, w.state = w.id, wStaticNext
+			if t.cfg.Schedule != Static {
 				w.state = wDispatch
-			default:
-				panic(t.lab.pkg + ": unknown schedule")
 			}
 		case wStaticNext:
-			if w.base >= l.n {
+			if w.k >= len(t.chunks) {
 				w.state = wEndBar
 				continue
 			}
-			lo := w.base
-			w.base += t.plan.Threads * t.cfg.Chunk
-			return cpusched.ReqCompute(w.unit(lo, min(lo+t.cfg.Chunk, l.n))), true
+			k := w.k
+			w.k += t.plan.Threads
+			return cpusched.ReqCompute(w.unit(k)), true
 		case wDispatch:
 			// Zero overhead yields a zero-demand request the scheduler
 			// skips.
@@ -367,13 +428,13 @@ func (w *workerProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 			return cpusched.ReqCompute(float64(t.cfg.DispatchOverhead) * t.cyclesPerNs), true
 		case wClaim:
 			// The claim runs at the fetch following the dispatch compute.
-			lo := l.next
-			if lo >= l.n {
+			k := t.next
+			if k >= len(t.chunks) {
 				w.state = wEndBar
 				continue
 			}
-			l.next = min(lo+t.claimSize(lo), l.n)
-			return cpusched.ReqCompute(w.unit(lo, l.next)), true
+			t.next++
+			return cpusched.ReqCompute(w.unit(k)), true
 		case wMemory:
 			b := w.mem
 			w.mem = 0
@@ -393,17 +454,6 @@ func (w *workerProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 			return cpusched.ReqBarrier(t.endBar, t.cfg.ActiveWait), true
 		}
 	}
-}
-
-// claimSize returns the chunk size a dynamic/guided claim takes when the
-// cursor stands at lo.
-func (t *team) claimSize(lo int) int {
-	minChunk := max(t.cfg.Chunk, 1)
-	if t.cfg.Schedule == Dynamic {
-		return minChunk
-	}
-	T := t.plan.Threads
-	return max((t.loop.n-lo+2*T-1)/(2*T), minChunk)
 }
 
 // device resolves a workload-referenced device name on the scheduler.

@@ -26,7 +26,7 @@ func uniform(cycles float64) func(int) Cost {
 func runBody(t *testing.T, s *cpusched.Scheduler, strat mitigate.Strategy, cfg Config, body Body) sim.Time {
 	t.Helper()
 	plan := mitigate.MustApply(strat, s.Topology())
-	master := Start(s, plan, cfg, body)
+	master := Start(s, plan, Compile(body, plan.Threads, cfg))
 	s.Engine().RunWhile(func() bool { return !master.Done() })
 	end := s.Engine().Now()
 	s.Engine().RunUntil(end + sim.Millisecond) // let workers park/exit
@@ -197,7 +197,7 @@ func singleThread(t *testing.T, cfg Config, body Body) sim.Time {
 	s := cpusched.New(eng, machine.MustPreset(machine.TinyTest), cpusched.Defaults())
 	plan := &mitigate.Plan{Strategy: mitigate.TP, Threads: 1,
 		Allowed: machine.SetOf(0), PinCPUOf: []int{0}}
-	master := Start(s, plan, cfg, body)
+	master := Start(s, plan, Compile(body, plan.Threads, cfg))
 	eng.RunWhile(func() bool { return !master.Done() })
 	s.Shutdown()
 	return eng.Now()
@@ -240,9 +240,9 @@ func checkWorkersExit(t *testing.T, cfg Config) {
 	t.Helper()
 	s := newSched()
 	plan := mitigate.MustApply(mitigate.TP, s.Topology())
-	master := Start(s, plan, cfg, func(m Model) {
+	master := Start(s, plan, Compile(func(m Model) {
 		m.ParallelFor(8, uniform(1e6))
-	})
+	}, plan.Threads, cfg))
 	s.Engine().Run()
 	if !master.Done() {
 		t.Fatal("master not done")

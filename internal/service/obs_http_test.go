@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/rescache"
 	"repro/internal/sim"
@@ -123,13 +124,13 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 // the failure cancelled the rest.
 func TestFailedJobRetainsOneFlightDump(t *testing.T) {
 	srv, ts, _ := newTestServer(t, Config{Parallelism: 4})
-	// Resolve does not validate the model, so a job built past submission
-	// validation fails inside every rep.
+	// Resolve does not validate the injection config, so a job built past
+	// submission validation fails inside every rep (zero window).
 	spec := tinySpec(64, 8)
-	spec.Model = "tbb"
+	spec.Inject = &core.Config{}
 	job := &Job{srv: srv, ID: "bad", Spec: spec, events: NewEventLog(0)}
 	if _, err := srv.runner.Run(context.Background(), job); err == nil {
-		t.Fatal("job with unknown model succeeded")
+		t.Fatal("job with an invalid injection config succeeded")
 	}
 	resp, err := http.Get(ts.URL + "/debug/flightrecorder")
 	if err != nil {

@@ -29,13 +29,6 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-// Clone returns an independent copy of the generator: both copies continue
-// from the same state without perturbing each other.
-func (r *RNG) Clone() *RNG {
-	c := *r
-	return &c
-}
-
 // Stream derives an independent generator for the named component. The same
 // (seed, name) pair always yields the same stream. Note that deriving a
 // stream advances the parent generator (it mixes in a fresh draw), so

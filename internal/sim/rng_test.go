@@ -193,29 +193,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-// TestRNGCloneSameSequence verifies a clone continues with exactly the
-// parent's future sequence and that the two then advance independently.
-func TestRNGCloneSameSequence(t *testing.T) {
-	r := NewRNG(99)
-	r.Uint64() // advance past the seed state
-	c := r.Clone()
-	for i := 0; i < 64; i++ {
-		if a, b := r.Uint64(), c.Uint64(); a != b {
-			t.Fatalf("draw %d: parent %d, clone %d", i, a, b)
-		}
-	}
-	// Diverge the clone; the parent's stream must be unaffected (no shared
-	// state between the copies).
-	expect := r.Clone()
-	c.Uint64()
-	c.Uint64()
-	for i := 0; i < 16; i++ {
-		if a, b := r.Uint64(), expect.Uint64(); a != b {
-			t.Fatalf("advancing the clone perturbed the parent at draw %d: %d vs %d", i, a, b)
-		}
-	}
-}
-
 // TestRNGStreamDerivationAdvancesParent pins the documented contract that
 // Stream draws from the parent: deriving streams in a different order yields
 // different streams, so a rep in a reused world must re-derive in

@@ -60,7 +60,7 @@ func runModel(t *testing.T, w Workload, model string) sim.Time {
 	default:
 		t.Fatalf("bad model %q", model)
 	}
-	doneTask := parmodel.Start(s, plan, cfg, w.Body())
+	doneTask := parmodel.Start(s, plan, parmodel.Compile(w.Body(), plan.Threads, cfg))
 	eng.RunWhile(func() bool { return !doneTask.Done() })
 	end := eng.Now()
 	s.Shutdown()
@@ -152,7 +152,7 @@ func TestSchedBenchModelImbalanceVisible(t *testing.T) {
 		cfg := parmodel.OpenMP()
 		cfg.Schedule = schedKind
 		cfg.Chunk = chunk
-		master := parmodel.Start(s, plan, cfg, spec.Body())
+		master := parmodel.Start(s, plan, parmodel.Compile(spec.Body(), plan.Threads, cfg))
 		eng.RunWhile(func() bool { return !master.Done() })
 		end := eng.Now()
 		s.Shutdown()
@@ -174,7 +174,7 @@ func BenchmarkNBodyModelSim(b *testing.B) {
 		topo := machine.MustPreset(machine.TinyTest)
 		s := cpusched.New(eng, topo, cpusched.Defaults())
 		plan := mitigate.MustApply(mitigate.TP, topo)
-		master := parmodel.Start(s, plan, parmodel.OpenMP(), w.Body())
+		master := parmodel.Start(s, plan, parmodel.Compile(w.Body(), plan.Threads, parmodel.OpenMP()))
 		eng.RunWhile(func() bool { return !master.Done() })
 		s.Shutdown()
 	}
