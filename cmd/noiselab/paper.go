@@ -133,7 +133,7 @@ var paperFigures = []paperFigure{
 
 func scaleFlags(name string) (*flag.FlagSet, *float64, *uint64) {
 	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	scale := fs.Float64("scale", 1.0, "multiply repetition counts (1.0 = CI scale; paper scale needs ~8-40x)")
+	scale := fs.Float64("scale", 1.0, "multiply repetition counts (1.0 = CLI depth, DefaultReps 150/25/25; paper scale needs ~8-40x)")
 	seed := fs.Uint64("seed", 20250706, "base seed")
 	return fs, scale, seed
 }

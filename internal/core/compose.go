@@ -75,52 +75,6 @@ func AmplifyConfig(c *Config, factor float64) (*Config, error) {
 	return out, out.Validate()
 }
 
-// ShiftConfig moves every event by delta (events shifted before time zero
-// are clamped to zero, preserving order). The window grows if needed.
-func ShiftConfig(c *Config, delta sim.Time) (*Config, error) {
-	if c == nil {
-		return nil, fmt.Errorf("core: ShiftConfig needs a config")
-	}
-	out := cloneConfig(c)
-	var maxEnd sim.Time
-	for i := range out.CPUs {
-		for j := range out.CPUs[i].Events {
-			e := &out.CPUs[i].Events[j]
-			e.Start += delta
-			if e.Start < 0 {
-				e.Start = 0
-			}
-			if e.End() > maxEnd {
-				maxEnd = e.End()
-			}
-		}
-		sortEventsByStart(out.CPUs[i].Events)
-	}
-	if maxEnd > out.Window {
-		out.Window = maxEnd
-	}
-	return out, out.Validate()
-}
-
-// FilterConfig keeps only events satisfying pred; empty CPU lists are
-// dropped.
-func FilterConfig(c *Config, pred func(cpu int, e NoiseEvent) bool) *Config {
-	out := cloneConfig(c)
-	out.CPUs = nil
-	for _, ce := range c.CPUs {
-		kept := CPUEvents{CPU: ce.CPU}
-		for _, e := range ce.Events {
-			if pred(ce.CPU, e) {
-				kept.Events = append(kept.Events, e)
-			}
-		}
-		if len(kept.Events) > 0 {
-			out.CPUs = append(out.CPUs, kept)
-		}
-	}
-	return out
-}
-
 func cloneConfig(c *Config) *Config {
 	out := *c
 	out.CPUs = make([]CPUEvents, len(c.CPUs))

@@ -76,51 +76,6 @@ func TestAmplifyConfig(t *testing.T) {
 	}
 }
 
-func TestShiftConfig(t *testing.T) {
-	a := mkCfg(sim.Second, 0, 0, 10*sim.Millisecond)
-	out, err := ShiftConfig(a, 5*sim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.CPUs[0].Events[0].Start != 5*sim.Millisecond {
-		t.Fatalf("shifted start = %v", out.CPUs[0].Events[0].Start)
-	}
-	// Negative shift clamps at zero and stays sorted/valid.
-	out2, err := ShiftConfig(a, -20*sim.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out2.CPUs[0].Events[0].Start != 0 {
-		t.Fatalf("clamped start = %v", out2.CPUs[0].Events[0].Start)
-	}
-	// Shift beyond the window grows it.
-	big, err := ShiftConfig(a, 2*sim.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.Window <= sim.Second {
-		t.Fatalf("window should grow: %v", big.Window)
-	}
-}
-
-func TestFilterConfig(t *testing.T) {
-	a := mkCfg(sim.Second, 0, 0, 10*sim.Millisecond)
-	a.CPUs = append(a.CPUs, CPUEvents{CPU: 1, Events: []NoiseEvent{{
-		Start: 0, Duration: 1, Policy: "SCHED_OTHER",
-		Class: cpusched.ClassThread, Source: "kw",
-	}}})
-	onlyThread := FilterConfig(a, func(cpu int, e NoiseEvent) bool {
-		return e.Class == cpusched.ClassThread
-	})
-	if len(onlyThread.CPUs) != 1 || onlyThread.CPUs[0].CPU != 1 {
-		t.Fatalf("filter: %+v", onlyThread.CPUs)
-	}
-	none := FilterConfig(a, func(int, NoiseEvent) bool { return false })
-	if len(none.CPUs) != 0 {
-		t.Fatal("empty filter should drop everything")
-	}
-}
-
 // TestAmplifiedConfigInjects verifies an amplified config actually changes
 // run behaviour proportionally (mini end-to-end of the composition path).
 func TestAmplifiedConfigInjects(t *testing.T) {

@@ -54,7 +54,6 @@ func (s *Scheduler) endIRQ(c *cpuState) {
 	class, source := c.irqClass, c.irqSource
 	c.inIRQ = false
 	s.irqCPUs = s.irqCPUs.Clear(c.id)
-	s.irqTime[c.id] += s.eng.Now() - start
 	if s.obs != nil {
 		s.obs.Span(c.id, source, class.String(), "irq", start, s.eng.Now())
 	}

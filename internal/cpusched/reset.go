@@ -83,9 +83,6 @@ func (s *Scheduler) Reset() {
 	for i := range s.kindTime {
 		s.kindTime[i] = [4]sim.Time{}
 	}
-	for i := range s.irqTime {
-		s.irqTime[i] = 0
-	}
 	// The kill cascade above emptied the stream group (memGroup) and
 	// cancelled its timer; a flush it deferred is dropped with the engine's
 	// BeforeAdvance hook by the engine reset that follows.

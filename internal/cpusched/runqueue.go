@@ -48,8 +48,8 @@ func (q *taskQueue) reset() {
 	q.h = q.h[:0]
 }
 
-// tasks exposes the heap array for order-independent scans (max-vruntime
-// on yield, balancer victim search). Callers must not assume any ordering
+// tasks exposes the heap array for order-independent scans (the
+// balancer's victim search). Callers must not assume any ordering
 // beyond the heap invariant and must not mutate the slice.
 func (q *taskQueue) tasks() []*Task { return q.h }
 

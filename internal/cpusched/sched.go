@@ -194,8 +194,6 @@ type Scheduler struct {
 	// attribution analyses (e.g. how much injected noise a housekeeping
 	// core absorbed). Indexed [cpu][kind].
 	kindTime [][4]sim.Time
-	// irqTime accumulates interrupt-context time per logical CPU.
-	irqTime []sim.Time
 
 	// ContextSwitches counts dispatches, for diagnostics.
 	ContextSwitches uint64
@@ -225,7 +223,6 @@ func New(eng *sim.Engine, topo *machine.Topology, opt Options) *Scheduler {
 		s.cpus[i] = c
 	}
 	s.kindTime = make([][4]sim.Time, n)
-	s.irqTime = make([]sim.Time, n)
 	return s
 }
 
@@ -236,23 +233,6 @@ func (s *Scheduler) CPUTimeOf(cpu int, kind Kind) sim.Time {
 		return 0
 	}
 	return s.kindTime[cpu][kind]
-}
-
-// KindTotal returns the machine-wide CPU time consumed by tasks of a kind.
-func (s *Scheduler) KindTotal(kind Kind) sim.Time {
-	var total sim.Time
-	for cpu := range s.kindTime {
-		total += s.CPUTimeOf(cpu, kind)
-	}
-	return total
-}
-
-// IRQTime returns the interrupt-context time accumulated on a CPU.
-func (s *Scheduler) IRQTime(cpu int) sim.Time {
-	if cpu < 0 || cpu >= len(s.irqTime) {
-		return 0
-	}
-	return s.irqTime[cpu]
 }
 
 // Engine returns the underlying simulation engine.
@@ -1174,26 +1154,6 @@ func (s *Scheduler) processRequests(t *Task) {
 				// the task is dispatched again.
 				return
 			}
-		case reqYield:
-			t.seg = segment{kind: segNone}
-			s.undispatch(t, StateRunnable)
-			// Push behind queued peers.
-			if t.policy == PolicyOther && c.fair.len() > 0 {
-				// Max scan over the heap array: order-independent, so heap
-				// layout cannot influence the result.
-				maxV := t.vruntime
-				for _, o := range c.fair.tasks() {
-					if o.vruntime > maxV {
-						maxV = o.vruntime
-					}
-				}
-				t.vruntime = maxV
-			}
-			s.seq++
-			t.enqueueSeq = s.seq
-			s.requeue(c, t)
-			s.resched(c)
-			return
 		case reqDone:
 			t.seg = segment{kind: segNone}
 			s.undispatch(t, StateDone)

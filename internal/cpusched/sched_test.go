@@ -487,30 +487,6 @@ func TestNoThrottleFIFOStarvesFair(t *testing.T) {
 	s.Shutdown()
 }
 
-func TestYieldAlternates(t *testing.T) {
-	s := newTiny(noBalance())
-	aff := machine.SetOf(0)
-	var order []string
-	mk := func(name string) *Task {
-		var steps script
-		for i := 0; i < 3; i++ {
-			steps = append(steps, func(*Task) Request {
-				order = append(order, name)
-				return ReqCompute(3e3) // 1us
-			}, func(*Task) Request { return ReqYield() })
-		}
-		return s.SpawnProgram(TaskSpec{Name: name, Affinity: aff}, &steps)
-	}
-	a := mk("a")
-	b := mk("b")
-	s.eng.RunWhile(func() bool { return !a.Done() || !b.Done() })
-	// Yield should interleave: not "aaa bbb".
-	if order[0] == order[1] && order[1] == order[2] {
-		t.Fatalf("yield did not interleave: %v", order)
-	}
-	s.Shutdown()
-}
-
 func TestSetPolicyDowngradePreempted(t *testing.T) {
 	s := newTiny(noBalance())
 	aff := machine.SetOf(0)

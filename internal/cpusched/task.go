@@ -49,7 +49,6 @@ const (
 	reqSleepFor // relative sleep, resolved to reqSleepUntil at fetch time
 	reqBarrier
 	reqSetPolicy
-	reqYield
 	reqBlockOn // block on a device request until its completion IRQ
 	reqDone
 )
@@ -109,11 +108,6 @@ func ReqBarrier(b *Barrier, spin bool) Request {
 // no simulated time.
 func ReqSetPolicy(p Policy, rtprio, nice int) Request {
 	return Request{request{kind: reqSetPolicy, policy: p, rtprio: rtprio, nice: nice}}
-}
-
-// ReqYield relinquishes the CPU, letting same-class peers run.
-func ReqYield() Request {
-	return Request{request{kind: reqYield}}
 }
 
 // ReqBlockOn blocks the task on a request of the given size to the device

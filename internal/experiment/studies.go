@@ -24,7 +24,9 @@ type RepCounts struct {
 	Inject int
 }
 
-// DefaultReps returns CI-scale rep counts.
+// DefaultReps returns the CLI depth: the rep counts the noiselab table
+// commands and report run at -scale 1. The go-test bench harness runs a
+// shallower 60/8/8.
 func DefaultReps() RepCounts { return RepCounts{Collect: 150, Baseline: 25, Inject: 25} }
 
 // Scale multiplies all rep counts by f (minimum 2 each).

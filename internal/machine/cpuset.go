@@ -179,31 +179,3 @@ func (s CPUSet) String() string {
 	}
 	return b.String()
 }
-
-// ParseCPUSet parses a Linux-style range list ("0-3,8") into a CPUSet.
-func ParseCPUSet(s string) (CPUSet, error) {
-	var out CPUSet
-	if s == "" || s == "none" {
-		return out, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		var lo, hi int
-		if strings.Contains(part, "-") {
-			if _, err := fmt.Sscanf(part, "%d-%d", &lo, &hi); err != nil {
-				return out, fmt.Errorf("machine: bad cpu range %q: %w", part, err)
-			}
-		} else {
-			if _, err := fmt.Sscanf(part, "%d", &lo); err != nil {
-				return out, fmt.Errorf("machine: bad cpu %q: %w", part, err)
-			}
-			hi = lo
-		}
-		if lo > hi || lo < 0 || hi >= MaxCPUs {
-			return out, fmt.Errorf("machine: bad cpu range %q", part)
-		}
-		for c := lo; c <= hi; c++ {
-			out = out.Set(c)
-		}
-	}
-	return out, nil
-}

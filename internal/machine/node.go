@@ -109,18 +109,6 @@ func (c *Cluster) Validate() error {
 	return nil
 }
 
-// NumNodes returns the node count.
-func (c *Cluster) NumNodes() int { return len(c.Nodes) }
-
-// TotalCPUs returns the logical CPU count summed over all nodes.
-func (c *Cluster) TotalCPUs() int {
-	total := 0
-	for _, n := range c.Nodes {
-		total += n.Topo.NumCPUs()
-	}
-	return total
-}
-
 // CPUBase returns the offset of node i's CPU block in the cluster-global
 // CPU numbering (node-local CPU c is global CPU CPUBase(i)+c). The blocks
 // are disjoint and ordered by node ID; observability lanes use them to

@@ -10,11 +10,12 @@ func TestUniformCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NumNodes() != 3 {
-		t.Fatalf("NumNodes = %d, want 3", c.NumNodes())
+	if len(c.Nodes) != 3 {
+		t.Fatalf("len(Nodes) = %d, want 3", len(c.Nodes))
 	}
-	if c.TotalCPUs() != 12 {
-		t.Fatalf("TotalCPUs = %d, want 12 (3 x 4-core tiny-test)", c.TotalCPUs())
+	// The base one past the last node is the cluster's CPU count.
+	if got := c.CPUBase(len(c.Nodes)); got != 12 {
+		t.Fatalf("total CPUs = %d, want 12 (3 x 4-core tiny-test)", got)
 	}
 	for i, n := range c.Nodes {
 		if n.ID != i {
@@ -54,8 +55,8 @@ func TestCPUBaseDisjointBlocks(t *testing.T) {
 			t.Fatalf("CPUBase(%d) = %d, want %d", i, got, w)
 		}
 	}
-	if c.TotalCPUs() != 16 {
-		t.Fatalf("TotalCPUs = %d, want 16", c.TotalCPUs())
+	if got := c.CPUBase(len(c.Nodes)); got != 16 {
+		t.Fatalf("total CPUs = %d, want 16", got)
 	}
 }
 

@@ -254,6 +254,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	s.met.reg.WritePrometheus(w)
 	s.Metrics().render(w)
 	// The kernel counters accumulated across job executions (repro_*
 	// families) follow the service families.

@@ -15,7 +15,7 @@ var latencyBounds = []float64{0.001, 0.01, 0.1, 0.5, 1, 5, 30, 120}
 // metrics aggregates service-level counters on an obs.Registry — the same
 // counter/gauge/histogram machinery the simulation kernel publishes through —
 // instead of the ad-hoc struct it used to carry. The registry is the source
-// of truth; Snapshot and the text render read the live values. Cache-tier
+// of truth; Snapshot and /metrics read the live values. Cache-tier
 // counters live in rescache and are merged into the rendered output.
 type metrics struct {
 	reg *obs.Registry
@@ -127,29 +127,15 @@ func (m *metrics) snapshot(queueDepth int, cache rescache.Stats) Snapshot {
 	return s
 }
 
-// render writes the snapshot in Prometheus text exposition format.
+// render writes, in Prometheus text exposition format, the values the
+// service registry does not hold: the queue depth, the cache tier's
+// counters and the latency quantiles. The registry's own families are
+// rendered by its WritePrometheus.
 func (s Snapshot) render(w io.Writer) {
 	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-	p("# HELP noiselabd_jobs_total Jobs by terminal state.\n")
-	p("# TYPE noiselabd_jobs_total counter\n")
-	p("noiselabd_jobs_total{state=\"done\"} %d\n", s.Done)
-	p("noiselabd_jobs_total{state=\"failed\"} %d\n", s.Failed)
-	p("noiselabd_jobs_total{state=\"canceled\"} %d\n", s.Canceled)
-	p("# TYPE noiselabd_jobs_submitted_total counter\n")
-	p("noiselabd_jobs_submitted_total %d\n", s.Submitted)
-	p("# TYPE noiselabd_jobs_rejected_total counter\n")
-	p("noiselabd_jobs_rejected_total %d\n", s.Rejected)
 	p("# HELP noiselabd_queue_depth Jobs waiting in the bounded queue.\n")
 	p("# TYPE noiselabd_queue_depth gauge\n")
 	p("noiselabd_queue_depth %d\n", s.QueueDepth)
-	p("# TYPE noiselabd_jobs_inflight gauge\n")
-	p("noiselabd_jobs_inflight %d\n", s.InFlight)
-	p("# HELP noiselabd_executions_total Engine executions (cache misses that ran).\n")
-	p("# TYPE noiselabd_executions_total counter\n")
-	p("noiselabd_executions_total %d\n", s.Executions)
-	p("# HELP noiselabd_cache_hits_total Jobs served without an engine execution.\n")
-	p("# TYPE noiselabd_cache_hits_total counter\n")
-	p("noiselabd_cache_hits_total %d\n", s.CacheHits)
 	p("# TYPE noiselabd_cache_hit_ratio gauge\n")
 	p("noiselabd_cache_hit_ratio %.6f\n", s.Cache.HitRatio())
 	p("noiselabd_cache_mem_hits_total %d\n", s.Cache.MemHits)

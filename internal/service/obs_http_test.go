@@ -8,9 +8,11 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -180,6 +182,60 @@ func TestMetricsJSONFormat(t *testing.T) {
 	}
 	if doc.Kernel.Counters["repro_runs_total"] != 2 {
 		t.Fatalf("kernel counters: %v", doc.Kernel.Counters)
+	}
+}
+
+// TestMetricsTextRendersServiceRegistry: the text /metrics carries every
+// family of the service registry that the JSON form carries, the job-latency
+// histogram's buckets included (the quantiles' HELP line points at them).
+func TestMetricsTextRendersServiceRegistry(t *testing.T) {
+	_, ts, w := newTestServer(t, Config{})
+	waitTerminal(t, ts, w, submit(t, ts, tinySpec(64, 2), http.StatusAccepted).ID)
+
+	get := func(path string) []byte {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	var doc struct {
+		Service struct {
+			Counters   map[string]uint64           `json:"counters"`
+			Gauges     map[string]int64            `json:"gauges"`
+			Histograms map[string]obs.HistSnapshot `json:"histograms"`
+		} `json:"service"`
+	}
+	if err := json.Unmarshal(get("/metrics?format=json"), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if h := doc.Service.Histograms["noiselabd_job_latency_hist_seconds"]; h.Count != 1 {
+		t.Fatalf("latency histogram count = %d, want 1", h.Count)
+	}
+	text := string(get("/metrics"))
+	var want []string
+	for name, v := range doc.Service.Counters {
+		want = append(want, fmt.Sprintf("\n%s %d\n", name, v))
+	}
+	for name, v := range doc.Service.Gauges {
+		want = append(want, fmt.Sprintf("\n%s %d\n", name, v))
+	}
+	for name, h := range doc.Service.Histograms {
+		want = append(want, fmt.Sprintf("\n%s_bucket{le=\"+Inf\"} %d\n", name, h.Count),
+			fmt.Sprintf("\n%s_count %d\n", name, h.Count))
+	}
+	for _, line := range want {
+		if !strings.Contains(text, line) {
+			t.Errorf("/metrics text missing %q", strings.TrimSpace(line))
+		}
+	}
+	if t.Failed() {
+		t.Logf("/metrics:\n%s", text)
 	}
 }
 

@@ -149,12 +149,6 @@ func TestTimeString(t *testing.T) {
 }
 
 func TestTimeConversions(t *testing.T) {
-	if FromSeconds(1.5) != 1500*Millisecond {
-		t.Fatal("FromSeconds broken")
-	}
-	if FromMicros(2.5) != 2500 {
-		t.Fatal("FromMicros broken")
-	}
 	if got := (250 * Millisecond).Seconds(); got != 0.25 {
 		t.Fatalf("Seconds() = %v", got)
 	}

@@ -75,25 +75,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform value in [0, n). It panics if n <= 0.
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("sim: Int63n with n <= 0")
-	}
-	return int64(r.Uint64() % uint64(n))
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // ExpFloat64 returns an exponentially distributed value with the given rate
 // (events per unit); mean is 1/rate.
 func (r *RNG) ExpFloat64(rate float64) float64 {
@@ -114,11 +95,6 @@ func (r *RNG) NormFloat64() float64 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
 	}
-}
-
-// Normal returns a normal value with the given mean and standard deviation.
-func (r *RNG) Normal(mean, sd float64) float64 {
-	return mean + sd*r.NormFloat64()
 }
 
 // LogNormal returns exp(N(mu, sigma)). For a target mean m and "spread" s

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -106,7 +105,7 @@ func TestNormalMoments(t *testing.T) {
 	const n = 50000
 	sum, sumsq := 0.0, 0.0
 	for i := 0; i < n; i++ {
-		v := r.Normal(10, 3)
+		v := 10 + 3*r.NormFloat64()
 		sum += v
 		sumsq += v * v
 	}
@@ -146,24 +145,6 @@ func TestParetoMinimum(t *testing.T) {
 		if v := r.Pareto(2.0, 1.5); v < 2.0 {
 			t.Fatalf("Pareto below xm: %v", v)
 		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := NewRNG(seed)
-		p := r.Perm(20)
-		seen := make([]bool, 20)
-		for _, v := range p {
-			if v < 0 || v >= 20 || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

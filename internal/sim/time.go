@@ -30,12 +30,6 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 // Micros returns t as floating-point microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// FromSeconds converts floating-point seconds to a Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
-
-// FromMicros converts floating-point microseconds to a Time.
-func FromMicros(us float64) Time { return Time(us * float64(Microsecond)) }
-
 // String formats the time with an adaptive unit, e.g. "1.234ms".
 func (t Time) String() string {
 	switch {

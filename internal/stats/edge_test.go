@@ -127,29 +127,8 @@ func TestBootstrapAndOutliersEdgeCases(t *testing.T) {
 	if lo != 4 || hi != 4 {
 		t.Errorf("BootstrapCI(all equal) = %v,%v, want 4,4", lo, hi)
 	}
-	if out := Outliers([]float64{1, 2, 3}, 1.5); out != nil {
-		t.Errorf("Outliers(n<4) = %v, want nil", out)
-	}
 	if n := UpperOutlierCount([]float64{5, 5, 5, 5}, 1.5); n != 0 {
 		t.Errorf("UpperOutlierCount(all equal) = %d", n)
-	}
-}
-
-func TestHistogramEdgeCases(t *testing.T) {
-	if counts, _, _ := Histogram(nil, 4); counts != nil {
-		t.Errorf("Histogram(empty) = %v", counts)
-	}
-	if counts, _, _ := Histogram([]float64{1, 2}, 0); counts != nil {
-		t.Errorf("Histogram(n=0) = %v", counts)
-	}
-	counts, min, width := Histogram([]float64{3, 3, 3}, 4)
-	if counts[0] != 3 || min != 3 || width != 0 {
-		t.Errorf("Histogram(all equal) = %v min=%v width=%v", counts, min, width)
-	}
-	// The maximum lands in the last bucket, not one past it.
-	counts, _, _ = Histogram([]float64{0, 1, 2, 3, 4}, 2)
-	if counts[0]+counts[1] != 5 || counts[1] < 1 {
-		t.Errorf("Histogram max placement: %v", counts)
 	}
 }
 

@@ -241,72 +241,9 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// MeanTimes returns the mean of simulated times.
-func MeanTimes(ts []sim.Time) sim.Time {
-	if len(ts) == 0 {
-		return 0
-	}
-	var sum sim.Time
-	for _, t := range ts {
-		sum += t
-	}
-	return sum / sim.Time(len(ts))
-}
-
-// Histogram bins xs into n equal-width buckets across [min, max] and
-// returns bucket counts plus the bucket width.
-func Histogram(xs []float64, n int) (counts []int, min, width float64) {
-	if len(xs) == 0 || n <= 0 {
-		return nil, 0, 0
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	counts = make([]int, n)
-	if hi == lo {
-		counts[0] = len(xs)
-		return counts, lo, 0
-	}
-	width = (hi - lo) / float64(n)
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b >= n {
-			b = n - 1
-		}
-		counts[b]++
-	}
-	return counts, lo, width
-}
-
-// Tukey fences: observations beyond Q3 + k*IQR (or below Q1 - k*IQR) are
-// outliers; the paper's worst-case hunting is exactly the search for the
-// upper ones. The conventional k is 1.5.
-
-// Outliers returns the indices of observations outside the Tukey fences.
-func Outliers(xs []float64, k float64) []int {
-	if len(xs) < 4 {
-		return nil
-	}
-	f := FiveNumOf(xs)
-	lo := f.Q1 - k*f.IQR()
-	hi := f.Q3 + k*f.IQR()
-	var out []int
-	for i, x := range xs {
-		if x < lo || x > hi {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// UpperOutlierCount counts observations above the upper Tukey fence — the
-// "significant outliers" the paper selects worst-case traces from.
+// UpperOutlierCount counts observations above the upper Tukey fence,
+// Q3 + k*IQR — the "significant outliers" the paper selects worst-case
+// traces from. The conventional k is 1.5.
 func UpperOutlierCount(xs []float64, k float64) int {
 	if len(xs) < 4 {
 		return 0

@@ -170,26 +170,3 @@ func WorstCase(traces []*Trace) (*Trace, int, error) {
 	}
 	return traces[best], best, nil
 }
-
-// BestCase returns the trace with the shortest execution time.
-func BestCase(traces []*Trace) (*Trace, int, error) {
-	if len(traces) == 0 {
-		return nil, -1, fmt.Errorf("trace: BestCase of empty trace set")
-	}
-	best := 0
-	for i, tr := range traces {
-		if tr.ExecTime < traces[best].ExecTime {
-			best = i
-		}
-	}
-	return traces[best], best, nil
-}
-
-// ExecTimes extracts the execution time series from a trace set.
-func ExecTimes(traces []*Trace) []sim.Time {
-	out := make([]sim.Time, len(traces))
-	for i, tr := range traces {
-		out[i] = tr.ExecTime
-	}
-	return out
-}

@@ -203,23 +203,8 @@ func TestWorstBestCase(t *testing.T) {
 	if err != nil || wi != 1 || w.ExecTime != 300 {
 		t.Fatalf("WorstCase = %v %d %v (tie must break to earliest)", w, wi, err)
 	}
-	b, bi, err := BestCase(traces)
-	if err != nil || bi != 0 || b.ExecTime != 100 {
-		t.Fatalf("BestCase = %v %d %v", b, bi, err)
-	}
 	if _, _, err := WorstCase(nil); err == nil {
 		t.Fatal("WorstCase(nil) should error")
-	}
-	if _, _, err := BestCase(nil); err == nil {
-		t.Fatal("BestCase(nil) should error")
-	}
-}
-
-func TestExecTimes(t *testing.T) {
-	traces := []*Trace{{ExecTime: 1}, {ExecTime: 2}}
-	got := ExecTimes(traces)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("ExecTimes = %v", got)
 	}
 }
 

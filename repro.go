@@ -190,8 +190,6 @@ type (
 	Recommendation = advisor.Recommendation
 	// MemoryNoiseSpec builds synthetic memory-interference configs (§7).
 	MemoryNoiseSpec = core.MemoryNoiseSpec
-	// IONoiseSpec builds synthetic I/O-interference storms (§7).
-	IONoiseSpec = core.IONoiseSpec
 )
 
 // Simulated datacenter: the multi-node layer behind `noiselab cluster`.
@@ -228,8 +226,8 @@ func RunCluster(spec ClusterSpec, seed uint64) (*ClusterRunResult, error) {
 // StragglerStudySpec returns the headline straggler-sensitivity scenario.
 func StragglerStudySpec() ClusterSpec { return cluster.StragglerStudySpec() }
 
-// DefaultReps returns CI-scale repetition counts (the paper uses
-// 1000/1000/200).
+// DefaultReps returns the CLI depth, the repetition counts noiselab runs at
+// -scale 1 (the paper uses 1000/1000/200).
 func DefaultReps() RepCounts { return experiment.DefaultReps() }
 
 // TracingOverheadExec measures Table 1 under e and ctx.
