@@ -269,46 +269,76 @@ func checkReps(reps int) error {
 }
 
 // Series executes reps runs of spec with index-derived seeds and returns
-// the execution times in rep order (and the traces, when spec.Tracing).
-// Output is bit-identical for every parallelism level.
+// the execution times in rep order and, when spec.Tracing, every rep's
+// trace in rep order. Output is bit-identical for every parallelism level.
+// Series keeps all the traces because its callers read them whole: service
+// jobs return them, the fleet merges them by rep, and fig3 and the goldens
+// encode them. Studies in this package that need only the times, or only a
+// profile and worst case, run seriesEach instead and keep none.
 func (e Executor) Series(ctx context.Context, spec Spec, reps int) ([]sim.Time, []*trace.Trace, error) {
-	if err := spec.validate(); err != nil {
-		return nil, nil, err
-	}
-	plan, err := mitigate.Apply(spec.Strategy, spec.Platform.Topo)
+	var traces []*trace.Trace
+	times, err := e.seriesEach(ctx, spec, reps, func(i int, tr *trace.Trace) bool {
+		if traces == nil {
+			traces = make([]*trace.Trace, reps)
+		}
+		traces[i] = tr
+		return true
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.series(ctx, spec, plan, reps)
+	return times, traces, nil
+}
+
+// seriesEach is Series that hands each traced rep's trace to each as the
+// rep finishes, instead of keeping it. Calls are serialized but not
+// index-ordered. each reports whether it kept a reference to the trace; a
+// trace it did not keep is overwritten by a later rep. each may be nil: the
+// traces are then dropped, which is what a traced baseline that reads only
+// its times wants (tracing costs simulated time, Table 1, so the baseline
+// must still be traced).
+func (e Executor) seriesEach(ctx context.Context, spec Spec, reps int, each func(i int, tr *trace.Trace) (kept bool)) ([]sim.Time, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	plan, err := mitigate.Apply(spec.Strategy, spec.Platform.Topo)
+	if err != nil {
+		return nil, err
+	}
+	return e.series(ctx, spec, plan, reps, each)
 }
 
 // seriesWithPlan is Series with an explicit execution plan, bypassing
-// strategy derivation (the thread-count sweeps). Traces are not returned.
+// strategy derivation (the thread-count sweeps). Traces are not kept.
 func (e Executor) seriesWithPlan(ctx context.Context, spec Spec, plan *mitigate.Plan, reps int) ([]sim.Time, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	times, _, err := e.series(ctx, spec, plan, reps)
-	return times, err
+	return e.series(ctx, spec, plan, reps, nil)
 }
 
-// series is the one rep loop behind Series and seriesWithPlan: it compiles
-// the runtime program once, then each rep draws a pristine world from the
-// executor's pool (building one on a miss), runs the shared program in it,
-// and returns the world to the pool for the next rep. Rep-to-world
-// assignment is arbitrary under parallelism — which is only sound because a
-// warm world is indistinguishable from a fresh one.
+// series is the one rep loop behind Series, seriesEach and seriesWithPlan:
+// it compiles the runtime program once, then each rep draws a pristine
+// world from the executor's pool (building one on a miss), runs the shared
+// program in it, and returns the world to the pool for the next rep.
+// Rep-to-world assignment is arbitrary under parallelism — which is only
+// sound because a warm world is indistinguishable from a fresh one. A
+// traced rep's trace goes to each (when non-nil) under a lock; the series
+// keeps no reference to it, and the world reuses its storage unless each
+// kept it.
 func (e Executor) series(ctx context.Context, spec Spec, plan *mitigate.Plan,
-	reps int) ([]sim.Time, []*trace.Trace, error) {
+	reps int, each func(i int, tr *trace.Trace) (kept bool)) ([]sim.Time, error) {
 	if err := checkReps(reps); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	times := make([]sim.Time, reps)
-	traces := make([]*trace.Trace, reps)
 	pool := e.withWorlds().Worlds
 	key := worldKeyFor(spec)
 	prog := spec.compile(plan)
-	var rec0 *obs.Recorder
+	var (
+		rec0   *obs.Recorder
+		eachMu sync.Mutex
+	)
 	err := e.run(ctx, reps, func(i int) (*obs.Recorder, error) {
 		s := spec
 		s.Seed = SeedAt(spec.Seed, i)
@@ -317,34 +347,31 @@ func (e Executor) series(ctx context.Context, spec Spec, plan *mitigate.Plan,
 		}
 		w := pool.get(key)
 		res, err := w.run(s, plan, prog)
-		pool.put(w)
 		if err != nil {
+			pool.put(w)
 			return res.Obs, err
 		}
 		if i == 0 {
 			rec0 = res.Obs
 		}
 		times[i] = res.ExecTime
-		traces[i] = res.Trace
+		kept := false
+		if each != nil && res.Trace != nil {
+			eachMu.Lock()
+			kept = each(i, res.Trace)
+			eachMu.Unlock()
+		}
+		if !kept {
+			w.dropTrace()
+		}
+		pool.put(w)
 		return nil, nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	e.deliverTimeline(rec0)
-	return times, compactTraces(traces), nil
-}
-
-// compactTraces drops nil entries (untraced runs) preserving rep order,
-// returning nil when no run was traced.
-func compactTraces(traces []*trace.Trace) []*trace.Trace {
-	var out []*trace.Trace
-	for _, tr := range traces {
-		if tr != nil {
-			out = append(out, tr)
-		}
-	}
-	return out
+	return times, nil
 }
 
 // cellTracker counts completed study cells and forwards them to OnCell.

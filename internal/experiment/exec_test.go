@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mitigate"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 func TestSeedAtMatchesHistoricalStride(t *testing.T) {
@@ -117,6 +118,59 @@ func TestSeriesParallelDeterminism(t *testing.T) {
 	for i := range seqTr {
 		if !reflect.DeepEqual(seqTr[i], parTr[i]) {
 			t.Fatalf("trace %d differs between parallelism 1 and 8", i)
+		}
+	}
+}
+
+// TestSeriesEachFoldsAndDrops: a series that drops its traces, or folds
+// them and keeps only the worst, reuses each world's trace buffer for the
+// reps whose trace it did not keep. Times, the folded profile and the held
+// worst trace must equal what a series keeping every trace gives, and a
+// later keeping series in the same pool must still get intact traces.
+func TestSeriesEachFoldsAndDrops(t *testing.T) {
+	ctx := context.Background()
+	spec := Spec{
+		Platform: tinyPlatform(t), Workload: tinyWorkload(t, "nbody"),
+		Model: "omp", Strategy: mitigate.Rm, Seed: 99, Tracing: true,
+	}
+	const reps = 12
+	wantT, wantTr, err := (Executor{Parallelism: 1}).Series(ctx, spec, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantWorst, wantIdx, err := trace.WorstCase(wantTr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 8} {
+		e := Executor{Parallelism: par}.withWorlds()
+		for pass := 0; pass < 2; pass++ {
+			dropped, err := e.seriesEach(ctx, spec, reps, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var f trace.Fold
+			folded, err := e.seriesEach(ctx, spec, reps, func(i int, tr *trace.Trace) bool { return f.Add(i, tr) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(dropped, wantT) || !reflect.DeepEqual(folded, wantT) {
+				t.Fatalf("par %d pass %d: times differ from a keeping series", par, pass)
+			}
+			worst, idx, err := f.Worst()
+			if err != nil || idx != wantIdx || !reflect.DeepEqual(worst, wantWorst) {
+				t.Fatalf("par %d pass %d: held worst %d differs from the kept traces' worst %d", par, pass, idx, wantIdx)
+			}
+			if !reflect.DeepEqual(f.Profile(), trace.BuildProfile(wantTr)) {
+				t.Fatalf("par %d pass %d: folded profile differs", par, pass)
+			}
+		}
+		_, kept, err := e.Series(ctx, spec, reps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(kept, wantTr) {
+			t.Fatalf("par %d: traces kept after reused buffers differ", par)
 		}
 	}
 }

@@ -1,7 +1,11 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -117,44 +122,95 @@ func TestRunSeriesVaries(t *testing.T) {
 	}
 }
 
+// TestPipelineProducesConfig runs the same hunt as a direct Pipeline,
+// which folds each trace as its rep finishes and keeps none, and through
+// BuildConfigExec, which keeps them all. Both must give byte-equal
+// artifacts at every parallelism, and the folded profile must equal the
+// batch profile of the kept traces.
 func TestPipelineProducesConfig(t *testing.T) {
+	ctx := context.Background()
 	p := tinyPlatform(t)
-	pl := Pipeline{
-		Spec: Spec{
-			Platform: p, Workload: tinyWorkload(t, "nbody"),
-			Model: "omp", Strategy: mitigate.Rm, Seed: 7,
-		},
-		CollectRuns: 12,
-		Improved:    true,
-	}
-	pr, err := pl.RunContext(context.Background())
+	w, err := p.WorkloadSpec("nbody")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pr.Traces) != 12 {
-		t.Fatalf("collected %d traces", len(pr.Traces))
-	}
-	if pr.Worst.ExecTime < pr.Traces[0].ExecTime && pr.WorstIndex == 0 {
-		t.Fatal("worst-case selection broken")
-	}
-	for _, tr := range pr.Traces {
-		if tr.ExecTime > pr.Worst.ExecTime {
-			t.Fatal("worst is not the maximum")
+	src := ConfigSource{Model: "omp", Strategy: mitigate.Rm, ID: 1}
+	const runs, seed = 12, 7
+	var first []byte
+	for _, par := range []int{1, 8} {
+		exec := Executor{Parallelism: par}
+		direct, err := Pipeline{
+			Spec: Spec{
+				Platform: p, Workload: w, Model: src.Model, Strategy: src.Strategy,
+				Seed: SeedFor(seed, "collect", "nbody", src.Model, src.Strategy.Name(), "1"),
+			},
+			CollectRuns: runs,
+			Improved:    true,
+			Exec:        exec,
+		}.RunContext(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, kept, err := BuildConfigExec(ctx, exec, p, "nbody", src, runs, true, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if direct.Traces != nil {
+			t.Fatalf("par %d: a direct pipeline kept %d traces", par, len(direct.Traces))
+		}
+		if len(kept.Traces) != runs || cfg != kept.Config {
+			t.Fatalf("par %d: BuildConfigExec kept %d traces, want %d", par, len(kept.Traces), runs)
+		}
+		d, k := pipelineArtifacts(t, direct), pipelineArtifacts(t, kept)
+		if !bytes.Equal(d, k) {
+			t.Fatalf("par %d: direct pipeline artifacts\n%s\ndiffer from BuildConfigExec's\n%s", par, d, k)
+		}
+		if first == nil {
+			first = d
+		} else if !bytes.Equal(d, first) {
+			t.Fatalf("par %d artifacts differ from par 1", par)
+		}
+		if !reflect.DeepEqual(direct.Profile, trace.BuildProfile(kept.Traces)) {
+			t.Fatalf("par %d: folded profile differs from the kept traces' profile", par)
+		}
+		if kept.Traces[kept.WorstIndex] != kept.Worst {
+			t.Fatalf("par %d: Worst is not Traces[WorstIndex]", par)
+		}
+		for i, tr := range kept.Traces {
+			if tr.ExecTime > kept.Worst.ExecTime || (tr.ExecTime == kept.Worst.ExecTime && i < kept.WorstIndex) {
+				t.Fatalf("par %d: trace %d beats the worst case %d", par, i, kept.WorstIndex)
+			}
+		}
+		// Refinement never adds noise.
+		if direct.Refined.TotalNoise() > direct.Worst.TotalNoise() {
+			t.Fatal("refined trace has more noise than worst case")
+		}
+		if err := direct.Config.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if direct.Config.Window != direct.Worst.ExecTime {
+			t.Fatal("config window should be the worst-case exec time")
+		}
+		if direct.BaselineMean <= 0 {
+			t.Fatal("baseline mean missing")
 		}
 	}
-	// Refinement never adds noise.
-	if pr.Refined.TotalNoise() > pr.Worst.TotalNoise() {
-		t.Fatal("refined trace has more noise than worst case")
-	}
-	if err := pr.Config.Validate(); err != nil {
+}
+
+// pipelineArtifacts encodes the results a hunt's callers read.
+func pipelineArtifacts(t *testing.T, pr *PipelineResult) []byte {
+	t.Helper()
+	b, err := json.Marshal(struct {
+		Config        *core.Config
+		Worst         *trace.Trace
+		WorstIndex    int
+		BaselineMean  uint64
+		UpperOutliers int
+	}{pr.Config, pr.Worst, pr.WorstIndex, math.Float64bits(pr.BaselineMean), pr.UpperOutliers})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.Config.Window != pr.Worst.ExecTime {
-		t.Fatal("config window should be the worst-case exec time")
-	}
-	if pr.BaselineMean <= 0 {
-		t.Fatal("baseline mean missing")
-	}
+	return b
 }
 
 func TestPipelineRejectsTooFewRuns(t *testing.T) {

@@ -27,7 +27,12 @@ type Pipeline struct {
 
 // PipelineResult carries every artifact of a pipeline run.
 type PipelineResult struct {
-	// Traces are all collected traces.
+	// Traces are the collected traces in rep order, kept only by
+	// BuildConfigExec, for callers that read them (gen-config's summary,
+	// the examples, and perfbench, which re-times the profile stage on
+	// them). Pipeline.RunContext and the studies fold each trace into
+	// Profile and Worst as its rep finishes and leave Traces nil, so a
+	// hunt holds one trace, not CollectRuns of them.
 	Traces []*trace.Trace
 	// Profile is the average inherent-noise profile.
 	Profile *trace.Profile
@@ -47,8 +52,16 @@ type PipelineResult struct {
 
 // RunContext executes collection, averaging, worst-case selection,
 // refinement and config generation under ctx; the collection stage fans its
-// traced runs over the executor's worker pool.
+// traced runs over the executor's worker pool and folds each trace into
+// the profile and the running worst case as its rep finishes, keeping
+// none of the others.
 func (p Pipeline) RunContext(ctx context.Context) (*PipelineResult, error) {
+	return p.run(ctx, false)
+}
+
+// run is RunContext that, when keep is set, also returns every collected
+// trace in PipelineResult.Traces.
+func (p Pipeline) run(ctx context.Context, keep bool) (*PipelineResult, error) {
 	if p.CollectRuns <= 1 {
 		return nil, fmt.Errorf("experiment: pipeline needs at least 2 collection runs")
 	}
@@ -56,23 +69,36 @@ func (p Pipeline) RunContext(ctx context.Context) (*PipelineResult, error) {
 	spec := p.Spec
 	spec.Tracing = true
 	spec.Inject = nil
-	_, traces, err := p.Exec.Series(ctx, spec, p.CollectRuns)
+	var (
+		fold trace.Fold
+		kept []*trace.Trace
+	)
+	if keep {
+		kept = make([]*trace.Trace, p.CollectRuns)
+	}
+	times, err := p.Exec.seriesEach(ctx, spec, p.CollectRuns, func(i int, tr *trace.Trace) bool {
+		held := fold.Add(i, tr)
+		if keep {
+			kept[i] = tr
+		}
+		return held || keep
+	})
 	if err != nil {
 		return nil, err
 	}
-	profile := trace.BuildProfile(traces)
-	worst, wi, err := trace.WorstCase(traces)
+	profile := fold.Profile()
+	worst, wi, err := fold.Worst()
 	if err != nil {
 		return nil, err
 	}
 	refined := core.Refine(worst, profile)
 	cfg := core.Generate(refined, p.Improved)
-	execMs := make([]float64, len(traces))
-	for i, tr := range traces {
-		execMs[i] = tr.ExecTime.Millis()
+	execMs := make([]float64, len(times))
+	for i, t := range times {
+		execMs[i] = t.Millis()
 	}
 	return &PipelineResult{
-		Traces:        traces,
+		Traces:        kept,
 		Profile:       profile,
 		Worst:         worst,
 		WorstIndex:    wi,

@@ -67,13 +67,13 @@ func (st RunlevelStudy) RunContext(ctx context.Context) ([]RunlevelRow, error) {
 				Strategy: strat, Tracing: true,
 				Seed: SeedFor(st.Seed, "runlevel", wname, strat.Name()),
 			}
-			rl5, _, err := st.Exec.Series(ctx, spec, st.Reps)
+			rl5, err := st.Exec.seriesEach(ctx, spec, st.Reps, nil)
 			if err != nil {
 				return nil, fmt.Errorf("runlevel5 %s/%s: %w", wname, strat.Name(), err)
 			}
 			prog.finish("runlevel5 " + wname + " " + strat.Name())
 			spec.Runlevel3 = true
-			rl3, _, err := st.Exec.Series(ctx, spec, st.Reps)
+			rl3, err := st.Exec.seriesEach(ctx, spec, st.Reps, nil)
 			if err != nil {
 				return nil, fmt.Errorf("runlevel3 %s/%s: %w", wname, strat.Name(), err)
 			}

@@ -123,7 +123,7 @@ func (b BaselineStudy) RunContext(ctx context.Context) (*BaselineResult, error) 
 				Seed:     SeedFor(b.Seed, "baseline", b.Workload, model, strat.Name()),
 				Tracing:  true,
 			}
-			times, _, err := b.Exec.Series(ctx, spec, b.Reps)
+			times, err := b.Exec.seriesEach(ctx, spec, b.Reps, nil)
 			if err != nil {
 				return nil, fmt.Errorf("baseline %s/%s/%s: %w", b.Workload, model, strat.Name(), err)
 			}
@@ -163,9 +163,21 @@ func (c ConfigSource) Label() string {
 }
 
 // BuildConfigExec hunts a worst case for the given source configuration
-// under e and ctx, and generates its injection config.
+// under e and ctx, and generates its injection config. It keeps every
+// collected trace in PipelineResult.Traces for its callers outside this
+// package that read them: gen-config's summary, the examples, and
+// perfbench, which pins this entry point because it re-times the profile
+// stage on those traces. The studies hunt through huntConfig, which keeps
+// none.
 func BuildConfigExec(ctx context.Context, e Executor, p *platform.Platform, workload string,
 	src ConfigSource, collectRuns int, improved bool, seed uint64) (*core.Config, *PipelineResult, error) {
+	return huntConfig(ctx, e, p, workload, src, collectRuns, improved, seed, true)
+}
+
+// huntConfig is BuildConfigExec that keeps the collected traces only when
+// keep is set; otherwise the hunt holds one trace at a time.
+func huntConfig(ctx context.Context, e Executor, p *platform.Platform, workload string,
+	src ConfigSource, collectRuns int, improved bool, seed uint64, keep bool) (*core.Config, *PipelineResult, error) {
 	w, err := p.WorkloadSpec(workload)
 	if err != nil {
 		return nil, nil, err
@@ -182,7 +194,7 @@ func BuildConfigExec(ctx context.Context, e Executor, p *platform.Platform, work
 		Improved:    improved,
 		Exec:        e,
 	}
-	pr, err := pl.RunContext(ctx)
+	pr, err := pl.run(ctx, keep)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -286,9 +298,9 @@ func (st InjectionStudy) RunContext(ctx context.Context) (*InjectionResult, erro
 		// from OpenMP roaming runs).
 		var cfgs []*core.Config
 		for id := 1; id <= nCfg; id++ {
-			cfg, pr, err := BuildConfigExec(ctx, st.Exec, p, st.Workload,
+			cfg, pr, err := huntConfig(ctx, st.Exec, p, st.Workload,
 				ConfigSource{Model: "omp", Strategy: mitigate.Rm, ID: id},
-				st.Reps.Collect, st.Improved, st.Seed)
+				st.Reps.Collect, st.Improved, st.Seed, false)
 			if err != nil {
 				return nil, err
 			}
@@ -352,7 +364,7 @@ func (st InjectionStudy) injectRow(ctx context.Context, prog *cellTracker, p *pl
 		key := Key(model, strat)
 		base, ok := baseMs[key]
 		if !ok {
-			baseTimes, _, err := st.Exec.Series(ctx, baseSpec, st.Reps.Baseline)
+			baseTimes, err := st.Exec.seriesEach(ctx, baseSpec, st.Reps.Baseline, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -412,7 +424,7 @@ func TracingOverheadExec(ctx context.Context, e Executor, p *platform.Platform,
 		}
 		prog.finish("overhead " + name + " tracing-off")
 		spec.Tracing = true
-		on, _, err := e.Series(ctx, spec, reps)
+		on, err := e.seriesEach(ctx, spec, reps, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -515,7 +527,7 @@ func (st AccuracyStudy) RunContext(ctx context.Context) ([]AccuracyEntry, error)
 }
 
 func (st AccuracyStudy) runCase(ctx context.Context, p *platform.Platform, c AccuracyCase) (*AccuracyEntry, error) {
-	cfg, pr, err := BuildConfigExec(ctx, st.Exec, p, c.Workload, c.Source, st.Reps.Collect, st.Improved, st.Seed)
+	cfg, pr, err := huntConfig(ctx, st.Exec, p, c.Workload, c.Source, st.Reps.Collect, st.Improved, st.Seed, false)
 	if err != nil {
 		return nil, err
 	}

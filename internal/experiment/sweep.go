@@ -59,9 +59,9 @@ func (sw IntensitySweep) RunContext(ctx context.Context) ([]IntensityPoint, erro
 		return nil, err
 	}
 	prog := sw.Exec.cells(1 + len(sw.Strategies) + len(sw.Factors)*len(sw.Strategies))
-	cfg, _, err := BuildConfigExec(ctx, sw.Exec, sw.Platform, sw.Workload,
+	cfg, _, err := huntConfig(ctx, sw.Exec, sw.Platform, sw.Workload,
 		ConfigSource{Model: sw.Model, Strategy: mitigate.Rm, ID: 1},
-		sw.Reps.Collect, true, sw.Seed)
+		sw.Reps.Collect, true, sw.Seed, false)
 	if err != nil {
 		return nil, err
 	}
@@ -70,10 +70,10 @@ func (sw IntensitySweep) RunContext(ctx context.Context) ([]IntensityPoint, erro
 	// Per-strategy baselines.
 	baselines := map[string]float64{}
 	for _, strat := range sw.Strategies {
-		times, _, err := sw.Exec.Series(ctx, Spec{
+		times, err := sw.Exec.seriesEach(ctx, Spec{
 			Platform: sw.Platform, Workload: w, Model: sw.Model, Strategy: strat,
 			Seed: SeedFor(sw.Seed, "sweepbase", strat.Name()), Tracing: true,
-		}, sw.Reps.Baseline)
+		}, sw.Reps.Baseline, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -116,9 +116,9 @@ type world struct {
 	key   worldKey
 	eng   *sim.Engine
 	sched *cpusched.Scheduler
-	// tracer is lazily created on the first traced rep and reused (reset
-	// detaches its buffer, which the rep's result owns, and re-arms it
-	// right-sized).
+	// tracer is lazily created on the first traced rep and reused: reset
+	// detaches a kept trace's buffer, which the rep's result owns, and
+	// re-arms it right-sized; dropTrace rewinds a discarded one in place.
 	tracer      *trace.Tracer
 	dirtyTracer bool
 	reused      bool // a rep already ran here
@@ -158,6 +158,18 @@ func (w *world) reset() {
 	w.sched.Reset()
 	w.eng.Reset()
 	w.reused = true
+}
+
+// dropTrace discards the last rep's trace, which nobody kept: the tracer
+// rewinds its buffer in place, so the next traced rep in this world
+// allocates no event storage. Without it every traced rep would allocate a
+// fresh buffer, and a series that keeps no traces would run the garbage
+// collector (and its write barriers) every few reps.
+func (w *world) dropTrace() {
+	if w.dirtyTracer {
+		w.tracer.Rewind()
+		w.dirtyTracer = false
+	}
 }
 
 // body is the rep itself, between world construction and shutdown.

@@ -133,18 +133,23 @@ func (m *metrics) snapshot(queueDepth int, cache rescache.Stats) Snapshot {
 // rendered by its WritePrometheus.
 func (s Snapshot) render(w io.Writer) {
 	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-	p("# HELP noiselabd_queue_depth Jobs waiting in the bounded queue.\n")
-	p("# TYPE noiselabd_queue_depth gauge\n")
-	p("noiselabd_queue_depth %d\n", s.QueueDepth)
-	p("# TYPE noiselabd_cache_hit_ratio gauge\n")
-	p("noiselabd_cache_hit_ratio %.6f\n", s.Cache.HitRatio())
-	p("noiselabd_cache_mem_hits_total %d\n", s.Cache.MemHits)
-	p("noiselabd_cache_disk_hits_total %d\n", s.Cache.DiskHits)
-	p("noiselabd_cache_flight_hits_total %d\n", s.Cache.FlightHits)
-	p("noiselabd_cache_misses_total %d\n", s.Cache.Misses)
-	p("noiselabd_cache_corrupt_total %d\n", s.Cache.Corrupt)
-	p("noiselabd_cache_evictions_total %d\n", s.Cache.Evictions)
-	p("noiselabd_cache_mem_entries %d\n", s.Cache.MemEntries)
+	// family writes a one-sample family with its HELP and TYPE lines.
+	family := func(name, typ, help string, value any) {
+		p("# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, typ, name, value)
+	}
+	c := s.Cache
+	family("noiselabd_queue_depth", "gauge", "Jobs waiting in the bounded queue.", s.QueueDepth)
+	family("noiselabd_cache_hit_ratio", "gauge",
+		"Result-cache lookups served from memory, disk or an in-flight computation, over all lookups.",
+		fmt.Sprintf("%.6f", c.HitRatio()))
+	family("noiselabd_cache_mem_hits_total", "counter", "Result-cache lookups served from the memory tier.", c.MemHits)
+	family("noiselabd_cache_disk_hits_total", "counter", "Result-cache lookups served from the disk tier.", c.DiskHits)
+	family("noiselabd_cache_flight_hits_total", "counter",
+		"Result-cache lookups deduplicated onto another caller's in-flight computation.", c.FlightHits)
+	family("noiselabd_cache_misses_total", "counter", "Result-cache lookups that found no valid entry.", c.Misses)
+	family("noiselabd_cache_corrupt_total", "counter", "On-disk cache entries rejected by checksum verification.", c.Corrupt)
+	family("noiselabd_cache_evictions_total", "counter", "Evictions from the cache's memory tier.", c.Evictions)
+	family("noiselabd_cache_mem_entries", "gauge", "Entries in the cache's memory tier.", c.MemEntries)
 	p("# HELP noiselabd_job_latency_seconds Job wall latency quantiles, interpolated within noiselabd_job_latency_hist_seconds buckets.\n")
 	p("# TYPE noiselabd_job_latency_seconds summary\n")
 	p("noiselabd_job_latency_seconds{quantile=\"0.5\"} %.9f\n", s.LatencyP50)

@@ -119,24 +119,11 @@ type Profile struct {
 // the inherent system noise baseline that the refinement step subtracts
 // from the worst-case trace.
 func BuildProfile(traces []*Trace) *Profile {
-	p := &Profile{Sources: make(map[SourceKey]SourceStats), Traces: len(traces)}
-	var execSum sim.Time
+	var f Fold
 	for _, tr := range traces {
-		execSum += tr.ExecTime
-		for _, e := range tr.Events {
-			k := SourceKey{Class: e.Class, Source: e.Source}
-			s := p.Sources[k]
-			s.Key = k
-			s.Count++
-			s.TotalDur += e.Duration
-			s.Traces = len(traces)
-			p.Sources[k] = s
-		}
+		f.addProfile(tr)
 	}
-	if len(traces) > 0 {
-		p.MeanExec = execSum / sim.Time(len(traces))
-	}
-	return p
+	return f.Profile()
 }
 
 // SortedSources returns the profile's sources in deterministic order
@@ -159,14 +146,82 @@ func (p *Profile) SortedSources() []SourceStats {
 // and an error when traces is empty. Ties break to the earliest trace, which
 // keeps trace selection deterministic.
 func WorstCase(traces []*Trace) (*Trace, int, error) {
-	if len(traces) == 0 {
+	var f Fold
+	for i, tr := range traces {
+		f.addWorst(i, tr)
+	}
+	return f.Worst()
+}
+
+// Fold aggregates traces one at a time into the profile BuildProfile
+// builds and the worst case WorstCase picks, so a caller that wants only
+// those two need not keep the traces. Both fold exactly in any order: the
+// profile is integer counts and sums per source, and the worst case is the
+// largest ExecTime with ties to the lowest index. The zero value is an
+// empty fold; a Fold is not safe for concurrent use.
+type Fold struct {
+	sources  map[SourceKey]SourceStats
+	traces   int
+	execSum  sim.Time
+	worst    *Trace
+	worstIdx int
+}
+
+// Add folds tr, the trace at index i of the set, into f. It reports
+// whether f now holds tr as its worst case; a trace it does not hold may
+// be discarded or overwritten once Add returns.
+func (f *Fold) Add(i int, tr *Trace) (held bool) {
+	f.addProfile(tr)
+	return f.addWorst(i, tr)
+}
+
+// addProfile adds tr's execution time and events to the per-source sums.
+func (f *Fold) addProfile(tr *Trace) {
+	if f.sources == nil {
+		f.sources = make(map[SourceKey]SourceStats)
+	}
+	f.traces++
+	f.execSum += tr.ExecTime
+	for _, e := range tr.Events {
+		k := SourceKey{Class: e.Class, Source: e.Source}
+		s := f.sources[k]
+		s.Key = k
+		s.Count++
+		s.TotalDur += e.Duration
+		f.sources[k] = s
+	}
+}
+
+// addWorst keeps tr as the worst case when it ran longer than the one held,
+// or as long at a lower index, and reports whether it did.
+func (f *Fold) addWorst(i int, tr *Trace) bool {
+	if f.worst == nil || tr.ExecTime > f.worst.ExecTime ||
+		(tr.ExecTime == f.worst.ExecTime && i < f.worstIdx) {
+		f.worst, f.worstIdx = tr, i
+		return true
+	}
+	return false
+}
+
+// Profile returns the profile of the traces added so far. It is a copy:
+// later adds do not change it.
+func (f *Fold) Profile() *Profile {
+	p := &Profile{Sources: make(map[SourceKey]SourceStats, len(f.sources)), Traces: f.traces}
+	for k, s := range f.sources {
+		s.Traces = f.traces
+		p.Sources[k] = s
+	}
+	if f.traces > 0 {
+		p.MeanExec = f.execSum / sim.Time(f.traces)
+	}
+	return p
+}
+
+// Worst returns the worst trace added so far and its index, and an error
+// when none was added.
+func (f *Fold) Worst() (*Trace, int, error) {
+	if f.worst == nil {
 		return nil, -1, fmt.Errorf("trace: WorstCase of empty trace set")
 	}
-	best := 0
-	for i, tr := range traces {
-		if tr.ExecTime > traces[best].ExecTime {
-			best = i
-		}
-	}
-	return traces[best], best, nil
+	return f.worst, f.worstIdx, nil
 }

@@ -91,3 +91,9 @@ func (tr *Tracer) Detach() *Trace {
 	tr.trace = &Trace{Events: make([]Event, 0, cap(t.Events))}
 	return t
 }
+
+// Rewind empties the recorded trace in place, keeping its storage, after a
+// run whose trace nobody kept: the next run appends into the same buffer
+// and allocates none. It overwrites the trace Finish returned, so call it
+// only when no one holds that trace; otherwise call Detach.
+func (tr *Tracer) Rewind() { tr.trace.Events = tr.trace.Events[:0] }

@@ -131,7 +131,8 @@ func RunOnce(spec Spec) (Result, error) { return experiment.RunOnce(spec) }
 // BuildConfigExec runs injector stages 1+2 under e and ctx: collect traces
 // under the source configuration, select the worst case, subtract the
 // average noise, and generate the injection config (improved or original
-// merge).
+// merge). The result keeps every collected trace in its Traces field; a
+// Pipeline run directly folds them as reps finish and keeps none.
 func BuildConfigExec(ctx context.Context, e Executor, p *Platform, workload string,
 	src ConfigSource, collectRuns int, improved bool, seed uint64) (*Config, *PipelineResult, error) {
 	return experiment.BuildConfigExec(ctx, e, p, workload, src, collectRuns, improved, seed)
