@@ -252,7 +252,7 @@ func cmdBaseline(args []string) error {
 	if err := c.applyDeadline(&spec); err != nil {
 		return err
 	}
-	times, _, err := newExec().Series(context.Background(), spec, *reps)
+	times, err := newExec().SeriesTimes(context.Background(), spec, *reps)
 	if err != nil {
 		return err
 	}
@@ -340,7 +340,7 @@ func cmdInject(args []string) error {
 	if err := c.applyDeadline(&spec); err != nil {
 		return err
 	}
-	times, _, err := newExec().Series(context.Background(), spec, *reps)
+	times, err := newExec().SeriesTimes(context.Background(), spec, *reps)
 	if err != nil {
 		return err
 	}

@@ -55,14 +55,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		bt, _, err := exec.Series(ctx, repro.Spec{
+		bt, err := exec.SeriesTimes(ctx, repro.Spec{
 			Platform: p, Workload: w, Model: "omp", Strategy: strat,
 			Seed: seed + 100, Tracing: true,
 		}, reps)
 		if err != nil {
 			log.Fatal(err)
 		}
-		it, _, err := exec.Series(ctx, repro.Spec{
+		it, err := exec.SeriesTimes(ctx, repro.Spec{
 			Platform: p, Workload: w, Model: "omp", Strategy: strat,
 			Seed: seed + 200, Inject: cfg,
 		}, reps)

@@ -45,14 +45,14 @@ func main() {
 	fmt.Printf("%-5s %-6s %12s %12s %9s\n", "model", "strat", "baseline(s)", "injected(s)", "change")
 	for _, model := range []string{"omp", "sycl"} {
 		for _, strat := range repro.Strategies() {
-			bt, _, err := exec.Series(ctx, repro.Spec{
+			bt, err := exec.SeriesTimes(ctx, repro.Spec{
 				Platform: p, Workload: w, Model: model, Strategy: strat,
 				Seed: seed + 100, Tracing: true,
 			}, reps)
 			if err != nil {
 				log.Fatal(err)
 			}
-			it, _, err := exec.Series(ctx, repro.Spec{
+			it, err := exec.SeriesTimes(ctx, repro.Spec{
 				Platform: p, Workload: w, Model: model, Strategy: strat,
 				Seed: seed + 200, Inject: cfg,
 			}, reps)

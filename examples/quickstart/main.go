@@ -54,7 +54,7 @@ func main() {
 	exec := repro.Executor{}
 
 	// Stage 0: baseline variability.
-	baseTimes, _, err := exec.Series(ctx, repro.Spec{
+	baseTimes, err := exec.SeriesTimes(ctx, repro.Spec{
 		Platform: p, Workload: w, Model: "omp", Strategy: repro.Rm,
 		Seed: seed, Tracing: true,
 	}, reps)
@@ -80,14 +80,14 @@ func main() {
 
 	// Stage 3: replay the worst case while the workload runs.
 	for _, strat := range []repro.Strategy{repro.Rm, repro.RmHK, repro.RmHK2} {
-		injTimes, _, err := exec.Series(ctx, repro.Spec{
+		injTimes, err := exec.SeriesTimes(ctx, repro.Spec{
 			Platform: p, Workload: w, Model: "omp", Strategy: strat,
 			Seed: seed + 1000, Inject: cfg,
 		}, reps)
 		if err != nil {
 			log.Fatal(err)
 		}
-		bt, _, err := exec.Series(ctx, repro.Spec{
+		bt, err := exec.SeriesTimes(ctx, repro.Spec{
 			Platform: p, Workload: w, Model: "omp", Strategy: strat,
 			Seed: seed + 2000, Tracing: true,
 		}, reps)
@@ -100,7 +100,7 @@ func main() {
 	}
 
 	// Replication accuracy (Table-7 metric).
-	injTimes, _, err := exec.Series(ctx, repro.Spec{
+	injTimes, err := exec.SeriesTimes(ctx, repro.Spec{
 		Platform: p, Workload: w, Model: "omp", Strategy: repro.Rm,
 		Seed: seed + 3000, Inject: cfg,
 	}, reps)

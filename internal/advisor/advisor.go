@@ -128,7 +128,7 @@ func (a Advisor) RecommendContext(ctx context.Context) (*Recommendation, error) 
 			Platform: a.Platform, Workload: w, Model: a.Model, Strategy: strat,
 			Seed: a.Seed + 17, Tracing: true,
 		}
-		bt, _, err := a.Exec.Series(ctx, baseSpec, a.Reps.Baseline)
+		bt, err := a.Exec.SeriesTimes(ctx, baseSpec, a.Reps.Baseline)
 		if err != nil {
 			return nil, err
 		}
@@ -136,7 +136,7 @@ func (a Advisor) RecommendContext(ctx context.Context) (*Recommendation, error) 
 		injSpec.Tracing = false
 		injSpec.Inject = cfg
 		injSpec.Seed = a.Seed + 31
-		it, _, err := a.Exec.Series(ctx, injSpec, a.Reps.Inject)
+		it, err := a.Exec.SeriesTimes(ctx, injSpec, a.Reps.Inject)
 		if err != nil {
 			return nil, err
 		}

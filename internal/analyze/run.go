@@ -78,7 +78,7 @@ func Run(ctx context.Context, exec experiment.Executor, spec Spec) (*Outcome, er
 			fold := &regionFold{regions: make(map[string]float64)}
 			e.Obs = cellObs(exec.Obs, spec.Timeline, fold, &rec0)
 
-			times, _, err := e.Series(ctx, cell, spec.Reps)
+			times, err := e.SeriesTimes(ctx, cell, spec.Reps)
 			if err != nil {
 				return nil, fmt.Errorf("analyze: %s x%s: %w", src, FormatFactor(f), err)
 			}

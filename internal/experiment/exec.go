@@ -273,8 +273,9 @@ func checkReps(reps int) error {
 // trace in rep order. Output is bit-identical for every parallelism level.
 // Series keeps all the traces because its callers read them whole: service
 // jobs return them, the fleet merges them by rep, and fig3 and the goldens
-// encode them. Studies in this package that need only the times, or only a
-// profile and worst case, run seriesEach instead and keep none.
+// encode them. Callers that need only the times run SeriesTimes, and the
+// hunts that need only a profile and worst case fold each trace as its rep
+// finishes; neither keeps a trace.
 func (e Executor) Series(ctx context.Context, spec Spec, reps int) ([]sim.Time, []*trace.Trace, error) {
 	var traces []*trace.Trace
 	times, err := e.seriesEach(ctx, spec, reps, func(i int, tr *trace.Trace) bool {
@@ -290,13 +291,20 @@ func (e Executor) Series(ctx context.Context, spec Spec, reps int) ([]sim.Time, 
 	return times, traces, nil
 }
 
+// SeriesTimes is Series for a caller that reads only the times: each
+// traced rep's trace is dropped as the rep finishes and its buffer reused,
+// so a traced series holds one trace per world, not one per rep. A spec
+// with Tracing set still runs traced, since tracing costs simulated time
+// (Table 1): a traced baseline must stay traced.
+func (e Executor) SeriesTimes(ctx context.Context, spec Spec, reps int) ([]sim.Time, error) {
+	return e.seriesEach(ctx, spec, reps, nil)
+}
+
 // seriesEach is Series that hands each traced rep's trace to each as the
 // rep finishes, instead of keeping it. Calls are serialized but not
 // index-ordered. each reports whether it kept a reference to the trace; a
 // trace it did not keep is overwritten by a later rep. each may be nil: the
-// traces are then dropped, which is what a traced baseline that reads only
-// its times wants (tracing costs simulated time, Table 1, so the baseline
-// must still be traced).
+// traces are then dropped (SeriesTimes).
 func (e Executor) seriesEach(ctx context.Context, spec Spec, reps int, each func(i int, tr *trace.Trace) (kept bool)) ([]sim.Time, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err

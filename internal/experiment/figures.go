@@ -73,7 +73,7 @@ func Figure1Exec(ctx context.Context, e Executor, reps int, seed uint64) ([]Figu
 				Seed: SeedFor(seed, "fig1", pname, c.label),
 				OMP:  &cfg,
 			}
-			times, _, err := e.Series(ctx, spec, reps)
+			times, err := e.SeriesTimes(ctx, spec, reps)
 			if err != nil {
 				return nil, fmt.Errorf("figure1 %s %s: %w", pname, c.label, err)
 			}

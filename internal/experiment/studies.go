@@ -123,7 +123,7 @@ func (b BaselineStudy) RunContext(ctx context.Context) (*BaselineResult, error) 
 				Seed:     SeedFor(b.Seed, "baseline", b.Workload, model, strat.Name()),
 				Tracing:  true,
 			}
-			times, err := b.Exec.seriesEach(ctx, spec, b.Reps, nil)
+			times, err := b.Exec.SeriesTimes(ctx, spec, b.Reps)
 			if err != nil {
 				return nil, fmt.Errorf("baseline %s/%s/%s: %w", b.Workload, model, strat.Name(), err)
 			}
@@ -364,7 +364,7 @@ func (st InjectionStudy) injectRow(ctx context.Context, prog *cellTracker, p *pl
 		key := Key(model, strat)
 		base, ok := baseMs[key]
 		if !ok {
-			baseTimes, err := st.Exec.seriesEach(ctx, baseSpec, st.Reps.Baseline, nil)
+			baseTimes, err := st.Exec.SeriesTimes(ctx, baseSpec, st.Reps.Baseline)
 			if err != nil {
 				return nil, err
 			}
@@ -375,7 +375,7 @@ func (st InjectionStudy) injectRow(ctx context.Context, prog *cellTracker, p *pl
 		injSpec.Tracing = false
 		injSpec.Inject = cfg
 		injSpec.Seed = SeedFor(st.Seed, "inj", st.Workload, model, strat.Name(), fmt.Sprint(cfgID))
-		injTimes, _, err := st.Exec.Series(ctx, injSpec, st.Reps.Inject)
+		injTimes, err := st.Exec.SeriesTimes(ctx, injSpec, st.Reps.Inject)
 		if err != nil {
 			return nil, err
 		}
@@ -418,13 +418,13 @@ func TracingOverheadExec(ctx context.Context, e Executor, p *platform.Platform,
 			Platform: p, Workload: w, Model: "omp", Strategy: mitigate.Rm,
 			Seed: SeedFor(seed, "overhead", name),
 		}
-		off, _, err := e.Series(ctx, spec, reps)
+		off, err := e.SeriesTimes(ctx, spec, reps)
 		if err != nil {
 			return nil, err
 		}
 		prog.finish("overhead " + name + " tracing-off")
 		spec.Tracing = true
-		on, err := e.seriesEach(ctx, spec, reps, nil)
+		on, err := e.SeriesTimes(ctx, spec, reps)
 		if err != nil {
 			return nil, err
 		}
@@ -540,7 +540,7 @@ func (st AccuracyStudy) runCase(ctx context.Context, p *platform.Platform, c Acc
 		Seed:   SeedFor(st.Seed, "acc", c.Workload, c.Source.Label()),
 		Inject: cfg,
 	}
-	times, _, err := st.Exec.Series(ctx, spec, st.Reps.Inject)
+	times, err := st.Exec.SeriesTimes(ctx, spec, st.Reps.Inject)
 	if err != nil {
 		return nil, err
 	}

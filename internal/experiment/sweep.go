@@ -70,10 +70,10 @@ func (sw IntensitySweep) RunContext(ctx context.Context) ([]IntensityPoint, erro
 	// Per-strategy baselines.
 	baselines := map[string]float64{}
 	for _, strat := range sw.Strategies {
-		times, err := sw.Exec.seriesEach(ctx, Spec{
+		times, err := sw.Exec.SeriesTimes(ctx, Spec{
 			Platform: sw.Platform, Workload: w, Model: sw.Model, Strategy: strat,
 			Seed: SeedFor(sw.Seed, "sweepbase", strat.Name()), Tracing: true,
-		}, sw.Reps.Baseline, nil)
+		}, sw.Reps.Baseline)
 		if err != nil {
 			return nil, err
 		}
@@ -88,7 +88,7 @@ func (sw IntensitySweep) RunContext(ctx context.Context) ([]IntensityPoint, erro
 			return nil, err
 		}
 		for _, strat := range sw.Strategies {
-			times, _, err := sw.Exec.Series(ctx, Spec{
+			times, err := sw.Exec.SeriesTimes(ctx, Spec{
 				Platform: sw.Platform, Workload: w, Model: sw.Model, Strategy: strat,
 				Seed:   SeedFor(sw.Seed, "sweepinj", strat.Name(), fmt.Sprint(f)),
 				Inject: amp,

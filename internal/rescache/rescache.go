@@ -222,12 +222,27 @@ func (c *Cache) putMemLocked(key string, data []byte) {
 }
 
 // GetOrCompute returns the cached payload for key, or runs compute exactly
-// once across concurrent callers and caches its result. hit reports whether
-// the caller was served without running compute itself (cache or flight
-// dedup). If the computing caller's context dies, waiting callers whose own
-// contexts are still live retry — one of them becomes the new computer — so
-// a cancelled submission never poisons identical concurrent submissions.
+// once across concurrent callers and caches its result: Get, then Compute
+// on a miss. hit reports whether the caller was served without running
+// compute itself (cache or flight dedup).
 func (c *Cache) GetOrCompute(ctx context.Context, key string,
+	compute func(ctx context.Context) ([]byte, error)) (data []byte, hit bool, err error) {
+	if data, ok := c.Get(key); ok {
+		return data, true, nil
+	}
+	return c.Compute(ctx, key, compute)
+}
+
+// Compute is GetOrCompute for a caller whose own Get of key already missed:
+// it counts no second lookup. It runs compute exactly once across
+// concurrent callers and caches its result, unless the memory tier gained
+// the entry since the caller's Get (a memory hit) or another caller is
+// computing it (a flight hit). It does not read the disk again: every
+// entry stored since then went to memory too. If the computing caller's
+// context dies, waiting callers whose own contexts are still live retry —
+// one of them becomes the new computer — so a cancelled submission never
+// poisons identical concurrent submissions.
+func (c *Cache) Compute(ctx context.Context, key string,
 	compute func(ctx context.Context) ([]byte, error)) (data []byte, hit bool, err error) {
 	if err := validateKey(key); err != nil {
 		return nil, false, err
@@ -236,11 +251,15 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string,
 		if err := ctx.Err(); err != nil {
 			return nil, false, err
 		}
-		if data, ok := c.Get(key); ok {
-			return data, true, nil
-		}
 
 		c.mu.Lock()
+		if el, ok := c.entries[key]; ok {
+			c.lru.MoveToFront(el)
+			data := el.Value.(*memEntry).data
+			c.stats.MemHits++
+			c.mu.Unlock()
+			return data, true, nil
+		}
 		if f, ok := c.flights[key]; ok {
 			c.stats.FlightHits++
 			c.mu.Unlock()

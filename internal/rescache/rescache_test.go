@@ -75,6 +75,34 @@ func TestMissAndInvalidKey(t *testing.T) {
 	}
 }
 
+// TestComputeCountsNoSecondLookup: after a caller's own Get missed,
+// Compute adds a compute but no miss, and serves a stored entry as one
+// memory hit without running compute.
+func TestComputeCountsNoSecondLookup(t *testing.T) {
+	c, err := New(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte(`{"times_ns":[4]}`)
+	computes := 0
+	compute := func(context.Context) ([]byte, error) { computes++; return payload, nil }
+	if _, ok := c.Get(key(4)); ok {
+		t.Fatal("unexpected hit")
+	}
+	if data, hit, err := c.Compute(context.Background(), key(4), compute); err != nil || hit || string(data) != string(payload) {
+		t.Fatalf("first Compute: data=%q hit=%v err=%v", data, hit, err)
+	}
+	if s := c.Stats(); s.Misses != 1 || s.Computes != 1 || s.MemHits != 0 {
+		t.Fatalf("after Get+Compute: %+v, want 1 miss, 1 compute", s)
+	}
+	if data, hit, err := c.Compute(context.Background(), key(4), compute); err != nil || !hit || string(data) != string(payload) {
+		t.Fatalf("second Compute: data=%q hit=%v err=%v", data, hit, err)
+	}
+	if s := c.Stats(); s.Misses != 1 || s.Computes != 1 || s.MemHits != 1 || computes != 1 {
+		t.Fatalf("after a stored Compute: %+v, %d computes, want 1 miss, 1 compute, 1 memory hit", s, computes)
+	}
+}
+
 func TestLRUEviction(t *testing.T) {
 	c, err := New("", 2) // memory-only
 	if err != nil {

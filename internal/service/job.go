@@ -523,7 +523,8 @@ func (s *Server) runJob(job *Job) {
 	s.met.jobStarted()
 	s.notify(job, StateRunning)
 
-	data, hit, err := s.cache.GetOrCompute(ctx, job.Hash, func(ctx context.Context) ([]byte, error) {
+	// submit's Get already missed: Compute counts no second lookup.
+	data, hit, err := s.cache.Compute(ctx, job.Hash, func(ctx context.Context) ([]byte, error) {
 		s.met.executions.Inc()
 		return s.runner.Run(ctx, job)
 	})

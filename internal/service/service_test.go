@@ -290,6 +290,26 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCacheCountsOneLookupPerJob: a new job counts one cache miss and a
+// resubmit one memory hit. The worker's re-check before it computes is not
+// a second lookup, so it counts neither.
+func TestCacheCountsOneLookupPerJob(t *testing.T) {
+	srv, ts, w := newTestServer(t, Config{})
+	spec := tinySpec(14, 4)
+	if st := waitTerminal(t, ts, w, submit(t, ts, spec, http.StatusAccepted).ID); st.State != StateDone || st.Cached {
+		t.Fatalf("new job: %+v", st)
+	}
+	if s := srv.cache.Stats(); s.Misses != 1 || s.MemHits+s.DiskHits+s.FlightHits != 0 || s.Computes != 1 {
+		t.Fatalf("after a new job: %+v, want 1 miss, 1 compute, no hit", s)
+	}
+	if st := submit(t, ts, spec, http.StatusOK); !st.Cached {
+		t.Fatalf("resubmit not served from cache: %+v", st)
+	}
+	if s := srv.cache.Stats(); s.Misses != 1 || s.MemHits != 1 || s.DiskHits+s.FlightHits != 0 {
+		t.Fatalf("after a resubmit: %+v, want 1 miss and 1 memory hit", s)
+	}
+}
+
 // TestCacheServesAcrossRestart: a new server over the same cache dir serves
 // the persisted bytes without executing.
 func TestCacheServesAcrossRestart(t *testing.T) {

@@ -64,3 +64,27 @@ func BenchmarkEngineCancel(b *testing.B) {
 		tm.Cancel()
 	}
 }
+
+// BenchmarkEngineTickIRQ follows the traffic of a noise-injected run: 90
+// far periodic ticks, each of which arms a near event (an interrupt's end)
+// that fires before the next tick. A near event is the earliest pending
+// one when it is armed, so it takes the engine's front slot and pops
+// without a heap sift; the ticks pop from the heap.
+func BenchmarkEngineTickIRQ(b *testing.B) {
+	e := NewEngine()
+	const ticks, period = 90, 90_000
+	irqEnd := func() {}
+	var tick func()
+	tick = func() {
+		e.After(period, tick)
+		e.After(50, irqEnd)
+	}
+	for i := 0; i < ticks; i++ {
+		e.At(Time(i*period/ticks), tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}

@@ -16,22 +16,32 @@ import "fmt"
 type Timer struct {
 	at  Time
 	fn  func()
-	idx int // position in the engine's heap; -1 when not queued
+	idx int // position in the engine's heap, or notQueued or inFront
 	eng *Engine
 }
+
+// Timer.idx values for a timer outside the heap.
+const (
+	notQueued = -1 // fired or cancelled
+	inFront   = -2 // held in the engine's front slot
+)
 
 // At returns the simulated instant the timer fires at.
 func (t *Timer) At() Time { return t.at }
 
 // Cancel prevents the timer from firing: the timer leaves the queue at once
-// (O(log n)) and its struct returns to the free pool. Cancelling an
-// already-fired or already-cancelled timer is a no-op. It reports whether
-// the timer was still pending.
+// (O(1) from the front slot, O(log n) from the heap) and its struct returns
+// to the free pool. Cancelling an already-fired or already-cancelled timer
+// is a no-op. It reports whether the timer was still pending.
 func (t *Timer) Cancel() bool {
-	if t == nil || t.idx < 0 {
+	if !t.Pending() {
 		return false
 	}
-	t.eng.removeAt(t.idx)
+	if t.idx == inFront {
+		t.eng.front = heapEntry{}
+	} else {
+		t.eng.removeAt(t.idx)
+	}
 	t.eng.release(t)
 	return true
 }
@@ -40,7 +50,7 @@ func (t *Timer) Cancel() bool {
 // callback. It is exactly Cancel followed by At(at, fn): the timer takes the
 // next scheduling sequence number, as At would, so it fires in the same
 // order. Instead of leaving the queue and entering it again, it re-keys its
-// heap slot in place and sifts up or down from there. Reset panics when the
+// queue slot in place and sifts up or down from there. Reset panics when the
 // timer has fired or been cancelled, or when at is before Now.
 func (t *Timer) Reset(at Time) {
 	if !t.Pending() {
@@ -63,35 +73,66 @@ func (t *Timer) ResetKey(at Time, seq uint64) {
 	e.checkKey(at, seq)
 	e.Rekeys++
 	t.at = at
-	e.fix(t.idx, heapEntry{at: at, seq: seq, tm: t})
+	x := heapEntry{at: at, seq: seq, tm: t}
+	switch {
+	case t.idx == inFront && len(e.heap) > 0 && e.heap[0].less(x):
+		// No longer the earliest: the heap root takes the slot.
+		e.front = e.heap[0]
+		e.front.tm.idx = inFront
+		e.down(0, x)
+	case t.idx == inFront:
+		e.front = x
+	case e.front.tm != nil && x.less(e.front):
+		// Now earlier than the front entry: the two swap places.
+		i := t.idx
+		e.front, x = x, e.front
+		t.idx = inFront
+		e.fix(i, x)
+	default:
+		e.fix(t.idx, x)
+	}
 }
 
 // Key returns the (time, sequence) key a pending timer fires under.
-func (t *Timer) Key() (Time, uint64) { return t.at, t.eng.heap[t.idx].seq }
+func (t *Timer) Key() (Time, uint64) {
+	if t.idx == inFront {
+		return t.at, t.eng.front.seq
+	}
+	return t.at, t.eng.heap[t.idx].seq
+}
 
 // Pending reports whether the timer is scheduled and not cancelled.
-func (t *Timer) Pending() bool { return t != nil && t.idx >= 0 }
+func (t *Timer) Pending() bool { return t != nil && t.idx != notQueued }
 
 // Engine is a single-threaded discrete-event simulator. Events scheduled for
 // the same instant fire in scheduling order, which keeps runs deterministic.
 //
-// The event queue is a 4-ary min-heap on the (time, scheduling sequence)
-// key. The key is unique, so the heap pops events in exactly the order any
-// correct priority queue would. Each queued Timer records its heap index,
-// so Cancel removes it eagerly instead of leaving a cancelled entry behind;
-// the cancel-heavy refresh path (interrupt arrivals pausing a running
-// task's completion timer) would otherwise fill the queue with dead
-// entries. The same index lets Reset re-key a timer where it sits, which
+// The event queue is a front slot plus a 4-ary min-heap, ordered on the
+// (time, scheduling sequence) key. The slot holds one entry whose key is
+// below every key in the heap: an event scheduled ahead of everything
+// pending takes it, and the next pop takes it back without a sift. Most
+// events are armed shortly before they fire (an interrupt's end, a task's
+// completion), so the slot serves over half the pops. The key is unique,
+// so the queue pops events in exactly the order any correct priority queue
+// would. Each queued Timer records its heap index, or that it holds the
+// slot, so Cancel removes it eagerly instead of leaving a cancelled entry
+// behind; the cancel-heavy refresh path (interrupt arrivals pausing a
+// running task's completion timer) would otherwise fill the queue with
+// dead entries. The same index lets Reset re-key a timer where it sits, which
 // is how a running task's completion moves when its rate changes; ResetKey
 // and AtKey take a key whose sequence number was reserved earlier with
 // NextSeq, so one timer can stand in for several logical ones. Heap
 // entries carry their key inline, so sifts compare packed (at, seq) pairs
 // rather than chasing Timer pointers.
 type Engine struct {
-	now  Time
-	heap []heapEntry
-	free []*Timer // recycled Timer structs, so steady-state event flow does not allocate
-	seq  uint64
+	now Time
+	// front is the earliest pending event when its tm is set; the heap
+	// holds the rest. An empty slot says nothing: the heap root may then
+	// be the earliest.
+	front heapEntry
+	heap  []heapEntry
+	free  []*Timer // recycled Timer structs, so steady-state event flow does not allocate
+	seq   uint64
 	// Steps counts processed events, for diagnostics and runaway detection
 	// in tests.
 	Steps uint64
@@ -141,7 +182,7 @@ func (e *Engine) BeforeAdvance(fn func()) { e.hooks = append(e.hooks, fn) }
 // settle runs the pending BeforeAdvance hooks once no event remains at the
 // current instant.
 func (e *Engine) settle() {
-	for len(e.hooks) > 0 && (len(e.heap) == 0 || e.heap[0].at > e.now) {
+	for len(e.hooks) > 0 && (e.Pending() == 0 || e.head().at > e.now) {
 		fn := e.hooks[0]
 		n := copy(e.hooks, e.hooks[1:])
 		e.hooks[n] = nil
@@ -170,8 +211,20 @@ func (e *Engine) AtKey(t Time, seq uint64, fn func()) *Timer {
 		e.TimerAllocs++
 	}
 	tm.at, tm.fn = t, fn
+	x := heapEntry{at: t, seq: seq, tm: tm}
+	if e.front.tm != nil {
+		if x.less(e.front) {
+			// The displaced front entry goes into the heap.
+			e.front, x = x, e.front
+			tm.idx = inFront
+		}
+	} else if len(e.heap) == 0 || x.less(e.heap[0]) {
+		e.front = x
+		tm.idx = inFront
+		return tm
+	}
 	e.heap = append(e.heap, heapEntry{})
-	e.up(len(e.heap)-1, heapEntry{at: t, seq: seq, tm: tm})
+	e.up(len(e.heap)-1, x)
 	return tm
 }
 
@@ -194,7 +247,20 @@ func (e *Engine) After(d Time, fn func()) *Timer {
 }
 
 // Pending returns the number of live (scheduled, uncancelled) events.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int {
+	if e.front.tm != nil {
+		return len(e.heap) + 1
+	}
+	return len(e.heap)
+}
+
+// head returns the earliest pending entry; the queue must not be empty.
+func (e *Engine) head() heapEntry {
+	if e.front.tm != nil {
+		return e.front
+	}
+	return e.heap[0]
+}
 
 // Stats is a snapshot of engine-level counters, feeding the observability
 // registry (internal/obs) at end of run.
@@ -228,6 +294,10 @@ func (e *Engine) Stats() Stats {
 // are recycled. TimerAllocs and the free pool persist: they describe the
 // engine's storage, not the simulation.
 func (e *Engine) Reset() {
+	if e.front.tm != nil {
+		e.release(e.front.tm)
+		e.front = heapEntry{}
+	}
 	for _, h := range e.heap {
 		e.release(h.tm)
 	}
@@ -241,14 +311,21 @@ func (e *Engine) Reset() {
 // release returns a fired or cancelled timer to the free list.
 func (e *Engine) release(tm *Timer) {
 	tm.fn = nil
-	tm.idx = -1
+	tm.idx = notQueued
 	e.free = append(e.free, tm)
 }
 
-// fire pops the earliest event and runs it.
+// fire pops the earliest event and runs it: the front slot's when it is
+// full, else the heap root's.
 func (e *Engine) fire() {
-	tm := e.heap[0].tm
-	e.removeAt(0)
+	tm := e.front.tm
+	if tm != nil {
+		e.front = heapEntry{}
+		tm.idx = notQueued
+	} else {
+		tm = e.heap[0].tm
+		e.removeAt(0)
+	}
 	e.now = tm.at
 	e.Steps++
 	tm.fn()
@@ -260,7 +337,7 @@ func (e *Engine) Step() bool {
 	if len(e.hooks) > 0 {
 		e.settle()
 	}
-	if len(e.heap) == 0 {
+	if e.Pending() == 0 {
 		return false
 	}
 	e.fire()
@@ -279,7 +356,7 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t Time) {
 	for {
 		e.settle()
-		if len(e.heap) == 0 || e.heap[0].at > t {
+		if e.Pending() == 0 || e.head().at > t {
 			break
 		}
 		e.fire()
@@ -358,7 +435,7 @@ func (e *Engine) down(i int, x heapEntry) {
 // removeAt takes the entry at slot i out of the heap and marks its timer
 // unqueued; the last entry refills the slot and sifts to its place.
 func (e *Engine) removeAt(i int) {
-	e.heap[i].tm.idx = -1
+	e.heap[i].tm.idx = notQueued
 	n := len(e.heap) - 1
 	last := e.heap[n]
 	e.heap[n] = heapEntry{}

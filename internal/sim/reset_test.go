@@ -23,7 +23,9 @@ type resetFire struct {
 // The player also models the queue: it tracks the (time, seq) key every
 // live timer should carry, numbering sequence numbers the way the engine
 // promises to. Each firing must be the live timer with the smallest key —
-// the order a plain sort of the keys gives. Each hook must run once, in
+// the order a plain sort of the keys gives. After every operation and
+// every firing the engine must count exactly the live timers as pending,
+// and each live handle's Key must be the model's. Each hook must run once, in
 // registration order, at the instant it was registered, after the last
 // event there and before any later one.
 type resetPlayer struct {
@@ -137,6 +139,22 @@ func (p *resetPlayer) ops(n int) {
 			p.pendingHooks = append(p.pendingHooks, h)
 			p.e.BeforeAdvance(func() { p.hook(h) })
 		}
+		p.checkQueue()
+	}
+}
+
+// checkQueue compares the engine's queue with the model: the pending
+// count and the key of every live timer.
+func (p *resetPlayer) checkQueue() {
+	if n := p.e.Pending(); n != len(p.live) {
+		p.fail(fmt.Sprintf("Pending() = %d at %v, model has %d live timers", n, p.e.Now(), len(p.live)))
+	}
+	for _, h := range p.live {
+		if !h.tm.Pending() {
+			p.fail(fmt.Sprintf("live timer %d is not pending", h.id))
+		} else if at, seq := h.tm.Key(); at != h.at || seq != h.seq {
+			p.fail(fmt.Sprintf("timer %d: key (%v, %d), model (%v, %d)", h.id, at, seq, h.at, h.seq))
+		}
 	}
 }
 
@@ -211,6 +229,7 @@ func (p *resetPlayer) schedule(at Time, seq uint64, reserved bool) {
 				break
 			}
 		}
+		p.checkQueue()
 		p.fired = append(p.fired, resetFire{at: p.e.Now(), id: id})
 		n, _ := p.next()
 		p.ops(2 + int(n%3))
