@@ -168,11 +168,11 @@ benchdiff-service:
 
 # Only the paper's tables/figures (skips ablations and micro-benches).
 bench-tables:
-	$(GO) test . -run xxx -bench 'BenchmarkTable|BenchmarkFigure' -benchtime 1x -timeout 4h
+	$(GO) test . -run xxx -bench 'BenchmarkPaper' -benchtime 1x -timeout 4h
 
 # A fast smoke of the harness at reduced reps.
 bench-quick:
-	REPRO_SCALE=0.25 $(GO) test . -run xxx -bench 'BenchmarkTable1$$|BenchmarkTable3$$|BenchmarkFigure2$$' -benchtime 1x -timeout 1h
+	REPRO_SCALE=0.25 $(GO) test . -run xxx -bench 'BenchmarkPaper/(table1|table3|fig2)$$' -benchtime 1x -timeout 1h
 
 examples:
 	$(GO) run ./examples/quickstart

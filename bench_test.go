@@ -1,15 +1,16 @@
 package repro
 
-// The benchmark harness: one benchmark per table and figure of the paper's
-// evaluation, plus ablation benches for the design choices DESIGN.md calls
-// out. Each benchmark regenerates its table/figure data and prints the
-// rendered rows once (the first iteration), then reports summary values as
-// custom metrics.
+// The benchmark harness: one sub-benchmark per table and figure of the
+// paper's evaluation (BenchmarkPaper/<id>), plus ablation benches for the
+// design choices DESIGN.md calls out. Each paper benchmark builds its
+// artifact through the paper plan (internal/paper) and prints the rendered
+// rows once (the first iteration), then reports the artifact's headline
+// numbers as custom metrics.
 //
-// Repetition counts are scaled-down defaults (the paper uses 1000 baseline
-// and 200 injection reps); set REPRO_SCALE (e.g. "4") to multiply them, or
-// use cmd/noiselab for full control. Results are cached across benchmarks
-// within one `go test -bench` process so Table 6 reuses Tables 3-5.
+// Repetition counts are the paper.Bench depth (the paper uses 1000
+// baseline and 200 injection reps); set REPRO_SCALE (e.g. "4") to multiply
+// them, or use cmd/noiselab for full control. One plan serves every paper
+// benchmark of a `go test -bench` process, so Table 6 reuses Tables 3-5.
 //
 // Repetitions fan out over the deterministic parallel execution layer
 // (experiment.Executor): results are bit-identical at any worker count.
@@ -21,8 +22,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"strconv"
-	"sync"
 	"testing"
 	"time"
 
@@ -31,249 +30,67 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mitigate"
 	"repro/internal/obs"
+	"repro/internal/paper"
 	"repro/internal/parmodel"
 	"repro/internal/platform"
-	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
 
-const benchSeed = 20250706
+const benchSeed = paper.Seed
 
-func benchScale() float64 {
+// benchReps is the paper.Bench depth scaled by REPRO_SCALE, which must be
+// finite and > 0 when set.
+func benchReps(b *testing.B) RepCounts {
+	b.Helper()
+	scale := 1.0
 	if v := os.Getenv("REPRO_SCALE"); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 {
-			return f
+		var err error
+		if scale, err = paper.ParseScale(v); err != nil {
+			b.Fatalf("REPRO_SCALE: %v", err)
 		}
 	}
-	return 1.0
+	return paper.Bench.Scale(scale)
 }
 
-// benchReps are deliberately small so `go test -bench=.` completes in
-// minutes; REPRO_SCALE raises them toward the paper's counts.
-func benchReps() RepCounts {
-	return RepCounts{Collect: 60, Baseline: 8, Inject: 8}.Scale(benchScale())
-}
-
-var (
-	injMu    sync.Mutex
-	injCache = map[string]*InjectionResult{}
-)
-
-func printTable(b *testing.B, t *report.Table) {
-	b.Helper()
-	fmt.Printf("\n%s\n", t.Text())
-}
-
-func desktopPlatforms(b *testing.B) []*Platform {
-	b.Helper()
-	var out []*Platform
-	for _, name := range []string{Intel9700KF, AMD9950X3D} {
-		p, err := platform.New(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = append(out, p)
+// BenchmarkPaper regenerates the paper's Tables 1-7 and Figures 1-2, one
+// sub-benchmark per artifact (BenchmarkPaper/table1 ... /fig2), with
+// figure boxes at the baseline rep count.
+func BenchmarkPaper(b *testing.B) {
+	reps := benchReps(b)
+	newPlan := func() *paper.Plan {
+		return &paper.Plan{Reps: reps, Seed: benchSeed, FigReps: reps.Baseline}
 	}
-	return out
-}
-
-// injectionResult computes (or returns cached) Tables-3/4/5 data for a
-// workload.
-func injectionResult(b *testing.B, workload string) *InjectionResult {
-	b.Helper()
-	injMu.Lock()
-	defer injMu.Unlock()
-	if res, ok := injCache[workload]; ok {
-		return res
-	}
-	// Config counts per platform follow the paper's rows: two alternate
-	// configs on Intel for every workload; AMD gets one (two for MiniFE).
-	cfgPer := map[string]int{Intel9700KF: 2, AMD9950X3D: 1}
-	if workload == "minife" {
-		cfgPer[AMD9950X3D] = 2
-	}
-	st := experiment.InjectionStudy{
-		Platforms:          desktopPlatforms(b),
-		Workload:           workload,
-		Reps:               benchReps(),
-		Seed:               benchSeed,
-		Improved:           true,
-		ConfigsPerPlatform: cfgPer,
-	}
-	res, err := st.RunContext(context.Background())
-	if err != nil {
-		b.Fatal(err)
-	}
-	injCache[workload] = res
-	return res
-}
-
-// BenchmarkTable1 regenerates Table 1: tracing overhead per workload.
-func BenchmarkTable1(b *testing.B) {
-	p, err := platform.New(Intel9700KF)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reps := benchReps().Baseline
-	for i := 0; i < b.N; i++ {
-		rows, err := TracingOverheadExec(context.Background(), Executor{}, p, []string{"nbody", "babelstream", "minife"}, reps, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTable(b, RenderTable1(rows))
-			var worst float64
-			for _, r := range rows {
-				if r.IncreasePct > worst {
-					worst = r.IncreasePct
+	plan := newPlan()
+	for _, id := range paper.IDs {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				// An iteration past the first recomputes what it times on a
+				// fresh plan. Table 6 times only its aggregate, so it keeps
+				// the shared plan's Tables 3-5.
+				p := plan
+				if i > 0 && id != "table6" {
+					p = newPlan()
 				}
-			}
-			b.ReportMetric(worst, "max-overhead-%")
-		}
-	}
-}
-
-// BenchmarkTable2 regenerates Table 2: average baseline s.d. (ms) per model
-// and strategy across workloads and platforms.
-func BenchmarkTable2(b *testing.B) {
-	reps := benchReps().Baseline
-	for i := 0; i < b.N; i++ {
-		var results []*BaselineResult
-		for _, p := range desktopPlatforms(b) {
-			for _, w := range []string{"nbody", "babelstream", "minife"} {
-				res, err := (experiment.BaselineStudy{
-					Platform: p, Workload: w, Reps: reps,
-					Seed: benchSeed, SMT: false,
-				}).RunContext(context.Background())
+				a, err := p.Build(context.Background(), id)
 				if err != nil {
 					b.Fatal(err)
 				}
-				results = append(results, res)
-			}
-		}
-		if i == 0 {
-			printTable(b, RenderTable2(results))
-		}
-	}
-}
-
-func benchInjectionTable(b *testing.B, num int, workload string) {
-	for i := 0; i < b.N; i++ {
-		if i > 0 {
-			injMu.Lock()
-			delete(injCache, workload)
-			injMu.Unlock()
-		}
-		res := injectionResult(b, workload)
-		if i == 0 {
-			printTable(b, RenderInjectionTable(num, res))
-			agg := AggregateChange([]*InjectionResult{res})
-			b.ReportMetric(agg["omp"][0], "omp-Rm-change-%")
-			b.ReportMetric(agg["sycl"][0], "sycl-Rm-change-%")
-		}
-	}
-}
-
-// BenchmarkTable3 regenerates Table 3 (N-body under injection).
-func BenchmarkTable3(b *testing.B) { benchInjectionTable(b, 3, "nbody") }
-
-// BenchmarkTable4 regenerates Table 4 (Babelstream under injection).
-func BenchmarkTable4(b *testing.B) { benchInjectionTable(b, 4, "babelstream") }
-
-// BenchmarkTable5 regenerates Table 5 (MiniFE under injection).
-func BenchmarkTable5(b *testing.B) { benchInjectionTable(b, 5, "minife") }
-
-// BenchmarkTable6 regenerates Table 6: the aggregate relative performance
-// change across Tables 3-5, plus the paper's headline shape checks.
-func BenchmarkTable6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var all []*InjectionResult
-		for _, w := range []string{"nbody", "babelstream", "minife"} {
-			all = append(all, injectionResult(b, w))
-		}
-		agg := AggregateChange(all)
-		if i == 0 {
-			printTable(b, RenderTable6(agg))
-			checks := CheckInjectionShape(agg)
-			if err := WriteChecks(os.Stdout, checks); err != nil {
-				b.Fatal(err)
-			}
-			pass := 0
-			for _, c := range checks {
-				if c.Pass {
-					pass++
+				if i > 0 {
+					continue
+				}
+				fmt.Printf("\n%s\n", a.Table.Text())
+				if a.Checks != nil {
+					if err := WriteChecks(os.Stdout, a.Checks); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for unit, v := range a.Metrics {
+					b.ReportMetric(v, unit)
 				}
 			}
-			b.ReportMetric(float64(pass), "shape-checks-passed")
-			b.ReportMetric(float64(len(checks)), "shape-checks-total")
-		}
+		})
 	}
-}
-
-// BenchmarkTable7 regenerates Table 7: replay accuracy for the paper's ten
-// worst-case trace configurations.
-func BenchmarkTable7(b *testing.B) {
-	reps := benchReps()
-	for i := 0; i < b.N; i++ {
-		entries, err := (AccuracyStudy{
-			Cases:    PaperAccuracyCases(),
-			Reps:     reps,
-			Seed:     benchSeed,
-			Improved: true,
-		}).RunContext(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTable(b, RenderTable7(entries))
-			b.ReportMetric(MeanAccuracy(entries), "mean-accuracy-%")
-		}
-	}
-}
-
-// BenchmarkFigure1 regenerates Figure 1: schedbench variability across
-// schedule:chunk combinations on A64FX with vs without reserved OS cores.
-func BenchmarkFigure1(b *testing.B) {
-	reps := benchReps().Baseline
-	for i := 0; i < b.N; i++ {
-		series, err := Figure1Exec(context.Background(), Executor{}, reps, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTable(b, RenderFigure(1, "schedbench exec time (ms), reserved vs w/o", series))
-			b.ReportMetric(maxSDOf(series, "A64FX:w/o"), "wo-max-sd-ms")
-			b.ReportMetric(maxSDOf(series, "A64FX:reserved"), "rsv-max-sd-ms")
-		}
-	}
-}
-
-// BenchmarkFigure2 regenerates Figure 2: Babelstream dot-kernel variability
-// vs thread count on the two A64FX systems.
-func BenchmarkFigure2(b *testing.B) {
-	reps := benchReps().Baseline
-	for i := 0; i < b.N; i++ {
-		series, err := Figure2Exec(context.Background(), Executor{}, reps, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTable(b, RenderFigure(2, "Babelstream dot exec time (ms) vs threads", series))
-			b.ReportMetric(maxSDOf(series, "A64FX:w/o"), "wo-max-sd-ms")
-			b.ReportMetric(maxSDOf(series, "A64FX:reserved"), "rsv-max-sd-ms")
-		}
-	}
-}
-
-func maxSDOf(series []FigureSeries, system string) float64 {
-	var worst float64
-	for _, s := range series {
-		if s.System == system && s.SD > worst {
-			worst = s.SD
-		}
-	}
-	return worst
 }
 
 // ---------------------------------------------------------------------------
@@ -293,7 +110,7 @@ func ablationSetup(b *testing.B, improved bool) (*Platform, Workload, *Config, *
 	}
 	cfg, pr, err := BuildConfigExec(context.Background(), Executor{}, p, "nbody",
 		ConfigSource{Model: "omp", Strategy: Rm, ID: 1},
-		benchReps().Collect, improved, benchSeed)
+		benchReps(b).Collect, improved, benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -315,7 +132,7 @@ func BenchmarkAblationMerge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pOrig, w, cfgOrig, prOrig := ablationSetup(b, false)
 		_, _, cfgImpr, _ := ablationSetup(b, true)
-		reps := benchReps().Inject
+		reps := benchReps(b).Inject
 		spec := Spec{Platform: pOrig, Workload: w, Model: "omp", Strategy: Rm, Seed: benchSeed + 1}
 		spec.Inject = cfgOrig
 		orig := meanInjected(b, spec, reps)
@@ -340,7 +157,7 @@ func BenchmarkAblationDelta(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p, w, refinedCfg, pr := ablationSetup(b, true)
 		rawCfg := Generate(pr.Worst, true)
-		reps := benchReps().Inject
+		reps := benchReps(b).Inject
 		anomaly := pr.Worst.ExecTime.Seconds()
 		spec := Spec{Platform: p, Workload: w, Model: "omp", Strategy: Rm, Seed: benchSeed + 2}
 		spec.Inject = refinedCfg
@@ -363,7 +180,7 @@ func BenchmarkAblationDelta(b *testing.B) {
 func BenchmarkAblationInjectorAffinity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p, w, cfg, _ := ablationSetup(b, true)
-		reps := benchReps().Inject
+		reps := benchReps(b).Inject
 		spec := Spec{Platform: p, Workload: w, Model: "omp", Strategy: RmHK,
 			Seed: benchSeed + 3, Inject: cfg}
 		roam := meanInjected(b, spec, reps)
@@ -382,7 +199,7 @@ func BenchmarkAblationInjectorAffinity(b *testing.B) {
 func BenchmarkAblationWaitPolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p, w, cfg, _ := ablationSetup(b, true)
-		reps := benchReps().Inject
+		reps := benchReps(b).Inject
 		active := parmodel.OpenMP()
 		passive := active
 		passive.ActiveWait = false
@@ -405,7 +222,7 @@ func BenchmarkAblationWaitPolicy(b *testing.B) {
 func BenchmarkAblationBalancer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p, w, cfg, _ := ablationSetup(b, true)
-		reps := benchReps().Inject
+		reps := benchReps(b).Inject
 		spec := Spec{Platform: p, Workload: w, Model: "omp", Strategy: RmHK,
 			Seed: benchSeed + 5, Inject: cfg}
 		with := meanInjected(b, spec, reps)
@@ -444,7 +261,7 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 	}
 	spec := Spec{Platform: p, Workload: w, Model: "omp", Strategy: Rm,
 		Seed: benchSeed, Tracing: true}
-	reps := benchReps().Baseline * 2
+	reps := benchReps(b).Baseline * 2
 	par := Executor{}
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
@@ -686,7 +503,7 @@ func BenchmarkExtensionMemoryNoise(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	reps := benchReps().Inject
+	reps := benchReps(b).Inject
 	for i := 0; i < b.N; i++ {
 		base := meanInjected(b, Spec{Platform: p, Workload: w, Model: "omp",
 			Strategy: RmHK2, Seed: benchSeed + 6}, reps)
@@ -725,7 +542,7 @@ func BenchmarkIntensitySweep(b *testing.B) {
 			Workload:   "nbody",
 			Strategies: []Strategy{Rm, RmHK, RmHK2},
 			Factors:    []float64{0.5, 1, 2, 4, 8},
-			Reps:       benchReps(),
+			Reps:       benchReps(b),
 			Seed:       benchSeed,
 		}).RunContext(context.Background())
 		if err != nil {
@@ -764,11 +581,11 @@ func BenchmarkRunlevel3(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	reps := benchReps().Baseline * 3
+	reps := benchReps(b).Baseline * 3
 	for i := 0; i < b.N; i++ {
 		rows, err := (experiment.RunlevelStudy{
 			Platform:  p,
-			Workloads: []string{"nbody", "babelstream", "minife"},
+			Workloads: paper.Workloads,
 			Reps:      reps,
 			Seed:      benchSeed,
 		}).RunContext(context.Background())

@@ -121,20 +121,8 @@ func run() int {
 		err = cmdGenConfig(args)
 	case "inject":
 		err = cmdInject(args)
-	case "table1":
-		err = cmdTable1(args)
-	case "table2":
-		err = cmdTable2(args)
-	case "table3":
-		err = cmdTableN(args, 3)
-	case "table4":
-		err = cmdTableN(args, 4)
-	case "table5":
-		err = cmdTableN(args, 5)
-	case "table6":
-		err = cmdTable6(args)
-	case "table7":
-		err = cmdTable7(args)
+	case "table1", "table2", "table3", "table4", "table5", "table6", "table7":
+		err = cmdTable(cmd, args)
 	case "fig1":
 		err = cmdFig(args, 1)
 	case "fig2":

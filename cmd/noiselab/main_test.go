@@ -3,6 +3,7 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -209,7 +210,7 @@ func TestCmdTimelineOutEverySubcommand(t *testing.T) {
 		{"fig1", func() error { return cmdFig([]string{"-reps", "2"}, 1) }},
 		{"fig2", func() error { return cmdFig([]string{"-reps", "2"}, 2) }},
 		{"fig5", func() error { return cmdFig5(with("-collect", "4")) }},
-		{"table1", func() error { return cmdTable1([]string{"-scale", "0.02"}) }},
+		{"table1", func() error { return cmdTable("table1", []string{"-scale", "0.02"}) }},
 		{"advise", func() error { return cmdAdvise(with("-collect", "4", "-reps", "2")) }},
 		{"runlevel", func() error { return cmdRunlevel(with("-reps", "2", "-workloads", "schedbench")) }},
 		{"cluster", func() error {
@@ -264,7 +265,7 @@ func TestCmdTable1TinyScale(t *testing.T) {
 	dir := t.TempDir()
 	csv := filepath.Join(dir, "t1.csv")
 	out := captureStdout(t, func() error {
-		return cmdTable1([]string{"-scale", "0.05", "-csv", csv})
+		return cmdTable("table1", []string{"-scale", "0.05", "-csv", csv})
 	})
 	for _, want := range []string{"Table 1", "nbody", "babelstream", "minife"} {
 		if !strings.Contains(out, want) {
@@ -407,21 +408,21 @@ func TestCmdGenConfigOriginalMerge(t *testing.T) {
 // TestCmdPaperOutputsPinned pins the stdout of the paper-artifact commands
 // at small scale by SHA-256, so a refactor of how the commands assemble
 // their studies cannot change a byte of what they print. Output does not
-// depend on -parallel. table4..table6, shapecheck and report take several
-// seconds each and are left out.
+// depend on -parallel. The report case pins every file report writes, which
+// covers table4..table6 and the shape checks too.
 func TestCmdPaperOutputsPinned(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func() error
 		want string
 	}{
-		{"table1", func() error { return cmdTable1([]string{"-scale", "0.02"}) },
+		{"table1", func() error { return cmdTable("table1", []string{"-scale", "0.02"}) },
 			"4e08139c76c79939ed2e52ca89742fa3345164811bc0152d922f6b4ec71aacf0"},
-		{"table2", func() error { return cmdTable2([]string{"-scale", "0.02"}) },
+		{"table2", func() error { return cmdTable("table2", []string{"-scale", "0.02"}) },
 			"096017c93d297af0ae7e874fae95c4d39d0b9811ca9b684e08e2c514c0addd22"},
-		{"table3", func() error { return cmdTableN([]string{"-scale", "0.02"}, 3) },
+		{"table3", func() error { return cmdTable("table3", []string{"-scale", "0.02"}) },
 			"e38e084509ba49af2cba5dec06ddb61a88b97b889e2597aa87b3c610cc261b1e"},
-		{"table7", func() error { return cmdTable7([]string{"-scale", "0.02"}) },
+		{"table7", func() error { return cmdTable("table7", []string{"-scale", "0.02"}) },
 			"9685019f5313c4d10eaef7656464bce8fe1cf1c0f740d2b4dba4a7d828052cb6"},
 		{"fig1", func() error { return cmdFig([]string{"-reps", "2"}, 1) },
 			"ead9dd484d553f2a8063f14b0c160a71ca199b7f403e7da3b786fe31cede921e"},
@@ -435,5 +436,66 @@ func TestCmdPaperOutputsPinned(t *testing.T) {
 				t.Fatalf("%s stdout sha256 = %s, want %s", c.name, got, c.want)
 			}
 		})
+	}
+	t.Run("report", func(t *testing.T) {
+		dir := t.TempDir()
+		captureStdout(t, func() error {
+			return cmdReport([]string{"-scale", "0.02", "-fig-reps", "2", "-dir", dir})
+		})
+		want := map[string]string{
+			"table1.txt":       "4e08139c76c79939ed2e52ca89742fa3345164811bc0152d922f6b4ec71aacf0",
+			"table1.csv":       "bb8e31b8d3bf3bfc317cc9ad9789aaf92f9308674b8515c1b2b18c1971bfbe99",
+			"table2.txt":       "096017c93d297af0ae7e874fae95c4d39d0b9811ca9b684e08e2c514c0addd22",
+			"table2.csv":       "7227d5491e86abf532644e88de815569a87ca41b5dae11aed380e5d8792afe4d",
+			"table3.txt":       "e38e084509ba49af2cba5dec06ddb61a88b97b889e2597aa87b3c610cc261b1e",
+			"table3.csv":       "5a7a9ff4f2c9d106d33cf5b801672f786c7c1ff6ef09d48f602d6424f970dbc7",
+			"table4.txt":       "10b3b77e362c574975e841b2242db74e5d7a0086928e1d1dbbf887456c647e28",
+			"table4.csv":       "6f968a3cfae0ac54fffff025db4df81b804f0253d483e08a6eb7c7f2083a97f9",
+			"table5.txt":       "7103003ef2a6f6689e9b9ea3c8d20bd497a41b61dc1b179012ba795177e48100",
+			"table5.csv":       "35da61cfc6f8541eafdd7c087c36755a0e79edb2292d44225643eae47c45d639",
+			"table6.txt":       "72af4a46658abcb4c7e694b9ab014fce69a65ec6683926e118164b5c2b06b855",
+			"table6.csv":       "4f930e559cf5d55fb896008ff8954f0e068238bd0d685a1ae14a88f256d02e5c",
+			"shape-checks.txt": "72c2561d92886f88d9e95d1b00ecca41e0c5827b6f7a5afa6aa9fc70deec3333",
+			"table7.txt":       "9685019f5313c4d10eaef7656464bce8fe1cf1c0f740d2b4dba4a7d828052cb6",
+			"table7.csv":       "715bae0068faa1f20344cdfae776697048f8faf95cedbeba20cf92a6f018cc8c",
+			"fig1.txt":         "7e0dbc2a8176fe515ae821661b6550129db741358a2af789c0ce935c871ced50",
+			"fig1.csv":         "13d3b7ef3ebe34f6b8ca7ae22749cae7bd7cb30f5ce857f23ff55ca0a21bad9f",
+			"fig2.txt":         "0078573ad7568445ba27afeaccb9eda76102d800935a6c0c0c517b19e89212f6",
+			"fig2.csv":         "46c4bb5fe8e73a6ce1bd76926e3a5d064e46bcacaaa408bb2b70fce084714d81",
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != len(want) {
+			t.Errorf("report wrote %d files, want %d", len(entries), len(want))
+		}
+		for name, w := range want {
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			if got := hex.EncodeToString(sum[:]); got != w {
+				t.Errorf("report %s sha256 = %s, want %s", name, got, w)
+			}
+		}
+	})
+}
+
+// TestScaleFlagRejectsBadDepth: -scale must be finite and positive. A zero
+// or negative scale used to run every study at the 2-rep floor and exit 0.
+func TestScaleFlagRejectsBadDepth(t *testing.T) {
+	for _, v := range []string{"0", "-0", "-3", "NaN", "+Inf", "-Inf", "1e400", "", "x"} {
+		fs, _, _ := scaleFlags("table1")
+		fs.Init("table1", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if err := fs.Parse([]string{"-scale", v}); err == nil {
+			t.Errorf("-scale %s parsed without error", v)
+		}
+	}
+	fs, scale, _ := scaleFlags("table1")
+	if err := fs.Parse([]string{"-scale", "0.5"}); err != nil || *scale != 0.5 {
+		t.Fatalf("-scale 0.5: scale %v, err %v", *scale, err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro"
 	"repro/internal/experiment"
 	"repro/internal/mitigate"
+	"repro/internal/paper"
 )
 
 // cmdRunlevel reproduces the paper's §5.1 verification: baseline
@@ -15,7 +16,7 @@ import (
 func cmdRunlevel(args []string) error {
 	c := newCommon("runlevel")
 	reps := c.fs.Int("reps", 30, "repetitions per runlevel")
-	workloadsFlag := c.fs.String("workloads", "nbody,babelstream,minife", "comma-separated workloads")
+	workloadsFlag := c.fs.String("workloads", strings.Join(paper.Workloads, ","), "comma-separated workloads")
 	if err := c.fs.Parse(args); err != nil {
 		return err
 	}

@@ -105,9 +105,6 @@ func (p *injectProgram) Next(*cpusched.Task) (cpusched.Request, bool) {
 	}
 }
 
-// Tasks returns the injector tasks (for early termination).
-func (r *Replayer) Tasks() []*cpusched.Task { return r.tasks }
-
 // StopAll kills any injectors still running — the workload-completion early
 // termination of Listing 1.
 func (r *Replayer) StopAll() {

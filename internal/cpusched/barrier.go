@@ -17,12 +17,6 @@ func NewBarrier(n int) *Barrier {
 	return &Barrier{n: n}
 }
 
-// N returns the participant count.
-func (b *Barrier) N() int { return b.n }
-
-// Generation returns how many times the barrier has been released.
-func (b *Barrier) Generation() uint64 { return b.gen }
-
 // drop removes a killed task from the waiter list so the barrier does not
 // deadlock the remaining participants permanently (they still wait for a
 // participant that will never come; dropping only cleans bookkeeping).

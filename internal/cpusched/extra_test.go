@@ -204,3 +204,15 @@ func TestMemoryTaskPreemptedReleasesBandwidth(t *testing.T) {
 	within(t, s.eng.Now(), 15*sim.Millisecond, 0.05, "preempted stream delayed by noise")
 	s.Shutdown()
 }
+
+// N returns the participant count.
+func (b *Barrier) N() int { return b.n }
+
+// Generation returns how many times the barrier has been released.
+func (b *Barrier) Generation() uint64 { return b.gen }
+
+// State returns the task's lifecycle state.
+func (t *Task) State() TaskState { return t.state }
+
+// Policy returns the task's scheduling policy.
+func (t *Task) Policy() Policy { return t.policy }

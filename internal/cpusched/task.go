@@ -300,17 +300,11 @@ func (t *Task) recycle() {
 	}
 }
 
-// State returns the task's lifecycle state.
-func (t *Task) State() TaskState { return t.state }
-
 // Done reports whether the task has finished (or was killed).
 func (t *Task) Done() bool { return t.state == StateDone }
 
 // CPU returns the task's current (or most recent) CPU, -1 if never run.
 func (t *Task) CPU() int { return t.cpu }
-
-// Policy returns the task's scheduling policy.
-func (t *Task) Policy() Policy { return t.policy }
 
 // OnDone registers fn to run (on the engine thread) when the task finishes.
 func (t *Task) OnDone(fn func()) { t.onDone = append(t.onDone, fn) }

@@ -12,8 +12,8 @@ import (
 )
 
 // RepCounts sets how many executions each study phase performs. The paper
-// uses Collect/Baseline = 1000 and Inject = 200; defaults here are scaled
-// for tractable regeneration and can be raised via the CLI/bench flags.
+// uses Collect/Baseline = 1000 and Inject = 200; the named depths this
+// repository runs at are in internal/paper.
 type RepCounts struct {
 	// Collect is the number of traced runs used to hunt the worst case
 	// and average the inherent noise (stage 1).
@@ -23,11 +23,6 @@ type RepCounts struct {
 	// Inject is the rep count per injection experiment.
 	Inject int
 }
-
-// DefaultReps returns the CLI depth: the rep counts the noiselab table
-// commands and report run at -scale 1. The go-test bench harness runs a
-// shallower 60/8/8.
-func DefaultReps() RepCounts { return RepCounts{Collect: 150, Baseline: 25, Inject: 25} }
 
 // Scale multiplies all rep counts by f (minimum 2 each).
 func (r RepCounts) Scale(f float64) RepCounts {

@@ -26,9 +26,6 @@ const (
 	inFront   = -2 // held in the engine's front slot
 )
 
-// At returns the simulated instant the timer fires at.
-func (t *Timer) At() Time { return t.at }
-
 // Cancel prevents the timer from firing: the timer leaves the queue at once
 // (O(1) from the front slot, O(log n) from the heap) and its struct returns
 // to the free pool. Cancelling an already-fired or already-cancelled timer

@@ -446,3 +446,6 @@ func TestTimerKeyPanics(t *testing.T) {
 		t.Fatalf("rejected calls changed the queue: pending=%v at=%v queue=%d", live.Pending(), at, e.Pending())
 	}
 }
+
+// At returns the simulated instant the timer fires at.
+func (t *Timer) At() Time { return t.at }

@@ -38,9 +38,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the observation count.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the running mean (0 when empty).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -54,10 +51,6 @@ func (w *Welford) Var() float64 {
 
 // SD returns the sample standard deviation.
 func (w *Welford) SD() float64 { return math.Sqrt(w.Var()) }
-
-// Min and Max return the observed extremes (0 when empty).
-func (w *Welford) Min() float64 { return w.min }
-func (w *Welford) Max() float64 { return w.max }
 
 // CV returns the coefficient of variation (SD/mean; 0 when mean is 0).
 func (w *Welford) CV() float64 {

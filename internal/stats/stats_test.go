@@ -192,3 +192,10 @@ func TestOutliers(t *testing.T) {
 		t.Fatal("low outlier is not an upper outlier")
 	}
 }
+
+// N returns the observation count.
+func (w *Welford) N() int { return w.n }
+
+// Min and Max return the observed extremes (0 when empty).
+func (w *Welford) Min() float64 { return w.min }
+func (w *Welford) Max() float64 { return w.max }

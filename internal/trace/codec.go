@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -153,24 +152,4 @@ func parseHeader(line string, tr *Trace) error {
 		}
 	}
 	return nil
-}
-
-// MarshalJSON for NoiseClass-bearing events is handled by the enum's integer
-// value plus a readable duplicate; for interchange we keep it simple and
-// write the integer. WriteJSON/ReadJSON round-trip a whole trace.
-
-// WriteJSON writes the trace as JSON.
-func WriteJSON(w io.Writer, tr *Trace) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(tr)
-}
-
-// ReadJSON parses a JSON trace.
-func ReadJSON(r io.Reader) (*Trace, error) {
-	tr := &Trace{}
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(tr); err != nil {
-		return nil, fmt.Errorf("trace: decoding JSON: %w", err)
-	}
-	return tr, nil
 }

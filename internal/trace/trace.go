@@ -1,7 +1,7 @@
 // Package trace implements an osnoise-style system tracer and trace model:
 // per-CPU records of interrupt, soft-interrupt, and thread noise with start
 // timestamps and durations (the paper's Figure 3), a text codec mirroring
-// that figure, a JSON codec, and the per-source statistics the noise
+// that figure, JSON field tags, and the per-source statistics the noise
 // injector's configuration generator consumes (average frequency and
 // duration per unique noise source, worst-case selection).
 package trace

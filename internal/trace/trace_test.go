@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -303,4 +306,23 @@ func TestTextRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// WriteJSON and ReadJSON round-trip a whole trace through its JSON field
+// tags (NoiseClass serializes as its integer value).
+
+// WriteJSON writes the trace as JSON.
+func WriteJSON(w io.Writer, tr *Trace) error {
+	enc := json.NewEncoder(w)
+	return enc.Encode(tr)
+}
+
+// ReadJSON parses a JSON trace.
+func ReadJSON(r io.Reader) (*Trace, error) {
+	tr := &Trace{}
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(tr); err != nil {
+		return nil, fmt.Errorf("trace: decoding JSON: %w", err)
+	}
+	return tr, nil
 }

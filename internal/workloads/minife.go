@@ -113,9 +113,6 @@ func (a *CSR) SpMV(x, y []float64, threads int) {
 	})
 }
 
-// NNZ returns the number of stored nonzeros.
-func (a *CSR) NNZ() int { return len(a.Values) }
-
 func dotVec(a, b []float64, threads int) float64 {
 	if threads < 1 {
 		threads = 1

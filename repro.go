@@ -29,6 +29,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/machine"
 	"repro/internal/mitigate"
+	"repro/internal/paper"
 	"repro/internal/platform"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -229,7 +230,7 @@ func StragglerStudySpec() ClusterSpec { return cluster.StragglerStudySpec() }
 
 // DefaultReps returns the CLI depth, the repetition counts noiselab runs at
 // -scale 1 (the paper uses 1000/1000/200).
-func DefaultReps() RepCounts { return experiment.DefaultReps() }
+func DefaultReps() RepCounts { return paper.CLI }
 
 // TracingOverheadExec measures Table 1 under e and ctx.
 func TracingOverheadExec(ctx context.Context, e Executor, p *Platform,
